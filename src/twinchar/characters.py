@@ -141,7 +141,7 @@ def demazure_character(gcm: GeneralizedCartanMatrix, lam: Weight,
     """
     if not gcm.is_dominant(lam):
         raise NotDominant(f"weight {lam} is not dominant")
-    reduced = weyl.reduced_word(gcm, weyl.element_of(gcm, word))
+    reduced = weyl.reduced_word(gcm, word)
     poly = CharacterPolynomial.monomial(tuple(lam))
     for i in reversed(reduced):
         poly = demazure_op(gcm, poly, i)
@@ -159,7 +159,7 @@ def freudenthal_character(gcm: GeneralizedCartanMatrix, lam: Weight) -> Characte
     if not gcm.is_dominant(lam):
         raise NotDominant(f"weight {lam} is not dominant")
     n = gcm.n
-    lowest = mat_vec(weyl.element_of(gcm, weyl.longest_element(gcm)), lam)
+    lowest = weyl.act(gcm, weyl.longest_element(gcm), lam)
     beta_max = gcm.root_coords(tuple(l - w for l, w in zip(lam, lowest)))
     positives = positive_roots(gcm)
 

@@ -24,7 +24,6 @@ from .errors import (
     NotSymmetricWeight,
     UnsupportedOrbitShape,
 )
-from .linalg import identity_matrix, mat_mul
 from .root_data import GeneralizedCartanMatrix, IntMatrix, Weight, validate_gcm
 
 Word = tuple[int, ...]
@@ -172,24 +171,27 @@ def fold(gcm: GeneralizedCartanMatrix, auto: DiagramAutomorphism) -> FoldingData
     n = gcm.n
     n_folded = len(orbits)
 
+    components = []
     for k, orbit in enumerate(orbits):
         s = orbit_data.row_sums[k]
         if s not in (1, 2):
             raise LinkingConditionFailed(
                 f"orbit {orbit} has row sum {s}; folding needs 1 or 2")
-        _orbit_components(entries, orbit)
+        components.append(_orbit_components(entries, orbit))
 
     folded_rows = []
     for k, orbit_k in enumerate(orbits):
         row = []
         for l, orbit_l in enumerate(orbits):
-            c = orbit_data.scale(l)
-            values = {c * sum(entries[i][j] for j in orbit_l) for i in orbit_k}
+            s = orbit_data.row_sums[l]
+            values = {2 * sum(entries[i][j] for j in orbit_l) for i in orbit_k}
             assert len(values) == 1, \
                 f"folded entry for orbits {orbit_k}, {orbit_l} depends on the representative"
-            value = values.pop()
-            assert value.denominator == 1, "folded entry was not an integer"
-            row.append(int(value))
+            value, remainder = divmod(values.pop(), s)
+            if remainder:
+                raise LinkingConditionFailed(
+                    f"folded entry for orbits {orbit_k}, {orbit_l} is not an integer")
+            row.append(value)
         folded_rows.append(tuple(row))
     folded = validate_gcm(tuple(folded_rows))
 
@@ -201,9 +203,9 @@ def fold(gcm: GeneralizedCartanMatrix, auto: DiagramAutomorphism) -> FoldingData
                  for i in range(n))
 
     words = []
-    for orbit in orbits:
+    for comps in components:
         word: list[int] = []
-        for comp in _orbit_components(entries, orbit):
+        for comp in comps:
             if len(comp) == 1:
                 word.append(comp[0])
             else:
@@ -214,12 +216,15 @@ def fold(gcm: GeneralizedCartanMatrix, auto: DiagramAutomorphism) -> FoldingData
 
     data = FoldingData(gcm, auto, orbit_data, folded, lift, words, tuple(node_orbit))
 
+    # w_k . lift == lift . s_k, checked column by column on the folded fundamental weights
     for k in range(n_folded):
         assert weyl.is_in_w_tilde(gcm, words[k], auto.perm), \
             f"orbit word {words[k]} does not commute with the automorphism"
-        lhs = mat_mul(weyl.element_of(gcm, words[k]), lift)
-        rhs = mat_mul(lift, weyl.reflection_matrix(folded, k))
-        assert lhs == rhs, f"weight lift fails to intertwine folded reflection {k}"
+        for l in range(n_folded):
+            omega = tuple(1 if j == l else 0 for j in range(n_folded))
+            lhs = weyl.act(gcm, words[k], unfold_weight(data, omega))
+            rhs = unfold_weight(data, folded.reflect(omega, k))
+            assert lhs == rhs, f"weight lift fails to intertwine folded reflection {k}"
     return data
 
 
@@ -252,29 +257,19 @@ def unfold_word(data: FoldingData, word_hat: Word) -> Word:
 def fold_word(data: FoldingData, word: Word) -> Word:
     """Inverse of unfold_word on commuting elements, by descent peeling.
 
-    Finds an orbit word that shortens the element, peels it, and recurses;
-    the result is checked to re-expand to the same matrix.
+    The vector x = w^-1(rho) of a commuting element is symmetric, and its
+    folded part is the vector of the folded element (the lift sends the
+    folded rho to rho and intertwines the reflections), so the folded word
+    is peeled on the folded side.  The result is checked to re-expand to
+    the same element.
     """
     gcm = data.gcm
-    if not weyl.is_in_w_tilde(gcm, word, data.auto.perm):
+    x = weyl.rho_vector(gcm, word)
+    if not is_symmetric_weight(x, data.auto.perm):
         raise NotInWTilde(f"word {word} does not commute with the automorphism")
-    target = weyl.element_of(gcm, word)
-    orbit_elements = [weyl.element_of(gcm, w) for w in data.orbit_words]
-    ident = identity_matrix(gcm.n)
-    m = target
-    current = len(weyl.reduced_word(gcm, m))
-    letters = []
-    while m != ident:
-        for k, om in enumerate(orbit_elements):
-            m2 = mat_mul(m, om)
-            l2 = len(weyl.reduced_word(gcm, m2))
-            if l2 < current:
-                letters.append(k)
-                m, current = m2, l2
-                break
-        else:
-            raise NoDescentFound("no orbit-word descent; folding data is inconsistent")
-    result = tuple(reversed(letters))
-    assert weyl.element_of(gcm, unfold_word(data, result)) == target, \
-        "descent peeling did not invert the word expansion"
+    x_hat = tuple(x[orbit[0]] for orbit in data.orbit_data.orbits)
+    result = weyl.word_of_rho_vector(data.folded, x_hat)
+    if weyl.rho_vector(gcm, unfold_word(data, result)) != x:
+        raise NoDescentFound("descent peeling did not invert the word expansion; "
+                             "folding data is inconsistent")
     return result

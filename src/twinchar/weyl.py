@@ -1,18 +1,27 @@
-"""Weyl group words and integer-matrix canonical forms.
+"""Weyl group words, canonical reduced words and the commuting subgroup.
 
-Elements act on fundamental-weight coordinates, so equality in the group
-is equality of integer matrices.  Canonical reduced words come from
-greedy descent peeling with the smallest index first, which keeps every
-serialized word deterministic.
+A Weyl element w is represented by the integer vector x = w^-1(rho) in
+fundamental-weight coordinates, with rho = (1, ..., 1).  W acts freely on
+the orbit of rho, so two words name the same element exactly when their
+vectors agree.
+
+Descent rule: x_i = <rho, (w alpha_i)^vee> is negative exactly when i is
+a right descent of w, that is l(w s_i) < l(w).  The canonical reduced word
+peels the smallest right descent (x <- s_i x, which is w <- w s_i) until
+x = rho, at O(n) integer work per letter, and reads the peeled letters
+backwards.
+
+Integer matrices (``element_of``, ``reflection_matrix``, ``enumerate_weyl``)
+remain for enumerating a group and as an independent reference in tests.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InvalidInput, NotFiniteType
-from .linalg import identity_matrix, inverse, mat_mul, mat_vec
-from .root_data import GeneralizedCartanMatrix, is_finite_type, positive_roots
+from .errors import InvalidInput, NoDescentFound, NotFiniteType
+from .linalg import identity_matrix, mat_mul
+from .root_data import GeneralizedCartanMatrix, Weight, is_finite_type
 
 Word = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -44,53 +53,88 @@ def element_of(gcm: GeneralizedCartanMatrix, word: Word) -> Matrix:
 
 
 @lru_cache(maxsize=None)
-def _cartan_inverse(gcm: GeneralizedCartanMatrix):
-    inv = inverse(gcm.entries)
-    if inv is None:
-        raise NotFiniteType("Cartan matrix is singular")
-    return inv
+def _simple_roots(gcm: GeneralizedCartanMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # per letter i, the nonzero (k, a_ki): alpha_i in weight coordinates
+    return tuple(tuple((k, row[i]) for k, row in enumerate(gcm.entries) if row[i])
+                 for i in range(gcm.n))
 
 
-def _sends_simple_root_negative(gcm: GeneralizedCartanMatrix, m: Matrix, i: int) -> bool:
-    # root coordinates of w(alpha_i) are A^-1 (M . column_i(A)); roots have a uniform sign
-    weight_coords = mat_vec(m, gcm.simple_root(i))
-    coords = mat_vec(_cartan_inverse(gcm), weight_coords)
-    negative = any(c < 0 for c in coords)
-    assert negative != any(c > 0 for c in coords), "image of a simple root had mixed signs"
-    return negative
+def _reflect(roots, x: list[int], i: int) -> None:
+    """x <- s_i(x) in place: subtract <x, alpha_i^vee> alpha_i."""
+    c = x[i]
+    if c:
+        for k, a in roots[i]:
+            x[k] -= c * a
 
 
-def reduced_word(gcm: GeneralizedCartanMatrix, element: Matrix) -> Word:
-    """Canonical reduced word of a Weyl element given as a matrix (finite type only).
+def _apply(gcm: GeneralizedCartanMatrix, letters, lam: Weight) -> list[int]:
+    """s_{l_k} ... s_{l_1}(lam) as a list: the letters act first to last."""
+    if len(lam) != gcm.n:
+        raise InvalidInput(f"weight {tuple(lam)} has size {len(lam)}, expected {gcm.n}")
+    roots = _simple_roots(gcm)
+    x = list(lam)
+    for i in letters:
+        _check_letter(gcm, i)
+        _reflect(roots, x, i)
+    return x
 
-    Peels the smallest descent: while some simple root is sent negative,
-    multiply by that reflection on the right.
+
+def act(gcm: GeneralizedCartanMatrix, word: Word, lam: Weight) -> Weight:
+    """The image w(lam) of a weight under the element of the word.
+
+    >>> from twinchar.root_data import cartan_matrix
+    >>> act(cartan_matrix("A2"), (0, 1), (1, 0))
+    (-1, 1)
+    """
+    return tuple(_apply(gcm, reversed(word), lam))
+
+
+def rho_vector(gcm: GeneralizedCartanMatrix, word: Word) -> Weight:
+    """The vector w^-1(rho) that represents the element of the word."""
+    return tuple(_apply(gcm, word, gcm.rho()))
+
+
+def word_of_rho_vector(gcm: GeneralizedCartanMatrix, x: Weight) -> Word:
+    """Canonical reduced word of the element w with w^-1(rho) = x (finite type only).
+
+    Peels the smallest right descent, the smallest negative coordinate, until
+    x is dominant.  Raises NoDescentFound when x is not in the orbit of rho.
     """
     if not is_finite_type(gcm):
         raise NotFiniteType("reduced words need a finite-type Cartan matrix")
-    bound = len(positive_roots(gcm))
-    ident = identity_matrix(gcm.n)
+    roots = _simple_roots(gcm)
+    x = list(x)
     letters = []
-    m = element
-    while m != ident:
-        for i in range(gcm.n):
-            if _sends_simple_root_negative(gcm, m, i):
-                letters.append(i)
-                m = mat_mul(m, reflection_matrix(gcm, i))
-                break
-        else:
-            raise InvalidInput("matrix is not a Weyl group element (no descent)")
-        if len(letters) > bound:
-            raise InvalidInput("matrix is not a Weyl group element (length bound exceeded)")
+    while True:
+        i = next((k for k, c in enumerate(x) if c < 0), None)
+        if i is None:
+            break
+        letters.append(i)
+        _reflect(roots, x, i)
+    if tuple(x) != gcm.rho():
+        raise NoDescentFound(f"descent peeling ended at {tuple(x)}, not at rho")
     return tuple(reversed(letters))
 
 
+def reduced_word(gcm: GeneralizedCartanMatrix, word: Word) -> Word:
+    """Canonical reduced word of the element of any word (finite type only).
+
+    >>> from twinchar.root_data import cartan_matrix
+    >>> reduced_word(cartan_matrix("A2"), (0, 1, 0, 0, 1))
+    (0,)
+    """
+    return word_of_rho_vector(gcm, rho_vector(gcm, word))
+
+
 def length(gcm: GeneralizedCartanMatrix, word: Word) -> int:
-    return len(reduced_word(gcm, element_of(gcm, word)))
+    return len(reduced_word(gcm, word))
 
 
 def longest_element(gcm: GeneralizedCartanMatrix) -> Word:
     """Reduced word of the longest element, grown by smallest-index ascents.
+
+    An ascent of w is a positive coordinate of w^-1(rho); the longest
+    element is the one without ascents.
 
     >>> from twinchar.root_data import cartan_matrix
     >>> longest_element(cartan_matrix("A2"))
@@ -98,31 +142,27 @@ def longest_element(gcm: GeneralizedCartanMatrix) -> Word:
     """
     if not is_finite_type(gcm):
         raise NotFiniteType("longest element needs a finite-type Cartan matrix")
-    m = identity_matrix(gcm.n)
+    roots = _simple_roots(gcm)
+    x = list(gcm.rho())
     letters = []
     while True:
-        for i in range(gcm.n):
-            if not _sends_simple_root_negative(gcm, m, i):
-                letters.append(i)
-                m = mat_mul(m, reflection_matrix(gcm, i))
-                break
-        else:
+        i = next((k for k, c in enumerate(x) if c > 0), None)
+        if i is None:
             return tuple(letters)
-
-
-def permutation_matrix(perm: tuple[int, ...]) -> Matrix:
-    """Matrix of the induced weight permutation: coordinate i is read from position perm[i]."""
-    n = len(perm)
-    return tuple(tuple(1 if j == perm[i] else 0 for j in range(n)) for i in range(n))
+        letters.append(i)
+        _reflect(roots, x, i)
 
 
 def is_in_w_tilde(gcm: GeneralizedCartanMatrix, word: Word, perm: tuple[int, ...]) -> bool:
-    """True iff the element commutes with the automorphism action on weights."""
+    """True iff the element commutes with the automorphism action on weights.
+
+    The automorphism fixes rho and W acts freely on the orbit of rho, so w
+    commutes with it exactly when w(rho) is fixed by the permutation.
+    """
     if len(perm) != gcm.n:
         raise InvalidInput(f"automorphism size {len(perm)} does not match rank {gcm.n}")
-    m = element_of(gcm, word)
-    p = permutation_matrix(perm)
-    return mat_mul(m, p) == mat_mul(p, m)
+    image = _apply(gcm, reversed(word), gcm.rho())
+    return all(image[p] == c for p, c in zip(perm, image))
 
 
 def enumerate_weyl(gcm: GeneralizedCartanMatrix,

@@ -38,7 +38,6 @@ from .errors import (
     NotTauStable,
     TooLarge,
 )
-from .linalg import mat_vec
 from .root_data import GeneralizedCartanMatrix, RootVector, Weight, _require_finite
 
 FWord = tuple[int, ...]
@@ -276,6 +275,23 @@ def weight_space(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector,
     return _span(lam, beta, [gram[w] for w in words])
 
 
+def _exponents(gcm: GeneralizedCartanMatrix, lam: Weight, word: FWord) -> list[int]:
+    """Exponent m_t = <s_{i_{t+1}} ... s_{i_k}(lam), alpha_{i_t}^vee> for each letter.
+
+    Reflecting down the word gives lam - w(lam) = sum_t m_t alpha_{i_t}; any
+    negative exponent means the expression was not reduced.
+    """
+    exponents = [0] * len(word)
+    mu = lam
+    for t in range(len(word) - 1, -1, -1):
+        m = mu[word[t]]
+        if m < 0:
+            raise NotReduced(f"word {word} yields a negative exponent at position {t}")
+        exponents[t] = m
+        mu = gcm.reflect(mu, word[t])
+    return exponents
+
+
 def extremal_vector(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> PairingVector:
     """The prescribed lowering word along a reduced expression, as a profile.
 
@@ -288,20 +304,13 @@ def extremal_vector(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> PairingV
     if not gcm.is_dominant(lam):
         raise NotDominant(f"weight {lam} is not dominant")
     word = tuple(word)
-    exponents = [0] * len(word)
-    mu = lam
-    for t in range(len(word) - 1, -1, -1):
-        m = mu[word[t]]
-        if m < 0:
-            raise NotReduced(f"word {word} yields a negative exponent at position {t}")
-        exponents[t] = m
-        mu = gcm.reflect(mu, word[t])
+    exponents = _exponents(gcm, lam, word)
     v = highest_weight_vector(gcm, lam)
     for t in range(len(word) - 1, -1, -1):
         for _ in range(exponents[t]):
             v = f_action(gcm, word[t], v)
     assert v.coords, "extremal vector vanished"
-    expected = mat_vec(weyl.element_of(gcm, word), lam)
+    expected = weyl.act(gcm, word, lam)
     actual = tuple(l - c for l, c in zip(lam, gcm.weight_of_root(v.content)))
     assert actual == expected, "extremal vector has the wrong weight"
     return v
@@ -326,10 +335,11 @@ def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     lam = tuple(lam)
     if not gcm.is_dominant(lam):
         raise NotDominant(f"weight {lam} is not dominant")
-    reduced = weyl.reduced_word(gcm, weyl.element_of(gcm, word))
-    low = mat_vec(weyl.element_of(gcm, reduced), lam)
-    beta_w = gcm.root_coords(tuple(l - x for l, x in zip(lam, low)))
-    assert all(b >= 0 for b in beta_w)
+    reduced = weyl.reduced_word(gcm, word)
+    beta = [0] * gcm.n
+    for i, m in zip(reduced, _exponents(gcm, lam, reduced)):
+        beta[i] += m
+    beta_w = tuple(beta)
     count = content_word_count(beta_w)
     if count > word_cap:
         raise TooLarge(

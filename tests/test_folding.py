@@ -1,5 +1,10 @@
 """Orbit data, the folded matrix, the weight lift and the word expansion."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from twinchar.errors import (
@@ -152,6 +157,12 @@ def test_expansion_lands_in_commuting_subgroup_and_is_bijective():
         commuting = {m for wd, m in enumerate_weyl(gcm)
                      if is_in_w_tilde(gcm, wd, auto.perm)}
         assert images == commuting, label
+        # membership agrees with matrix commutation; p reads coordinate i from perm[i]
+        n = gcm.n
+        p = tuple(tuple(1 if j == auto.perm[i] else 0 for j in range(n)) for i in range(n))
+        for wd, m in enumerate_weyl(gcm):
+            commutes = mat_mul(m, p) == mat_mul(p, m)
+            assert is_in_w_tilde(gcm, wd, auto.perm) == commutes, (label, wd)
 
 
 def test_expansion_length_additivity():
@@ -184,6 +195,30 @@ def test_fold_word_reports_inconsistent_data():
     crippled = replace(data, orbit_words=((), ()))
     with pytest.raises(NoDescentFound):
         fold_word(crippled, (0, 2))
+
+
+def test_fold_word_reports_inconsistent_data_under_optimize():
+    # the re-expansion check must raise, not assert: python -O strips asserts
+    code = "\n".join([
+        "from dataclasses import replace",
+        "from twinchar.errors import NoDescentFound",
+        "from twinchar.folding import fold, fold_word, validate_automorphism",
+        "from twinchar.root_data import cartan_matrix",
+        "gcm = cartan_matrix('A3')",
+        "auto, _ = validate_automorphism(gcm, (2, 1, 0))",
+        "crippled = replace(fold(gcm, auto), orbit_words=((), ()))",
+        "try:",
+        "    fold_word(crippled, (0, 2))",
+        "except NoDescentFound:",
+        "    print('NoDescentFound')",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "NoDescentFound"
 
 
 def test_dominance_equivariance_of_lift():

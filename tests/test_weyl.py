@@ -1,5 +1,7 @@
 """Weyl words, matrix canonical forms, reduced words and the commuting subgroup."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,7 +56,7 @@ def test_reduced_word_of_messy_word():
     m = element_of(a2, (0, 1, 0, 0, 1))
     assert m in brute_force_group(a2)
     assert m == element_of(a2, (0,))
-    assert reduced_word(a2, m) == (0,)
+    assert reduced_word(a2, (0, 1, 0, 0, 1)) == (0,)
 
 
 @settings(max_examples=50, deadline=None)
@@ -69,10 +71,36 @@ def test_reduced_word_idempotence_over_whole_group():
     for label in ("A2", "B2", "G2"):
         gcm = cartan_matrix(label)
         for word, m in enumerate_weyl(gcm):
-            red = reduced_word(gcm, m)
+            red = reduced_word(gcm, word)
             assert element_of(gcm, red) == m
             assert len(red) == len(word)
-            assert reduced_word(gcm, element_of(gcm, red)) == red
+            assert reduced_word(gcm, red) == red
+
+
+def peel_by_depth(gcm, depth, m):
+    """Oracle: smallest-index descent peeling read off the BFS depth of each matrix."""
+    ident = identity_matrix(gcm.n)
+    letters = []
+    while m != ident:
+        i = next(i for i in range(gcm.n)
+                 if depth[mat_mul(m, element_of(gcm, (i,)))] < depth[m])
+        letters.append(i)
+        m = mat_mul(m, element_of(gcm, (i,)))
+    return tuple(reversed(letters))
+
+
+def test_reduced_word_matches_depth_map_oracle():
+    rng = random.Random(20)
+    for label in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"):
+        gcm = cartan_matrix(label)
+        elements = enumerate_weyl(gcm)
+        depth = {m: len(word) for word, m in elements}
+        for word, m in elements:
+            assert reduced_word(gcm, word) == peel_by_depth(gcm, depth, m), (label, word)
+        for _ in range(40):
+            word = tuple(rng.randrange(gcm.n) for _ in range(rng.randrange(16)))
+            expected = peel_by_depth(gcm, depth, element_of(gcm, word))
+            assert reduced_word(gcm, word) == expected, (label, word)
 
 
 def test_length_counts_positive_roots_sent_negative():
@@ -121,7 +149,7 @@ def test_w_tilde_closed_under_product_and_inverse():
     for u in members:
         for v in members:
             assert is_in_w_tilde(a3, u + v, flip)
-        inv = reduced_word(a3, element_of(a3, tuple(reversed(u))))
+        inv = reduced_word(a3, tuple(reversed(u)))
         assert is_in_w_tilde(a3, inv, flip)
 
 
