@@ -38,12 +38,10 @@ from .root_data import (
     cartan_matrix,
     is_finite_type,
     positive_roots,
-    positive_roots_and_dim,
     validate_gcm,
     weyl_dimension,
 )
 from .weyl import (
-    element_of,
     enumerate_weyl,
     is_in_w_tilde,
     length,
@@ -55,7 +53,6 @@ from .word_model import (
     Subspace,
     demazure_subspaces,
     extremal_vector,
-    shapovalov_pair,
     twining_character,
     twining_trace,
     weight_space,
@@ -79,7 +76,6 @@ __all__ = [
     "demazure_character",
     "demazure_op",
     "demazure_subspaces",
-    "element_of",
     "enumerate_weyl",
     "extremal_vector",
     "fold",
@@ -93,10 +89,8 @@ __all__ = [
     "longest_element",
     "map_character",
     "positive_roots",
-    "positive_roots_and_dim",
     "reduced_word",
     "run_battery",
-    "shapovalov_pair",
     "twining_character",
     "twining_trace",
     "unfold_weight",

@@ -12,13 +12,13 @@ from __future__ import annotations
 from itertools import product
 
 from . import weyl
-from .errors import NotDominant
 from .linalg import mat_vec
 from .root_data import (
     GeneralizedCartanMatrix,
     RootVector,
     Weight,
     _require_finite,
+    dominant_weight,
     pairing_root_root,
     pairing_weight_root,
     positive_roots,
@@ -44,10 +44,6 @@ class CharacterPolynomial:
             elif weight in data:
                 del data[weight]
         self._terms = data
-
-    @classmethod
-    def zero(cls, n: int) -> "CharacterPolynomial":
-        return cls(n)
 
     @classmethod
     def monomial(cls, weight: Weight, coeff: int = 1) -> "CharacterPolynomial":
@@ -139,10 +135,9 @@ def demazure_character(gcm: GeneralizedCartanMatrix, lam: Weight,
     The input word is canonicalized to the reduced word of its element, so
     non-reduced input is accepted.
     """
-    if not gcm.is_dominant(lam):
-        raise NotDominant(f"weight {lam} is not dominant")
+    lam = dominant_weight(gcm, lam)
     reduced = weyl.reduced_word(gcm, word)
-    poly = CharacterPolynomial.monomial(tuple(lam))
+    poly = CharacterPolynomial.monomial(lam)
     for i in reversed(reduced):
         poly = demazure_op(gcm, poly, i)
     return poly
@@ -155,9 +150,7 @@ def freudenthal_character(gcm: GeneralizedCartanMatrix, lam: Weight) -> Characte
     oracle throughout the tests.
     """
     _require_finite(gcm)
-    lam = tuple(lam)
-    if not gcm.is_dominant(lam):
-        raise NotDominant(f"weight {lam} is not dominant")
+    lam = dominant_weight(gcm, lam)
     n = gcm.n
     lowest = weyl.act(gcm, weyl.longest_element(gcm), lam)
     beta_max = gcm.root_coords(tuple(l - w for l, w in zip(lam, lowest)))

@@ -14,17 +14,9 @@ import sys
 from . import harness, weyl, word_model
 from .characters import canonical_serialize, demazure_character, freudenthal_character
 from .errors import TwiningError
-from .folding import fold, validate_automorphism
+from .folding import fold
 from .root_data import weyl_dimension
 from .weyl import format_word, parse_word
-
-
-def _parse_weight(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.strip().split(","))
-
-
-def _parse_auto(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.strip().split(","))
 
 
 def _print_poly(poly, as_json: bool) -> None:
@@ -46,9 +38,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_fold(args) -> int:
     instance = harness.load_instance(args.instance)
-    gcm = harness.build_gcm(instance.gcm)
-    auto, orbit_data = validate_automorphism(gcm, instance.automorphism)
-    data = fold(gcm, auto)
+    data = fold(harness.build_gcm(instance.gcm), instance.automorphism)
+    orbit_data = data.orbit_data
     if args.json:
         print(json.dumps({
             "folded": [list(r) for r in data.folded.entries],
@@ -74,7 +65,7 @@ def _cmd_fold(args) -> int:
 
 def _cmd_character(args) -> int:
     gcm = harness.build_gcm(args.gcm)
-    lam = _parse_weight(args.lam)
+    lam = parse_word(args.lam)
     if args.freudenthal:
         poly = freudenthal_character(gcm, lam)
     else:
@@ -87,7 +78,7 @@ def _cmd_character(args) -> int:
 
 def _cmd_demazure(args) -> int:
     gcm = harness.build_gcm(args.gcm)
-    poly = demazure_character(gcm, _parse_weight(args.lam), parse_word(args.word))
+    poly = demazure_character(gcm, parse_word(args.lam), parse_word(args.word))
     _print_poly(poly, args.json)
     return 0
 
@@ -95,7 +86,7 @@ def _cmd_demazure(args) -> int:
 def _cmd_twining(args) -> int:
     gcm = harness.build_gcm(args.gcm)
     poly = word_model.twining_character(
-        gcm, _parse_weight(args.lam), parse_word(args.word), _parse_auto(args.auto),
+        gcm, parse_word(args.lam), parse_word(args.word), parse_word(args.auto),
         word_cap=args.word_cap)
     _print_poly(poly, args.json)
     return 0
@@ -192,7 +183,7 @@ def main(argv=None) -> int:
     except TwiningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

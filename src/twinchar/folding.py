@@ -1,12 +1,13 @@
 """Diagram automorphisms, orbit data and folding to the orbit Cartan matrix.
 
-Folding produces three things: the folded matrix (one row/column per orbit,
-scaled by 2 over the orbit row sum), the weight-lift matrix whose columns
-are orbit indicators, and one Weyl word per orbit (the longest element of
-the parabolic subgroup on that orbit).  All three conventions are checked
-at construction: the folded matrix must be a valid GCM and the lift must
-intertwine every folded simple reflection with its unfolded image, so a
-wrong convention cannot survive construction silently.
+``fold(gcm, perm)`` validates the permutation once and produces three
+things: the folded matrix (one row/column per orbit, scaled by 2 over the
+orbit row sum), the weight-lift matrix whose columns are orbit indicators,
+and one Weyl word per orbit (the longest element of the parabolic subgroup
+on that orbit).  All three conventions are checked at construction: the
+folded matrix must be a valid GCM and the lift must intertwine every
+folded simple reflection with its unfolded image, so a wrong convention
+cannot survive construction silently.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from .errors import (
     NotSymmetricWeight,
     UnsupportedOrbitShape,
 )
-from .root_data import GeneralizedCartanMatrix, IntMatrix, Weight, validate_gcm
+from .root_data import (
+    GeneralizedCartanMatrix,
+    IntMatrix,
+    Weight,
+    int_tuple,
+    is_symmetric_weight,
+    validate_gcm,
+)
 
 Word = tuple[int, ...]
 
@@ -50,14 +58,10 @@ class OrbitData:
         return Fraction(2, s)
 
 
-def identity_automorphism(n: int) -> DiagramAutomorphism:
-    return DiagramAutomorphism(tuple(range(n)), 1)
-
-
 def validate_automorphism(gcm: GeneralizedCartanMatrix,
                           perm) -> tuple[DiagramAutomorphism, OrbitData]:
     """Check that perm preserves the Cartan matrix; compute orbits and row sums."""
-    perm = tuple(int(p) for p in perm)
+    perm = int_tuple(perm, "automorphism")
     n = gcm.n
     if sorted(perm) != list(range(n)):
         raise NotDiagramAutomorphism(f"{list(perm)} is not a bijection of 0..{n - 1}")
@@ -90,18 +94,9 @@ def validate_automorphism(gcm: GeneralizedCartanMatrix,
         orbits.append(tuple(sorted(orbit)))
     orbits.sort(key=min)
 
-    row_sums = []
-    for orbit in orbits:
-        values = {sum(a[i][j] for j in orbit) for i in orbit}
-        assert len(values) == 1, f"orbit row sum depends on the representative: {orbit}"
-        row_sums.append(values.pop())
-
-    return DiagramAutomorphism(perm, order), OrbitData(tuple(orbits), tuple(row_sums))
-
-
-def is_symmetric_weight(lam: Weight, perm: tuple[int, ...]) -> bool:
-    """True iff the weight is fixed by the induced coordinate permutation."""
-    return all(lam[perm[i]] == lam[i] for i in range(len(perm)))
+    # perm permutes each orbit and preserves a, so every representative gives the same sum
+    row_sums = tuple(sum(a[orbit[0]][j] for j in orbit) for orbit in orbits)
+    return DiagramAutomorphism(perm, order), OrbitData(tuple(orbits), row_sums)
 
 
 def _orbit_components(entries: IntMatrix, orbit: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -154,18 +149,19 @@ class FoldingData:
         return len(self.orbit_data.orbits)
 
 
-def fold(gcm: GeneralizedCartanMatrix, auto: DiagramAutomorphism) -> FoldingData:
+def fold(gcm: GeneralizedCartanMatrix, perm) -> FoldingData:
     """Fold along a diagram automorphism satisfying the linking condition.
 
-    Folded entry (k, l) is (2 / s_l) * sum over orbit l of row rep(k).  The
-    scale must sit on the column orbit: simple roots are columns of the
-    matrix everywhere in this package, and only the column scaling lets
-    the orbit-indicator lift intertwine the folded reflections with the
+    The permutation is validated here (``validate_automorphism``), so the
+    returned data carries the automorphism and its orbit data.  Folded
+    entry (k, l) is (2 / s_l) * sum over orbit l of row rep(k).  The scale
+    must sit on the column orbit: simple roots are columns of the matrix
+    everywhere in this package, and only the column scaling lets the
+    orbit-indicator lift intertwine the folded reflections with the
     per-orbit longest elements (the construction asserts exactly that).
-    Values are also checked to be representative-independent, and the
-    result must be a valid symmetrizable GCM.
+    The result must be a valid symmetrizable GCM.
     """
-    _, orbit_data = validate_automorphism(gcm, auto.perm)
+    auto, orbit_data = validate_automorphism(gcm, perm)
     orbits = orbit_data.orbits
     entries = gcm.entries
     n = gcm.n
@@ -184,10 +180,8 @@ def fold(gcm: GeneralizedCartanMatrix, auto: DiagramAutomorphism) -> FoldingData
         row = []
         for l, orbit_l in enumerate(orbits):
             s = orbit_data.row_sums[l]
-            values = {2 * sum(entries[i][j] for j in orbit_l) for i in orbit_k}
-            assert len(values) == 1, \
-                f"folded entry for orbits {orbit_k}, {orbit_l} depends on the representative"
-            value, remainder = divmod(values.pop(), s)
+            # representative-independent for the same reason as the row sums
+            value, remainder = divmod(2 * sum(entries[orbit_k[0]][j] for j in orbit_l), s)
             if remainder:
                 raise LinkingConditionFailed(
                     f"folded entry for orbits {orbit_k}, {orbit_l} is not an integer")

@@ -30,19 +30,17 @@ from .folding import (
     fold_word,
     unfold_weight,
     unfold_word,
-    validate_automorphism,
 )
 from .root_data import (
     GeneralizedCartanMatrix,
     Weight,
     cartan_matrix,
+    int_tuple,
     validate_gcm,
     weight_box,
 )
 
 Word = tuple[int, ...]
-
-DEFAULT_WORD_CAP = word_model.DEFAULT_WORD_CAP
 
 
 @dataclass(frozen=True)
@@ -89,17 +87,15 @@ def parse_instance(data: dict) -> Instance:
 
     def as_tuple(key):
         value = data.get(key)
-        if value is None:
-            return None
-        if not isinstance(value, list):
-            raise InvalidInput(f"field {key!r} must be a list")
-        return tuple(int(x) for x in value)
+        return None if value is None else int_tuple(value, f"field {key!r}")
 
     gcm = data["gcm"]
     if not isinstance(gcm, str):
-        gcm = tuple(tuple(int(x) for x in row) for row in gcm)
+        if not isinstance(gcm, list):
+            raise InvalidInput("field 'gcm' must be a catalog label or a list of rows")
+        gcm = tuple(int_tuple(row, "gcm row") for row in gcm)
     return Instance(gcm=gcm,
-                    automorphism=tuple(int(x) for x in data["automorphism"]),
+                    automorphism=int_tuple(data["automorphism"], "field 'automorphism'"),
                     lambda_hat=as_tuple("lambda_hat"),
                     lam=as_tuple("lambda"),
                     w_hat=as_tuple("w_hat"),
@@ -133,9 +129,7 @@ def build_gcm(source) -> GeneralizedCartanMatrix:
 
 def prepare(instance: Instance) -> PreparedInstance:
     """Validate an instance and convert everything to both sides."""
-    gcm = build_gcm(instance.gcm)
-    auto, _ = validate_automorphism(gcm, instance.automorphism)
-    data = fold(gcm, auto)
+    data = fold(build_gcm(instance.gcm), instance.automorphism)
     if instance.lam is not None:
         lam = instance.lam
         lambda_hat = fold_weight(data, lam)
@@ -148,7 +142,7 @@ def prepare(instance: Instance) -> PreparedInstance:
     else:
         w_hat = instance.w_hat
         w = unfold_word(data, w_hat)
-    return PreparedInstance(gcm, auto, data, tuple(lam), tuple(lambda_hat),
+    return PreparedInstance(data.gcm, data.auto, data, tuple(lam), tuple(lambda_hat),
                             tuple(w), tuple(w_hat), instance)
 
 
@@ -180,7 +174,7 @@ class VerificationReport:
 
 
 def verify_prepared(prep: PreparedInstance,
-                    word_cap: int = DEFAULT_WORD_CAP) -> VerificationReport:
+                    word_cap: int = word_model.DEFAULT_WORD_CAP) -> VerificationReport:
     """Run both routes on prepared data; shared code stops at the root layer.
 
     The left side never touches the folding data, the right side never
@@ -201,7 +195,7 @@ def verify_prepared(prep: PreparedInstance,
 
 
 def verify(instance: Instance | dict,
-           word_cap: int = DEFAULT_WORD_CAP) -> VerificationReport:
+           word_cap: int = word_model.DEFAULT_WORD_CAP) -> VerificationReport:
     if isinstance(instance, dict):
         instance = parse_instance(instance)
     return verify_prepared(prepare(instance), word_cap)
@@ -233,7 +227,7 @@ def default_families() -> tuple[BatteryFamily, ...]:
 @dataclass(frozen=True)
 class BatteryConfig:
     families: tuple[BatteryFamily, ...] = ()
-    word_cap: int = DEFAULT_WORD_CAP
+    word_cap: int = word_model.DEFAULT_WORD_CAP
     max_word_len: int | None = None   # overrides every family sweep when set
     lambda_box: int | None = None     # sweep lambda_hat over {0..box}^n instead
 
@@ -251,9 +245,7 @@ def battery_instances(config: BatteryConfig) -> list[tuple[str, Instance]]:
     """Expand the battery config into (key, instance) pairs, deterministically."""
     out = []
     for family in config.resolved_families():
-        gcm = build_gcm(family.gcm)
-        auto, _ = validate_automorphism(gcm, family.automorphism)
-        data = fold(gcm, auto)
+        data = fold(build_gcm(family.gcm), family.automorphism)
         words = [w for w, _ in weyl.enumerate_weyl(data.folded, family.max_word_len)]
         if config.lambda_box is not None:
             lambda_hats = sorted(weight_box(data.folded.n, 0, config.lambda_box))

@@ -1,14 +1,13 @@
-"""Small exact linear algebra helpers on tuple matrices.
+"""Small exact integer linear algebra helpers on tuple matrices.
 
-Matrices are tuples of row tuples; entries are ints or Fractions and no
-operation here ever touches floating point.
+Matrices are tuples of row tuples with integer entries.  Everything here
+stays in the integers: there is no Fraction and no floating point, and
+the one elimination routine is the fraction-free determinant.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-Matrix = tuple[tuple, ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -29,67 +28,30 @@ def mat_vec(a: Matrix, v) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def determinant(a: Matrix) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination over Fraction."""
+def determinant(a: Matrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    After step k every entry of the trailing block is a (k+1) x (k+1) minor
+    of the input, so the division by the previous pivot is exact (Sylvester's
+    identity; Bareiss, Math. Comp. 22, 1968) and every value is an integer.
+    """
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            f = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
+    m = [list(row) for row in a]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                m[r][c] = (m[r][c] * pivot - m[r][k] * m[k][c]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
 
 
-def solve(a: Matrix, rhs) -> tuple | None:
-    """Solve a*x = rhs exactly; returns None when a is singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(row[n] for row in m)
-
-
-def inverse(a: Matrix) -> Matrix | None:
-    """Exact inverse over Fraction, or None when singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def leading_principal_minors(a: Matrix) -> list[Fraction]:
+def leading_principal_minors(a: Matrix) -> list[int]:
     return [determinant(tuple(row[: k + 1] for row in a[: k + 1])) for k in range(len(a))]

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import InvalidInput, NotDominant, NotFiniteType, NotGCM, NotSymmetrizable
-from .linalg import leading_principal_minors, solve
+from .linalg import determinant, leading_principal_minors
 
 Weight = tuple[int, ...]
 RootVector = tuple[int, ...]
@@ -33,10 +33,6 @@ class GeneralizedCartanMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def pairing(self, lam: Weight, i: int) -> int:
-        """<lam, alpha_i^vee>, which is just the i-th fundamental coordinate."""
-        return lam[i]
 
     def simple_root(self, j: int) -> Weight:
         """Fundamental-weight coordinates of the j-th simple root (column j).
@@ -64,13 +60,18 @@ class GeneralizedCartanMatrix:
         return tuple(sum(row[j] * beta[j] for j in range(self.n)) for row in self.entries)
 
     def root_coords(self, lam: Weight) -> RootVector:
-        """Inverse of weight_of_root; needs det != 0 and an integral result."""
-        sol = solve(self.entries, lam)
-        if sol is None:
+        """Inverse of weight_of_root by Cramer's rule; needs det != 0 and an integral result."""
+        det = determinant(self.entries)
+        if det == 0:
             raise NotFiniteType("Cartan matrix is singular; root coordinates undefined")
-        if any(x.denominator != 1 for x in sol):
-            raise InvalidInput(f"weight {lam} is not in the root lattice")
-        return tuple(int(x) for x in sol)
+        coords = []
+        for j in range(self.n):
+            replaced = tuple(row[:j] + (c,) + row[j + 1:] for row, c in zip(self.entries, lam))
+            quotient, remainder = divmod(determinant(replaced), det)
+            if remainder:
+                raise InvalidInput(f"weight {lam} is not in the root lattice")
+            coords.append(quotient)
+        return tuple(coords)
 
 
 def validate_gcm(matrix) -> GeneralizedCartanMatrix:
@@ -152,6 +153,32 @@ def _require_finite(gcm: GeneralizedCartanMatrix) -> None:
         raise NotFiniteType("operation requires a finite-type Cartan matrix")
 
 
+def int_tuple(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints; bool, float and str entries raise InvalidInput."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise InvalidInput(f"{what} {values!r} is not a list of integers") from None
+    if any(type(x) is not int for x in out):
+        raise InvalidInput(f"{what} {list(out)} has a non-integer entry")
+    return out
+
+
+def dominant_weight(gcm: GeneralizedCartanMatrix, lam) -> Weight:
+    """The weight as a tuple, checked to be integral, of size rank and dominant."""
+    lam = int_tuple(lam, "weight")
+    if len(lam) != gcm.n:
+        raise InvalidInput(f"weight {lam} has size {len(lam)}, expected {gcm.n}")
+    if not gcm.is_dominant(lam):
+        raise NotDominant(f"weight {lam} is not dominant")
+    return lam
+
+
+def is_symmetric_weight(lam: Weight, perm: tuple[int, ...]) -> bool:
+    """True iff the weight (or root vector) is fixed by the coordinate permutation."""
+    return len(lam) == len(perm) and all(lam[perm[i]] == lam[i] for i in range(len(perm)))
+
+
 def _reflect_root(entries: IntMatrix, beta: RootVector, i: int) -> RootVector:
     # s_i on root coordinates changes only entry i: k_i -> k_i - sum_j a_ij k_j
     new_i = beta[i] - sum(entries[i][j] * beta[j] for j in range(len(beta)))
@@ -181,8 +208,7 @@ def positive_roots(gcm: GeneralizedCartanMatrix) -> tuple[RootVector, ...]:
 def weyl_dimension(gcm: GeneralizedCartanMatrix, lam: Weight) -> int:
     """dim L(lam) = prod_{alpha>0} (lam+rho, alpha) / (rho, alpha)."""
     _require_finite(gcm)
-    if not gcm.is_dominant(lam):
-        raise NotDominant(f"weight {lam} is not dominant")
+    lam = dominant_weight(gcm, lam)
     d = gcm.symmetrizer
     num = 1
     den = 1
@@ -192,11 +218,6 @@ def weyl_dimension(gcm: GeneralizedCartanMatrix, lam: Weight) -> int:
     quotient, remainder = divmod(num, den)
     assert remainder == 0, "Weyl dimension product was not an integer"
     return quotient
-
-
-def positive_roots_and_dim(gcm: GeneralizedCartanMatrix,
-                           lam: Weight) -> tuple[tuple[RootVector, ...], int]:
-    return positive_roots(gcm), weyl_dimension(gcm, lam)
 
 
 def pairing_weight_root(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector) -> int:

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .errors import InvalidInput, NoDescentFound, NotFiniteType
 from .linalg import identity_matrix, mat_mul
-from .root_data import GeneralizedCartanMatrix, Weight, is_finite_type
+from .root_data import GeneralizedCartanMatrix, Weight, is_finite_type, is_symmetric_weight
 
 Word = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -161,8 +161,7 @@ def is_in_w_tilde(gcm: GeneralizedCartanMatrix, word: Word, perm: tuple[int, ...
     """
     if len(perm) != gcm.n:
         raise InvalidInput(f"automorphism size {len(perm)} does not match rank {gcm.n}")
-    image = _apply(gcm, reversed(word), gcm.rho())
-    return all(image[p] == c for p, c in zip(perm, image))
+    return is_symmetric_weight(_apply(gcm, reversed(word), gcm.rho()), perm)
 
 
 def enumerate_weyl(gcm: GeneralizedCartanMatrix,
@@ -192,14 +191,17 @@ def enumerate_weyl(gcm: GeneralizedCartanMatrix,
 
 
 def parse_word(text: str) -> Word:
-    """Parse the serialized comma-separated form, e.g. "1,2,1"; "" is the identity."""
+    """Parse comma-separated integers (a word, weight or automorphism), e.g. "1,2,1".
+
+    The empty string is the empty tuple (the identity word).
+    """
     text = text.strip()
     if not text:
         return ()
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise InvalidInput(f"cannot parse word {text!r}") from exc
+        raise InvalidInput(f"cannot parse comma-separated integers {text!r}") from exc
 
 
 def format_word(word: Word) -> str:

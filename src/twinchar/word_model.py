@@ -31,14 +31,20 @@ from . import weyl
 from .characters import CharacterPolynomial
 from .errors import (
     InvalidInput,
-    NotDominant,
     NotInWTilde,
     NotReduced,
     NotSymmetricWeight,
     NotTauStable,
     TooLarge,
 )
-from .root_data import GeneralizedCartanMatrix, RootVector, Weight, _require_finite
+from .root_data import (
+    GeneralizedCartanMatrix,
+    RootVector,
+    Weight,
+    _require_finite,
+    dominant_weight,
+    is_symmetric_weight,
+)
 
 FWord = tuple[int, ...]
 
@@ -163,17 +169,13 @@ def e_action(i: int, v: PairingVector) -> PairingVector:
     return PairingVector(v.lam, content, out)
 
 
-def _is_symmetric(lam: Weight, perm: tuple[int, ...]) -> bool:
-    return all(lam[perm[i]] == lam[i] for i in range(len(perm)))
-
-
 def tau_twist(perm: tuple[int, ...], v: PairingVector) -> PairingVector:
     """The twining map on pairing profiles: relabel test words letterwise.
 
     Defined only when the highest weight is fixed by the permutation; the
     output content is the relabeled content.
     """
-    if not _is_symmetric(v.lam, perm):
+    if not is_symmetric_weight(v.lam, perm):
         raise NotSymmetricWeight(f"weight {v.lam} is not fixed by {perm}")
     n = len(perm)
     inv = [0] * n
@@ -258,9 +260,7 @@ def weight_space(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector,
     The dimension equals the weight multiplicity of the irreducible module.
     """
     _require_finite(gcm)
-    lam = tuple(lam)
-    if not gcm.is_dominant(lam):
-        raise NotDominant(f"weight {lam} is not dominant")
+    lam = dominant_weight(gcm, lam)
     count = content_word_count(beta)
     if count > word_cap:
         raise TooLarge(f"content {beta} has {count} words, above the cap {word_cap}")
@@ -300,9 +300,7 @@ def extremal_vector(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> PairingV
     exponent means the expression was not reduced.
     """
     _require_finite(gcm)
-    lam = tuple(lam)
-    if not gcm.is_dominant(lam):
-        raise NotDominant(f"weight {lam} is not dominant")
+    lam = dominant_weight(gcm, lam)
     word = tuple(word)
     exponents = _exponents(gcm, lam, word)
     v = highest_weight_vector(gcm, lam)
@@ -332,9 +330,7 @@ def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     are returned; their dimensions sum to the submodule dimension.
     """
     _require_finite(gcm)
-    lam = tuple(lam)
-    if not gcm.is_dominant(lam):
-        raise NotDominant(f"weight {lam} is not dominant")
+    lam = dominant_weight(gcm, lam)
     reduced = weyl.reduced_word(gcm, word)
     beta = [0] * gcm.n
     for i, m in zip(reduced, _exponents(gcm, lam, reduced)):
@@ -414,16 +410,16 @@ def twining_character(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     Contents not fixed by the permutation are skipped: their weight spaces
     are permuted among each other and contribute nothing diagonal.
     """
-    lam = tuple(lam)
+    lam = dominant_weight(gcm, lam)
     perm = tuple(perm)
-    if not _is_symmetric(lam, perm):
+    if not is_symmetric_weight(lam, perm):
         raise NotSymmetricWeight(f"weight {lam} is not fixed by {perm}")
     if not weyl.is_in_w_tilde(gcm, tuple(word), perm):
         raise NotInWTilde(f"word {tuple(word)} does not commute with {perm}")
     subspaces = demazure_subspaces(gcm, lam, word, word_cap)
     terms = []
     for beta, subspace in subspaces.items():
-        if any(beta[perm[l]] != beta[l] for l in range(gcm.n)):
+        if not is_symmetric_weight(beta, perm):
             continue
         trace = twining_trace(subspace, perm)
         if trace:

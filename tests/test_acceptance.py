@@ -65,7 +65,7 @@ def folded_data(name):
     label, perm = FAMILIES[name]
     gcm = cartan_matrix(label)
     auto, orbit_data = validate_automorphism(gcm, perm)
-    return gcm, auto, orbit_data, fold(gcm, auto)
+    return gcm, auto, orbit_data, fold(gcm, auto.perm)
 
 
 def report(number, elapsed, detail):

@@ -35,7 +35,7 @@ def sparse_poly(gcm, data, box=3, coeff=3, terms=4):
 def test_polynomial_algebra_basics():
     p = CharacterPolynomial.monomial((1, 1)) + CharacterPolynomial.monomial((1, 1))
     assert p.coefficient((1, 1)) == 2
-    assert (p - p.scaled(1)) == CharacterPolynomial.zero(2)
+    assert (p - p.scaled(1)) == CharacterPolynomial(2)
     assert not (p - p)
     assert p.coefficient_sum() == 2
     with pytest.raises(ValueError):
@@ -50,7 +50,7 @@ def test_demazure_op_on_dominant_monomial():
 
 def test_demazure_op_kills_minus_one():
     out = demazure_op(A2, CharacterPolynomial.monomial((-1, 3)), 0)
-    assert out == CharacterPolynomial.zero(2)
+    assert out == CharacterPolynomial(2)
 
 
 def test_demazure_op_negative_branch():
@@ -145,17 +145,17 @@ def test_freudenthal_matches_demazure_at_longest_element():
 def test_map_character_examples():
     a2 = cartan_matrix("A2")
     auto, _ = validate_automorphism(a2, (1, 0))
-    data = fold(a2, auto)
+    data = fold(a2, auto.perm)
     poly = CharacterPolynomial(1, [((1,), 1), ((-1,), 1)])
     assert map_character(data, poly) == CharacterPolynomial(
         2, [((1, 1), 1), ((-1, -1), 1)])
-    assert map_character(data, CharacterPolynomial.zero(1)) == CharacterPolynomial.zero(2)
+    assert map_character(data, CharacterPolynomial(1)) == CharacterPolynomial(2)
 
 
 def test_map_character_is_injective_on_support():
     a3 = cartan_matrix("A3")
     auto, _ = validate_automorphism(a3, (2, 1, 0))
-    data = fold(a3, auto)
+    data = fold(a3, auto.perm)
     poly = freudenthal_character(data.folded, (1, 1))
     mapped = map_character(data, poly)
     assert len(mapped) == len(poly)
@@ -165,7 +165,7 @@ def test_map_character_is_injective_on_support():
 def test_canonical_serialization():
     poly = CharacterPolynomial(2, [((-1, -1), 1), ((1, 1), 1)])
     assert canonical_serialize(poly) == "1*e[1,1]\n1*e[-1,-1]"
-    assert canonical_serialize(CharacterPolynomial.zero(2)) == ""
+    assert canonical_serialize(CharacterPolynomial(2)) == ""
     # descending lexicographic order on exponents
     poly2 = CharacterPolynomial(2, [((0, 5), 2), ((1, -9), -3), ((0, -2), 1)])
     assert canonical_serialize(poly2) == "-3*e[1,-9]\n2*e[0,5]\n1*e[0,-2]"

@@ -40,7 +40,7 @@ BATTERY = [
 def folded(label, perm):
     gcm = cartan_matrix(label)
     auto, orbit_data = validate_automorphism(gcm, perm)
-    return gcm, auto, orbit_data, fold(gcm, auto)
+    return gcm, auto, orbit_data, fold(gcm, auto.perm)
 
 
 def test_orbit_data_examples():
@@ -81,11 +81,11 @@ def test_linking_condition_failure():
     auto, orb = validate_automorphism(affine, (1, 2, 0))
     assert orb.row_sums == (0,)
     with pytest.raises(LinkingConditionFailed):
-        fold(affine, auto)
+        fold(affine, auto.perm)
     doubled = validate_gcm([[2, -2], [-2, 2]])
     auto2, _ = validate_automorphism(doubled, (1, 0))
     with pytest.raises(LinkingConditionFailed):
-        fold(doubled, auto2)
+        fold(doubled, auto2.perm)
 
 
 def test_orbit_shape_analyzer():
@@ -206,7 +206,7 @@ def test_fold_word_reports_inconsistent_data_under_optimize():
         "from twinchar.root_data import cartan_matrix",
         "gcm = cartan_matrix('A3')",
         "auto, _ = validate_automorphism(gcm, (2, 1, 0))",
-        "crippled = replace(fold(gcm, auto), orbit_words=((), ()))",
+        "crippled = replace(fold(gcm, auto.perm), orbit_words=((), ()))",
         "try:",
         "    fold_word(crippled, (0, 2))",
         "except NoDescentFound:",

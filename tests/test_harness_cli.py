@@ -232,3 +232,35 @@ def test_cli_invalid_json(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["verify", "-i", str(path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", [[1.7], [True], ["x"]], ids=["float", "bool", "str"])
+def test_instance_parsing_rejects_non_integers(tmp_path, capsys, bad):
+    base = {"gcm": "A2", "automorphism": [1, 0], "lambda_hat": [1], "w_hat": [0]}
+    for field in ("lambda_hat", "w_hat", "automorphism"):
+        with pytest.raises(InvalidInput):
+            harness.parse_instance({**base, field: bad})
+    for gcm in ([[2, -1], [-1] + bad], bad, 5):
+        with pytest.raises(InvalidInput):
+            harness.parse_instance({**base, "gcm": gcm})
+    inst = write_instance(tmp_path, {**base, "lambda_hat": bad})
+    assert main(["verify", "-i", inst]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["character", "--gcm", "A2", "--lambda", "a,b"],
+    ["character", "--gcm", "A2", "--lambda", "1,1,1"],
+    ["demazure", "--gcm", "A2", "--lambda", "1,1,1", "--word", "0"],
+    ["twining", "--gcm", "A2", "--auto", "1,0", "--lambda", "1", "--word", "0,1,0"],
+    ["twining", "--gcm", "A2", "--auto", "1,0,2", "--lambda", "1,1", "--word", "0,1,0"],
+    ["verify", "-i", "{tmp_path}"],
+], ids=["unparsable-weight", "long-weight", "demazure-long-weight", "twining-short-weight",
+        "twining-long-automorphism", "directory-instance"])
+def test_cli_malformed_input_exits_2(tmp_path, capsys, argv):
+    argv = [str(tmp_path) if a == "{tmp_path}" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

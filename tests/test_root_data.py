@@ -4,17 +4,24 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinchar.errors import NotFiniteType, NotGCM, NotSymmetrizable
+from twinchar.characters import demazure_character, freudenthal_character
+from twinchar.errors import InvalidInput, NotFiniteType, NotGCM, NotSymmetrizable
+from twinchar.linalg import determinant
 from twinchar.root_data import (
     cartan_matrix,
     is_finite_type,
     positive_roots,
-    positive_roots_and_dim,
     validate_gcm,
     weyl_dimension,
+)
+from twinchar.word_model import (
+    demazure_subspaces,
+    extremal_vector,
+    twining_character,
+    weight_space,
 )
 
 CATALOG = ["A2", "A3", "A4", "B2", "C3", "D4", "G2"]
@@ -94,7 +101,6 @@ def test_simple_root_and_reflection_examples():
     assert a2.reflect((1, 1), 0) == (-1, 2)
     assert not a2.is_dominant((-1, 2))
     assert a2.is_dominant((0, 3))
-    assert a2.pairing((4, 7), 1) == 7
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,6 +117,38 @@ def test_root_coordinate_round_trip():
         gcm = cartan_matrix(label)
         for beta in positive_roots(gcm):
             assert gcm.root_coords(gcm.weight_of_root(beta)) == beta
+
+
+def test_root_coords_off_the_root_lattice():
+    with pytest.raises(InvalidInput):
+        cartan_matrix("A2").root_coords((1, 0))
+
+
+def test_root_coords_of_singular_matrix():
+    with pytest.raises(NotFiniteType):
+        validate_gcm([[2, -2], [-2, 2]]).root_coords((0, 0))
+
+
+def laplace_determinant(m):
+    """Oracle: cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * laplace_determinant([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices)
+@example([[0, 0], [0, 0]])
+@example([[1, 2, 3], [2, 4, 6], [0, 1, -1]])
+@example([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+def test_determinant_matches_laplace_expansion(m):
+    assert determinant(tuple(map(tuple, m))) == laplace_determinant(m)
 
 
 def test_positive_roots_a2():
@@ -140,14 +178,25 @@ def test_weyl_dimension_values():
         assert weyl_dimension(gcm, (0,) * gcm.n) == 1, label
 
 
-def test_positive_roots_and_dim_bundle():
-    roots, dim = positive_roots_and_dim(cartan_matrix("A2"), (1, 1))
-    assert len(roots) == 3 and dim == 8
-
-
 def test_catalog_frozen_matrices():
     assert cartan_matrix("B2").entries == ((2, -1), (-2, 2))
     assert cartan_matrix("C3").entries == ((2, -1, 0), (-1, 2, -2), (0, -1, 2))
     assert cartan_matrix("G2").entries == ((2, -1), (-3, 2))
     assert cartan_matrix("D4").entries == (
         (2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda gcm, lam: weyl_dimension(gcm, lam),
+    lambda gcm, lam: demazure_character(gcm, lam, (0,)),
+    lambda gcm, lam: freudenthal_character(gcm, lam),
+    lambda gcm, lam: weight_space(gcm, lam, (1, 0)),
+    lambda gcm, lam: extremal_vector(gcm, lam, (0,)),
+    lambda gcm, lam: demazure_subspaces(gcm, lam, (0,)),
+    lambda gcm, lam: twining_character(gcm, lam, (0, 1, 0), (1, 0)),
+], ids=["weyl_dimension", "demazure_character", "freudenthal_character", "weight_space",
+        "extremal_vector", "demazure_subspaces", "twining_character"])
+@pytest.mark.parametrize("lam", [(1, 1, 1), (1,)])
+def test_weight_of_wrong_size_is_rejected(call, lam):
+    with pytest.raises(InvalidInput):
+        call(cartan_matrix("A2"), lam)
