@@ -12,7 +12,8 @@ from __future__ import annotations
 from itertools import product
 
 from . import weyl
-from .linalg import mat_vec
+from .errors import NonPositiveDenominator
+from .linalg import exact_quotient, mat_vec
 from .root_data import (
     GeneralizedCartanMatrix,
     RootVector,
@@ -184,10 +185,9 @@ def freudenthal_character(gcm: GeneralizedCartanMatrix, lam: Weight) -> Characte
         # |lam+rho|^2 - |mu+rho|^2 for mu = lam - beta
         denom = (2 * sum(gcm.symmetrizer[j] * (lam[j] + 1) * beta[j] for j in range(n))
                  - pairing_root_root(gcm, beta, beta))
-        assert denom > 0, f"nonpositive Freudenthal denominator at {beta}"
-        quotient, remainder = divmod(rhs, denom)
-        assert remainder == 0, f"non-integral multiplicity at {beta}"
-        mult[beta] = quotient
+        if denom <= 0:
+            raise NonPositiveDenominator(f"Freudenthal denominator {denom} at {beta}")
+        mult[beta] = exact_quotient(rhs, denom, f"multiplicity at {beta}")
 
     terms = [(tuple(l - c for l, c in zip(lam, gcm.weight_of_root(beta))), m)
              for beta, m in mult.items()]

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / verified, 1 falsification, 2 invalid input,
 3 unsupported (linking condition failed, non-finite type, instance too
-large).
+large), 4 internal invariant violated (a library bug).
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     except TwiningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

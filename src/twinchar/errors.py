@@ -1,8 +1,10 @@
 """Exception taxonomy shared across the library.
 
-Two bases matter to callers: ``InvalidInput`` (malformed or inconsistent
-data, CLI exit code 2) and ``Unsupported`` (well-formed data outside what
-the algorithms accept, CLI exit code 3).
+Three bases matter to callers: ``InvalidInput`` (malformed or inconsistent
+data, CLI exit code 2), ``Unsupported`` (well-formed data outside what the
+algorithms accept, CLI exit code 3) and ``InvariantViolation`` (an internal
+check failed, which signals a library bug or inconsistent derived data,
+CLI exit code 4).  Exit code 1 is reserved for a falsification.
 """
 
 
@@ -18,6 +20,10 @@ class InvalidInput(TwiningError):
 
 class Unsupported(TwiningError):
     exit_code = 3
+
+
+class InvariantViolation(TwiningError):
+    exit_code = 4
 
 
 class NotGCM(InvalidInput):
@@ -64,8 +70,24 @@ class NotTauStable(InvalidInput):
     """Subspace is not stable under the twining map."""
 
 
-class NoDescentFound(TwiningError):
+class NoDescentFound(InvariantViolation):
     """Descent peeling got stuck; signals inconsistent folding data."""
+
+
+class InexactDivision(InvariantViolation):
+    """An integer division that the theory makes exact left a remainder."""
+
+
+class ExtremalVectorMismatch(InvariantViolation):
+    """The extremal vector vanished or has the wrong weight or content."""
+
+
+class NotIntertwining(InvariantViolation):
+    """The weight lift fails to intertwine a folded reflection with its orbit word."""
+
+
+class NonPositiveDenominator(InvariantViolation):
+    """A Freudenthal denominator |lam+rho|^2 - |mu+rho|^2 was not positive."""
 
 
 class TooLarge(Unsupported):

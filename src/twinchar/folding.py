@@ -12,6 +12,7 @@ cannot survive construction silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,8 +21,8 @@ from .errors import (
     InvalidInput,
     LinkingConditionFailed,
     NoDescentFound,
-    NotDiagramAutomorphism,
     NotInWTilde,
+    NotIntertwining,
     NotSymmetricWeight,
     UnsupportedOrbitShape,
 )
@@ -29,7 +30,7 @@ from .root_data import (
     GeneralizedCartanMatrix,
     IntMatrix,
     Weight,
-    int_tuple,
+    diagram_permutation,
     is_symmetric_weight,
     validate_gcm,
 )
@@ -61,25 +62,8 @@ class OrbitData:
 def validate_automorphism(gcm: GeneralizedCartanMatrix,
                           perm) -> tuple[DiagramAutomorphism, OrbitData]:
     """Check that perm preserves the Cartan matrix; compute orbits and row sums."""
-    perm = int_tuple(perm, "automorphism")
+    perm = diagram_permutation(gcm, perm)
     n = gcm.n
-    if sorted(perm) != list(range(n)):
-        raise NotDiagramAutomorphism(f"{list(perm)} is not a bijection of 0..{n - 1}")
-    a = gcm.entries
-    for i in range(n):
-        for j in range(n):
-            if a[perm[i]][perm[j]] != a[i][j]:
-                raise NotDiagramAutomorphism(
-                    f"entry ({i},{j}) not preserved: a[{perm[i]}][{perm[j]}]="
-                    f"{a[perm[i]][perm[j]]} but a[{i}][{j}]={a[i][j]}")
-
-    order = 1
-    q = perm
-    ident = tuple(range(n))
-    while q != ident:
-        q = tuple(perm[x] for x in q)
-        order += 1
-
     seen = [False] * n
     orbits = []
     for i in range(n):
@@ -95,7 +79,8 @@ def validate_automorphism(gcm: GeneralizedCartanMatrix,
     orbits.sort(key=min)
 
     # perm permutes each orbit and preserves a, so every representative gives the same sum
-    row_sums = tuple(sum(a[orbit[0]][j] for j in orbit) for orbit in orbits)
+    row_sums = tuple(sum(gcm.entries[orbit[0]][j] for j in orbit) for orbit in orbits)
+    order = math.lcm(*(len(orbit) for orbit in orbits))
     return DiagramAutomorphism(perm, order), OrbitData(tuple(orbits), row_sums)
 
 
@@ -158,7 +143,7 @@ def fold(gcm: GeneralizedCartanMatrix, perm) -> FoldingData:
     must sit on the column orbit: simple roots are columns of the matrix
     everywhere in this package, and only the column scaling lets the
     orbit-indicator lift intertwine the folded reflections with the
-    per-orbit longest elements (the construction asserts exactly that).
+    per-orbit longest elements (the construction checks exactly that).
     The result must be a valid symmetrizable GCM.
     """
     auto, orbit_data = validate_automorphism(gcm, perm)
@@ -212,13 +197,13 @@ def fold(gcm: GeneralizedCartanMatrix, perm) -> FoldingData:
 
     # w_k . lift == lift . s_k, checked column by column on the folded fundamental weights
     for k in range(n_folded):
-        assert weyl.is_in_w_tilde(gcm, words[k], auto.perm), \
-            f"orbit word {words[k]} does not commute with the automorphism"
+        if not weyl.is_in_w_tilde(gcm, words[k], auto.perm):
+            raise NotIntertwining(f"orbit word {words[k]} does not commute with the automorphism")
         for l in range(n_folded):
             omega = tuple(1 if j == l else 0 for j in range(n_folded))
             lhs = weyl.act(gcm, words[k], unfold_weight(data, omega))
-            rhs = unfold_weight(data, folded.reflect(omega, k))
-            assert lhs == rhs, f"weight lift fails to intertwine folded reflection {k}"
+            if lhs != unfold_weight(data, folded.reflect(omega, k)):
+                raise NotIntertwining(f"weight lift fails to intertwine folded reflection {k}")
     return data
 
 

@@ -7,6 +7,8 @@ the one elimination routine is the fraction-free determinant.
 
 from __future__ import annotations
 
+from .errors import InexactDivision
+
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -51,6 +53,14 @@ def determinant(a: Matrix) -> int:
                 m[r][c] = (m[r][c] * pivot - m[r][k] * m[k][c]) // prev
         prev = pivot
     return sign * m[-1][-1] if n else 1
+
+
+def exact_quotient(num: int, den: int, what: str) -> int:
+    """num / den where the theory makes the division exact; a remainder raises."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise InexactDivision(f"{what}: {num} is not divisible by {den}")
+    return quotient
 
 
 def leading_principal_minors(a: Matrix) -> list[int]:

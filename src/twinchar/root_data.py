@@ -15,8 +15,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import InvalidInput, NotDominant, NotFiniteType, NotGCM, NotSymmetrizable
-from .linalg import determinant, leading_principal_minors
+from .errors import (
+    InvalidInput,
+    NotDiagramAutomorphism,
+    NotDominant,
+    NotFiniteType,
+    NotGCM,
+    NotSymmetrizable,
+)
+from .linalg import determinant, exact_quotient, leading_principal_minors
 
 Weight = tuple[int, ...]
 RootVector = tuple[int, ...]
@@ -174,6 +181,22 @@ def dominant_weight(gcm: GeneralizedCartanMatrix, lam) -> Weight:
     return lam
 
 
+def diagram_permutation(gcm: GeneralizedCartanMatrix, perm) -> tuple[int, ...]:
+    """The permutation as a tuple, checked to be a bijection of the nodes preserving A."""
+    perm = int_tuple(perm, "automorphism")
+    n = gcm.n
+    if sorted(perm) != list(range(n)):
+        raise NotDiagramAutomorphism(f"{list(perm)} is not a bijection of 0..{n - 1}")
+    a = gcm.entries
+    for i in range(n):
+        for j in range(n):
+            if a[perm[i]][perm[j]] != a[i][j]:
+                raise NotDiagramAutomorphism(
+                    f"entry ({i},{j}) not preserved: a[{perm[i]}][{perm[j]}]="
+                    f"{a[perm[i]][perm[j]]} but a[{i}][{j}]={a[i][j]}")
+    return perm
+
+
 def is_symmetric_weight(lam: Weight, perm: tuple[int, ...]) -> bool:
     """True iff the weight (or root vector) is fixed by the coordinate permutation."""
     return len(lam) == len(perm) and all(lam[perm[i]] == lam[i] for i in range(len(perm)))
@@ -215,9 +238,7 @@ def weyl_dimension(gcm: GeneralizedCartanMatrix, lam: Weight) -> int:
     for beta in positive_roots(gcm):
         num *= sum(d[j] * (lam[j] + 1) * beta[j] for j in range(gcm.n))
         den *= sum(d[j] * beta[j] for j in range(gcm.n))
-    quotient, remainder = divmod(num, den)
-    assert remainder == 0, "Weyl dimension product was not an integer"
-    return quotient
+    return exact_quotient(num, den, "Weyl dimension product")
 
 
 def pairing_weight_root(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector) -> int:

@@ -10,9 +10,9 @@ coordinate transport between word sets:
     <w, e_i v> = <(i,) + w, v>
     <w, twist v> = <relabeled w, v>
 
-so no basis of the module is ever chosen.  Everything here is integer or
-Fraction arithmetic; Fractions only appear when echelon rows are
-normalized.
+so no basis of the module is ever chosen.  Everything here is integer
+arithmetic: echelon rows are kept fraction-free (Bareiss), with one common
+pivot value instead of pivots normalized to 1.
 
 This module deliberately does not import the folding machinery: the
 automorphism enters only as a plain index permutation.
@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from . import weyl
 from .characters import CharacterPolynomial
 from .errors import (
+    ExtremalVectorMismatch,
     InvalidInput,
     NotInWTilde,
     NotReduced,
@@ -42,22 +42,15 @@ from .root_data import (
     RootVector,
     Weight,
     _require_finite,
+    diagram_permutation,
     dominant_weight,
     is_symmetric_weight,
 )
+from .linalg import exact_quotient
 
 FWord = tuple[int, ...]
 
 DEFAULT_WORD_CAP = 100_000
-
-
-def word_content(n: int, word: FWord) -> RootVector:
-    counts = [0] * n
-    for letter in word:
-        if not 0 <= letter < n:
-            raise InvalidInput(f"letter {letter} out of range for rank {n}")
-        counts[letter] += 1
-    return tuple(counts)
 
 
 def content_word_count(beta: RootVector) -> int:
@@ -68,44 +61,29 @@ def content_word_count(beta: RootVector) -> int:
     return total
 
 
+def _within_cap(what: str, beta: RootVector, word_cap: int) -> None:
+    if word_cap < 1:
+        raise InvalidInput(f"word cap {word_cap} must be at least 1")
+    count = content_word_count(beta)
+    if count > word_cap:
+        raise TooLarge(f"{what} {beta} has {count} words, above the cap {word_cap}")
+
+
 def fwords(beta: RootVector) -> list[FWord]:
     """All words of one content in ascending lexicographic order."""
-    n = len(beta)
-    remaining = list(beta)
-    word: list[int] = []
-    out: list[FWord] = []
-
-    def rec(left: int) -> None:
-        if left == 0:
-            out.append(tuple(word))
-            return
-        for i in range(n):
-            if remaining[i]:
-                remaining[i] -= 1
-                word.append(i)
-                rec(left - 1)
-                word.pop()
-                remaining[i] += 1
-
-    rec(sum(beta))
-    return out
-
-
-def shapovalov_pair(gcm: GeneralizedCartanMatrix, lam: Weight, w1: FWord, w2: FWord):
-    """Contravariant form of two lowering words applied to the highest vector.
-
-    Zero across different contents; otherwise peel the head letter of w1
-    and push the matching raising operator through w2.
-    """
-    w1, w2 = tuple(w1), tuple(w2)
-    if word_content(gcm.n, w1) != word_content(gcm.n, w2):
-        return 0
-    return _pair(gcm, tuple(lam), w1, w2)
+    if not any(beta):
+        return [()]
+    return [(i,) + rest for i, b in enumerate(beta) if b
+            for rest in fwords(tuple(c - (k == i) for k, c in enumerate(beta)))]
 
 
 @lru_cache(maxsize=None)
 def _pair(gcm: GeneralizedCartanMatrix, lam: Weight, w1: FWord, w2: FWord):
-    # memoized over (suffix of w1, subsequence of w2); contents stay equal
+    """Contravariant form of two lowering words of one content on the highest vector.
+
+    Peel the head letter of w1 and push the matching raising operator
+    through w2; memoized over (suffix of w1, subsequence of w2).
+    """
     if not w1:
         return 1
     i, rest = w1[0], w1[1:]
@@ -177,80 +155,76 @@ def tau_twist(perm: tuple[int, ...], v: PairingVector) -> PairingVector:
     """
     if not is_symmetric_weight(v.lam, perm):
         raise NotSymmetricWeight(f"weight {v.lam} is not fixed by {perm}")
-    n = len(perm)
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
     out = {tuple(inv[letter] for letter in u): value for u, value in v.coords.items()}
-    content = tuple(v.content[perm[l]] for l in range(n))
+    content = tuple(v.content[p] for p in perm)
     return PairingVector(v.lam, content, out)
-
-
-def vector_of_word(gcm: GeneralizedCartanMatrix, lam: Weight, word: FWord) -> PairingVector:
-    """Pairing profile of f_{w_1} ... f_{w_k} applied to the highest vector."""
-    v = highest_weight_vector(gcm, lam)
-    for letter in reversed(tuple(word)):
-        v = f_action(gcm, letter, v)
-    return v
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of one weight space, rows in reduced row echelon form.
+    """A subspace of one weight space, integer rows in scaled reduced echelon form.
 
     Pivots are the lexicographically smallest words of each row and are
-    strictly increasing; pivot entries are 1 and are cleared from every
-    other row, so coordinates in the span can be read off directly.
+    strictly increasing; every pivot entry equals the positive ``scale`` and
+    is cleared from every other row, so ``rows / scale`` is the reduced row
+    echelon basis and coordinates in the span can be read off directly.
     """
 
     lam: Weight
     content: RootVector
     rows: tuple[PairingVector, ...]
     pivots: tuple[FWord, ...]
+    scale: int
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
 
 
-def _subtract_scaled(target: dict, c, source: dict) -> None:
-    for k, v in source.items():
-        value = target.get(k, 0) - c * v
-        if value:
-            target[k] = value
-        elif k in target:
-            del target[k]
+def _reduce(rows, pivots, scale: int, v: dict) -> dict:
+    """scale * v - sum_k v[p_k] * R_k: empty exactly when v lies in the span."""
+    out = {k: scale * x for k, x in v.items()}
+    for pivot, row in zip(pivots, rows):
+        c = v.get(pivot)
+        if c:
+            for k, x in row.items():
+                out[k] = out.get(k, 0) - c * x
+    return {k: x for k, x in out.items() if x}
 
 
 def _span(lam: Weight, content: RootVector, coord_dicts) -> Subspace:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
+
+    ``scale`` stays the pivot minor of the inserted vectors, so by Sylvester's
+    identity every row update divides exactly.  Each input is first divided by
+    the gcd of its entries, or the scales compound from one content to the next.
+    """
     rows: list[dict] = []
     pivots: list[FWord] = []
+    scale = 1
     for coords in coord_dicts:
-        work = dict(coords)
-        for pivot, row in zip(pivots, rows):
-            c = work.get(pivot)
-            if c:
-                _subtract_scaled(work, c, row)
+        g = math.gcd(*coords.values())
+        if g > 1:
+            coords = {k: x // g for k, x in coords.items()}
+        work = _reduce(rows, pivots, scale, coords)
         if not work:
             continue
         pivot = min(work)
-        value = work[pivot]
-        if value != 1:
-            inv = Fraction(1, value) if isinstance(value, int) else 1 / value
-            work = {k: v * inv for k, v in work.items()}
-        for idx, row in enumerate(rows):
-            c = row.get(pivot)
-            if c:
-                updated = dict(row)
-                _subtract_scaled(updated, c, work)
-                rows[idx] = updated
+        if work[pivot] < 0:
+            work = {k: -x for k, x in work.items()}
+        a = work[pivot]
+        rows = [{k: exact_quotient(x, scale, "echelon row update")
+                 for k, x in _reduce((work,), (pivot,), a, row).items()}
+                for row in rows]
         pos = bisect_left(pivots, pivot)
         pivots.insert(pos, pivot)
         rows.insert(pos, work)
+        scale = a
     return Subspace(
         tuple(lam), tuple(content),
         tuple(PairingVector(tuple(lam), tuple(content), row) for row in rows),
-        tuple(pivots))
+        tuple(pivots), scale)
 
 
 def weight_space(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector,
@@ -261,9 +235,7 @@ def weight_space(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector,
     """
     _require_finite(gcm)
     lam = dominant_weight(gcm, lam)
-    count = content_word_count(beta)
-    if count > word_cap:
-        raise TooLarge(f"content {beta} has {count} words, above the cap {word_cap}")
+    _within_cap("content", beta, word_cap)
     words = fwords(beta)
     gram: dict[FWord, dict] = {w: {} for w in words}
     for a_idx, wa in enumerate(words):
@@ -307,10 +279,10 @@ def extremal_vector(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> PairingV
     for t in range(len(word) - 1, -1, -1):
         for _ in range(exponents[t]):
             v = f_action(gcm, word[t], v)
-    assert v.coords, "extremal vector vanished"
-    expected = weyl.act(gcm, word, lam)
-    actual = tuple(l - c for l, c in zip(lam, gcm.weight_of_root(v.content)))
-    assert actual == expected, "extremal vector has the wrong weight"
+    if not v.coords:
+        raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam} vanished")
+    if weight_below(gcm, lam, v.content) != weyl.act(gcm, word, lam):
+        raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam} has the wrong weight")
     return v
 
 
@@ -336,13 +308,11 @@ def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     for i, m in zip(reduced, _exponents(gcm, lam, reduced)):
         beta[i] += m
     beta_w = tuple(beta)
-    count = content_word_count(beta_w)
-    if count > word_cap:
-        raise TooLarge(
-            f"largest content {beta_w} has {count} words, above the cap {word_cap}")
+    _within_cap("largest content", beta_w, word_cap)
 
     ext = extremal_vector(gcm, lam, reduced)
-    assert ext.content == beta_w
+    if ext.content != beta_w:
+        raise ExtremalVectorMismatch(f"extremal vector has content {ext.content}, not {beta_w}")
     subspaces = {beta_w: _span(lam, beta_w, [ext.coords])}
     box = sorted(product(*(range(b + 1) for b in beta_w)),
                  key=lambda b: (-sum(b), b))
@@ -370,36 +340,26 @@ def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
 def twining_trace(subspace: Subspace, perm: tuple[int, ...]) -> int:
     """Trace of the twining map on one subspace, by echelon substitution.
 
+    In the basis rows / scale, the diagonal coefficient of row j is
+    tau(R_j)[p_j] / scale, so the trace is one exact integer division.
     Raises NotTauStable when any twisted row leaves the row space, which is
     the signature of a word outside the commuting subgroup (or of a
     content that is not fixed by the permutation).
     """
     if not subspace.rows:
         return 0
-    twisted = [tau_twist(perm, row) for row in subspace.rows]
-    for t in twisted:
-        if t.content != subspace.content:
-            raise NotTauStable(
-                f"twist maps content {subspace.content} to {t.content}")
-    trace = 0
+    twisted = [tau_twist(perm, row).coords for row in subspace.rows]
+    image = tuple(subspace.content[p] for p in perm)
+    if image != subspace.content:
+        raise NotTauStable(f"twist maps content {subspace.content} to {image}")
+    rows = [row.coords for row in subspace.rows]
     for j, t in enumerate(twisted):
-        work = dict(t.coords)
-        coefficient_j = 0
-        for k, (pivot, row) in enumerate(zip(subspace.pivots, subspace.rows)):
-            c = work.get(pivot, 0)
-            if k == j:
-                coefficient_j = c
-            if c:
-                _subtract_scaled(work, c, row.coords)
-        if work:
+        if _reduce(rows, subspace.pivots, subspace.scale, t):
             raise NotTauStable(
                 f"twisted basis row {j} at content {subspace.content} "
                 "left the subspace")
-        trace += coefficient_j
-    if isinstance(trace, Fraction):
-        assert trace.denominator == 1, "twining trace was not an integer"
-        trace = int(trace)
-    return trace
+    trace = sum(t.get(p, 0) for t, p in zip(twisted, subspace.pivots))
+    return exact_quotient(trace, subspace.scale, "twining trace")
 
 
 def twining_character(gcm: GeneralizedCartanMatrix, lam: Weight, word,
@@ -411,7 +371,7 @@ def twining_character(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     are permuted among each other and contribute nothing diagonal.
     """
     lam = dominant_weight(gcm, lam)
-    perm = tuple(perm)
+    perm = diagram_permutation(gcm, perm)
     if not is_symmetric_weight(lam, perm):
         raise NotSymmetricWeight(f"weight {lam} is not fixed by {perm}")
     if not weyl.is_in_w_tilde(gcm, tuple(word), perm):

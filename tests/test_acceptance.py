@@ -33,14 +33,14 @@ from twinchar.weyl import (
 from twinchar.word_model import (
     content_word_count,
     demazure_subspaces,
-    shapovalov_pair,
     tau_twist,
     twining_character,
     twining_trace,
-    vector_of_word,
     weight_below,
     weight_space,
 )
+
+from oracles import shapovalov_pair, vector_of_word
 
 FAMILIES = {
     "A2-flip": ("A2", (1, 0)),

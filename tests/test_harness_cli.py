@@ -1,16 +1,20 @@
 """Instance files, the verifier, the battery runner and the CLI."""
 
+import ast
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from twinchar import harness
+from twinchar import errors, harness, weyl, word_model
 from twinchar.characters import canonical_serialize
 from twinchar.cli import main
-from twinchar.errors import InvalidInput, NotSymmetricWeight
-from twinchar.root_data import validate_gcm
+from twinchar.errors import InvalidInput, NotDiagramAutomorphism, NotSymmetricWeight
+from twinchar.linalg import exact_quotient
+from twinchar.root_data import cartan_matrix, validate_gcm
 from twinchar.weyl import enumerate_weyl
+from twinchar.word_model import demazure_subspaces, twining_character, weight_space
 
 
 def test_instance_parsing_requires_exactly_one_side():
@@ -248,6 +252,13 @@ def test_instance_parsing_rejects_non_integers(tmp_path, capsys, bad):
     assert capsys.readouterr().err.startswith("error:")
 
 
+WORD_CAP_COMMANDS = (
+    ["battery", "--max-word-len", "1"],
+    ["verify", "-i", "{tmp_path}/instance.json"],
+    ["twining", "--gcm", "A2", "--auto", "1,0", "--lambda", "1,1", "--word", "0,1,0"],
+)
+
+
 @pytest.mark.parametrize("argv", [
     ["character", "--gcm", "A2", "--lambda", "a,b"],
     ["character", "--gcm", "A2", "--lambda", "1,1,1"],
@@ -255,12 +266,74 @@ def test_instance_parsing_rejects_non_integers(tmp_path, capsys, bad):
     ["twining", "--gcm", "A2", "--auto", "1,0", "--lambda", "1", "--word", "0,1,0"],
     ["twining", "--gcm", "A2", "--auto", "1,0,2", "--lambda", "1,1", "--word", "0,1,0"],
     ["verify", "-i", "{tmp_path}"],
+    ["twining", "--gcm", "A2", "--auto", "0,0", "--lambda", "1,1", "--word", "0,1,0"],
+    ["twining", "--gcm", "B2", "--auto", "1,0", "--lambda", "1,1", "--word", ""],
+    ["verify", "-i", "{tmp_path}/undecodable.json"],
+    *([*command, "--word-cap", cap] for command in WORD_CAP_COMMANDS for cap in ("0", "-1")),
 ], ids=["unparsable-weight", "long-weight", "demazure-long-weight", "twining-short-weight",
-        "twining-long-automorphism", "directory-instance"])
+        "twining-long-automorphism", "directory-instance", "twining-not-a-bijection",
+        "twining-not-preserving", "undecodable-instance",
+        *(f"{command[0]}-word-cap-{cap}" for command in WORD_CAP_COMMANDS
+          for cap in ("0", "-1"))])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, argv):
-    argv = [str(tmp_path) if a == "{tmp_path}" else a for a in argv]
+    (tmp_path / "undecodable.json").write_bytes(b"\xff\xfe")
+    write_instance(tmp_path, {"gcm": "A2", "automorphism": [1, 0],
+                              "lambda_hat": [1], "w_hat": [0]})
+    argv = [a.replace("{tmp_path}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_twining_character_rejects_non_automorphism():
+    for label, perm in [("A2", (0, 0)), ("B2", (1, 0))]:
+        with pytest.raises(NotDiagramAutomorphism):
+            twining_character(cartan_matrix(label), (1, 1), (), perm)
+
+
+def test_word_cap_below_one_is_rejected_by_the_api():
+    a2 = cartan_matrix("A2")
+    with pytest.raises(InvalidInput):
+        harness.run_battery(harness.BatteryConfig(word_cap=0, max_word_len=1))
+    with pytest.raises(InvalidInput):
+        demazure_subspaces(a2, (1, 1), (), word_cap=-1)
+    with pytest.raises(InvalidInput):
+        weight_space(a2, (1, 1), (0, 0), word_cap=0)
+
+
+def test_library_has_no_assert_statements():
+    # invariants must survive python -O, so they raise named errors instead
+    src = Path(__file__).resolve().parent.parent / "src" / "twinchar"
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == [], path.name
+
+
+def test_no_error_claims_the_falsification_exit_code():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.TwiningError)]
+    assert all(c.exit_code in (2, 3, 4) for c in classes)
+    for name in ("NoDescentFound", "InexactDivision", "ExtremalVectorMismatch",
+                 "NotIntertwining", "NonPositiveDenominator"):
+        assert getattr(errors, name).exit_code == 4
+
+
+def test_inexact_division_raises():
+    assert exact_quotient(6, 3, "six") == 2
+    with pytest.raises(errors.InexactDivision):
+        exact_quotient(7, 3, "seven")
+
+
+def test_broken_invariants_exit_4(tmp_path, monkeypatch, capsys):
+    inst = write_instance(tmp_path, {"gcm": "A3", "automorphism": [2, 1, 0],
+                                     "lambda_hat": [1, 1], "w_hat": [0]})
+    with monkeypatch.context() as patched:
+        patched.setattr(word_model, "weight_below", lambda gcm, lam, beta: lam)
+        assert main(["verify", "-i", inst]) == 4
+    assert "extremal vector" in capsys.readouterr().err
+    with monkeypatch.context() as patched:
+        patched.setattr(weyl, "is_in_w_tilde", lambda gcm, word, perm: False)
+        assert main(["fold", "-i", inst]) == 4
+    assert "does not commute" in capsys.readouterr().err

@@ -1,13 +1,26 @@
 """The pairing-coordinate word model: form, transports, subspaces, traces."""
 
+from bisect import bisect_left
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinchar import word_model
 from twinchar.characters import CharacterPolynomial, demazure_character, freudenthal_character
 from twinchar.errors import NotReduced, NotSymmetricWeight, NotTauStable, TooLarge
-from twinchar.root_data import cartan_matrix, validate_gcm, weyl_dimension
+from twinchar.root_data import (
+    cartan_matrix,
+    is_symmetric_weight,
+    validate_gcm,
+    weight_box,
+    weyl_dimension,
+)
+from twinchar.weyl import enumerate_weyl, is_in_w_tilde
 from twinchar.word_model import (
+    PairingVector,
+    Subspace,
     content_word_count,
     demazure_subspaces,
     e_action,
@@ -15,15 +28,14 @@ from twinchar.word_model import (
     f_action,
     fwords,
     highest_weight_vector,
-    shapovalov_pair,
     tau_twist,
     twining_character,
     twining_trace,
-    vector_of_word,
     weight_below,
     weight_space,
-    word_content,
 )
+
+from oracles import shapovalov_pair, vector_of_word, word_content
 
 A2 = cartan_matrix("A2")
 RHO = (1, 1)
@@ -176,8 +188,9 @@ def test_demazure_subspaces_echelon_invariants():
         for beta, sub in demazure_subspaces(A2, (2, 1), word).items():
             pivots = list(sub.pivots)
             assert pivots == sorted(pivots)
+            assert sub.scale > 0
             for j, row in enumerate(sub.rows):
-                assert row.coords[pivots[j]] == 1
+                assert row.coords[pivots[j]] == sub.scale
                 for k, other in enumerate(sub.rows):
                     if k != j:
                         assert pivots[j] not in other.coords
@@ -238,3 +251,88 @@ def test_f_action_matches_pair_on_bigger_rank():
     profile = vector_of_word(a3, lam, y)
     for w in fwords((1, 1, 1)):
         assert profile.coords.get(w, 0) == shapovalov_pair(a3, lam, w, y)
+
+
+def _subtract_scaled(target, c, source):
+    for k, v in source.items():
+        value = target.get(k, 0) - c * v
+        if value:
+            target[k] = value
+        else:
+            del target[k]
+
+
+def _fraction_span(lam, content, coord_dicts):
+    """Reference echelon: Fraction rows with every pivot normalized to 1."""
+    rows, pivots = [], []
+    for coords in coord_dicts:
+        work = {k: Fraction(v) for k, v in coords.items()}
+        for pivot, row in zip(pivots, rows):
+            if work.get(pivot):
+                _subtract_scaled(work, work[pivot], row)
+        if not work:
+            continue
+        pivot = min(work)
+        work = {k: v / work[pivot] for k, v in work.items()}
+        for row in rows:
+            if row.get(pivot):
+                _subtract_scaled(row, row[pivot], work)
+        pos = bisect_left(pivots, pivot)
+        pivots.insert(pos, pivot)
+        rows.insert(pos, work)
+    return Subspace(lam, content, tuple(PairingVector(lam, content, r) for r in rows),
+                    tuple(pivots), 1)
+
+
+def _fraction_trace(sub, perm):
+    """Reference trace: expand each twisted row over the normalized rows."""
+    trace = 0
+    for j, row in enumerate(sub.rows):
+        work = dict(tau_twist(perm, row).coords)
+        coefficients = [work.get(pivot, 0) for pivot in sub.pivots]
+        for c, other in zip(coefficients, sub.rows):
+            if c:
+                _subtract_scaled(work, c, other.coords)
+        assert not work
+        trace += coefficients[j]
+    return trace
+
+
+@pytest.mark.parametrize("label, perm, box", [("A2", (1, 0), 2), ("A3", (2, 1, 0), 1),
+                                              ("B2", None, 2), ("G2", None, 1)],
+                         ids=["A2-flip", "A3-flip", "B2", "G2"])
+def test_integer_echelon_matches_fraction_reference(monkeypatch, label, perm, box):
+    gcm = cartan_matrix(label)
+    scales, traces = set(), 0
+    for lam in weight_box(gcm.n, 0, box):
+        for word, _ in enumerate_weyl(gcm):
+            subs = demazure_subspaces(gcm, lam, word)
+            with monkeypatch.context() as patched:
+                patched.setattr(word_model, "_span", _fraction_span)
+                reference = demazure_subspaces(gcm, lam, word)
+            assert subs.keys() == reference.keys()
+            for beta, sub in subs.items():
+                ref = reference[beta]
+                assert type(sub.scale) is int and sub.scale > 0
+                scales.add(sub.scale)
+                assert sub.pivots == ref.pivots
+                for row, ref_row in zip(sub.rows, ref.rows):
+                    assert all(type(x) is int for x in row.coords.values())
+                    assert {k: Fraction(x, sub.scale) for k, x in row.coords.items()} \
+                        == ref_row.coords
+                if (perm is not None and is_symmetric_weight(lam, perm)
+                        and is_in_w_tilde(gcm, word, perm)
+                        and is_symmetric_weight(beta, perm)):
+                    assert twining_trace(sub, perm) == _fraction_trace(ref, perm)
+                    traces += 1
+    # the rows really are scaled, and the flips really compare traces
+    assert max(scales) > 1
+    assert traces or perm is None
+
+
+def test_echelon_entries_stay_small():
+    # inputs are divided by their gcd before reduction; without that the scale of
+    # one content feeds the next and these entries grow to thousands of digits
+    b2 = cartan_matrix("B2")
+    subs = demazure_subspaces(b2, (2, 2), (0, 1, 0, 1))
+    assert max(abs(x) for s in subs.values() for r in s.rows for x in r.coords.values()) < 10**12
