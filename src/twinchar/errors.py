@@ -50,10 +50,6 @@ class LinkingConditionFailed(Unsupported):
     """An orbit row sum is outside {1, 2}; folding is undefined."""
 
 
-class UnsupportedOrbitShape(Unsupported):
-    """An orbit's induced subdiagram is not a union of single nodes and single edges."""
-
-
 class NotSymmetricWeight(InvalidInput):
     """Weight is not fixed by the diagram automorphism."""
 

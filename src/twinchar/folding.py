@@ -1,20 +1,22 @@
 """Diagram automorphisms, orbit data and folding to the orbit Cartan matrix.
 
-``fold(gcm, perm)`` validates the permutation once and produces three
-things: the folded matrix (one row/column per orbit, scaled by 2 over the
-orbit row sum), the weight-lift matrix whose columns are orbit indicators,
-and one Weyl word per orbit (the longest element of the parabolic subgroup
-on that orbit).  All three conventions are checked at construction: the
-folded matrix must be a valid GCM and the lift must intertwine every
-folded simple reflection with its unfolded image, so a wrong convention
-cannot survive construction silently.
+``fold(gcm, perm)`` validates the permutation once and produces the folded
+matrix (one row/column per orbit, scaled by 2 over the orbit row sum), the
+weight-lift matrix whose columns are orbit indicators, and one Weyl word
+per orbit (the longest element of the parabolic subgroup on that orbit).
+The linking condition, every orbit row sum s in {1, 2}, fixes the rest:
+s = 2 leaves no edge inside the orbit; s = 1 gives each node exactly one
+orbit neighbour, with entry -1 both ways (row sums are constant on an
+orbit and the zero pattern is symmetric), so the orbit splits into A2
+pairs; and the scale 2 / s is an integer.  The folded matrix must be a
+valid GCM and the lift must intertwine every folded simple reflection
+with its orbit word, so a wrong convention cannot survive construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import weyl
 from .errors import (
@@ -24,7 +26,6 @@ from .errors import (
     NotInWTilde,
     NotIntertwining,
     NotSymmetricWeight,
-    UnsupportedOrbitShape,
 )
 from .root_data import (
     GeneralizedCartanMatrix,
@@ -33,6 +34,7 @@ from .root_data import (
     diagram_permutation,
     is_symmetric_weight,
     validate_gcm,
+    weyl_word,
 )
 
 Word = tuple[int, ...]
@@ -49,14 +51,13 @@ class OrbitData:
     orbits: tuple[tuple[int, ...], ...]   # sorted, ordered by smallest member
     row_sums: tuple[int, ...]             # s value per orbit (any representative)
 
-    def representative(self, k: int) -> int:
-        return self.orbits[k][0]
-
-    def scale(self, k: int) -> Fraction:
+    def scale(self, k: int) -> int:
+        """The column scale 2 / s of orbit k; the linking condition needs s in {1, 2}."""
         s = self.row_sums[k]
-        if s == 0:
-            raise LinkingConditionFailed(f"orbit {self.orbits[k]} has row sum 0")
-        return Fraction(2, s)
+        if s not in (1, 2):
+            raise LinkingConditionFailed(
+                f"orbit {self.orbits[k]} has row sum {s}; folding needs 1 or 2")
+        return 2 // s
 
 
 def validate_automorphism(gcm: GeneralizedCartanMatrix,
@@ -64,59 +65,18 @@ def validate_automorphism(gcm: GeneralizedCartanMatrix,
     """Check that perm preserves the Cartan matrix; compute orbits and row sums."""
     perm = diagram_permutation(gcm, perm)
     n = gcm.n
-    seen = [False] * n
     orbits = []
     for i in range(n):
-        if seen[i]:
-            continue
-        orbit = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            orbit.append(j)
-            j = perm[j]
-        orbits.append(tuple(sorted(orbit)))
-    orbits.sort(key=min)
+        if not any(i in orbit for orbit in orbits):
+            orbit = [i]
+            while perm[orbit[-1]] != i:
+                orbit.append(perm[orbit[-1]])
+            orbits.append(tuple(sorted(orbit)))
 
     # perm permutes each orbit and preserves a, so every representative gives the same sum
     row_sums = tuple(sum(gcm.entries[orbit[0]][j] for j in orbit) for orbit in orbits)
     order = math.lcm(*(len(orbit) for orbit in orbits))
     return DiagramAutomorphism(perm, order), OrbitData(tuple(orbits), row_sums)
-
-
-def _orbit_components(entries: IntMatrix, orbit: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Connected components of the subdiagram induced on one orbit.
-
-    Raises UnsupportedOrbitShape unless every component is a single node or
-    a single simply-laced edge.
-    """
-    members = list(orbit)
-    adjacency = {i: [j for j in members if j != i and entries[i][j] != 0] for i in members}
-    components = []
-    unvisited = set(members)
-    while unvisited:
-        start = min(unvisited)
-        stack = [start]
-        comp = set()
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(y for y in adjacency[x] if y not in comp)
-        unvisited -= comp
-        comp = tuple(sorted(comp))
-        if len(comp) > 2:
-            raise UnsupportedOrbitShape(
-                f"orbit {orbit} induces a component {comp} with more than two nodes")
-        if len(comp) == 2:
-            p, q = comp
-            if entries[p][q] * entries[q][p] != 1:
-                raise UnsupportedOrbitShape(
-                    f"orbit {orbit} induces a non-simply-laced edge {comp}")
-        components.append(comp)
-    components.sort(key=min)
-    return components
 
 
 @dataclass(frozen=True)
@@ -137,42 +97,28 @@ class FoldingData:
 def fold(gcm: GeneralizedCartanMatrix, perm) -> FoldingData:
     """Fold along a diagram automorphism satisfying the linking condition.
 
-    The permutation is validated here (``validate_automorphism``), so the
-    returned data carries the automorphism and its orbit data.  Folded
-    entry (k, l) is (2 / s_l) * sum over orbit l of row rep(k).  The scale
-    must sit on the column orbit: simple roots are columns of the matrix
-    everywhere in this package, and only the column scaling lets the
-    orbit-indicator lift intertwine the folded reflections with the
-    per-orbit longest elements (the construction checks exactly that).
-    The result must be a valid symmetrizable GCM.
+    The permutation is validated here, so the returned data carries the
+    automorphism and its orbit data.  Folded entry (k, l) is ``scale(l)``
+    times the sum over orbit l of row rep(k).  The scale sits on the column
+    orbit: simple roots are columns of the matrix everywhere in this
+    package, and only the column scaling lets the orbit-indicator lift
+    intertwine the folded reflections with the orbit words (the
+    construction checks exactly that).  Orbit words follow from the row
+    sum: the sorted orbit for s = 2; p, q, p for each pair p < q with
+    a[p][q] != 0, in increasing p, for s = 1.
     """
     auto, orbit_data = validate_automorphism(gcm, perm)
     orbits = orbit_data.orbits
     entries = gcm.entries
     n = gcm.n
     n_folded = len(orbits)
+    scales = [orbit_data.scale(l) for l in range(n_folded)]
 
-    components = []
-    for k, orbit in enumerate(orbits):
-        s = orbit_data.row_sums[k]
-        if s not in (1, 2):
-            raise LinkingConditionFailed(
-                f"orbit {orbit} has row sum {s}; folding needs 1 or 2")
-        components.append(_orbit_components(entries, orbit))
-
-    folded_rows = []
-    for k, orbit_k in enumerate(orbits):
-        row = []
-        for l, orbit_l in enumerate(orbits):
-            s = orbit_data.row_sums[l]
-            # representative-independent for the same reason as the row sums
-            value, remainder = divmod(2 * sum(entries[orbit_k[0]][j] for j in orbit_l), s)
-            if remainder:
-                raise LinkingConditionFailed(
-                    f"folded entry for orbits {orbit_k}, {orbit_l} is not an integer")
-            row.append(value)
-        folded_rows.append(tuple(row))
-    folded = validate_gcm(tuple(folded_rows))
+    # representative-independent for the same reason as the row sums
+    folded = validate_gcm(tuple(
+        tuple(scales[l] * sum(entries[orbit_k[0]][j] for j in orbit_l)
+              for l, orbit_l in enumerate(orbits))
+        for orbit_k in orbits))
 
     node_orbit = [0] * n
     for k, orbit in enumerate(orbits):
@@ -181,17 +127,10 @@ def fold(gcm: GeneralizedCartanMatrix, perm) -> FoldingData:
     lift = tuple(tuple(1 if node_orbit[i] == k else 0 for k in range(n_folded))
                  for i in range(n))
 
-    words = []
-    for comps in components:
-        word: list[int] = []
-        for comp in comps:
-            if len(comp) == 1:
-                word.append(comp[0])
-            else:
-                p, q = comp
-                word.extend((p, q, p))
-        words.append(tuple(word))
-    words = tuple(words)
+    words = tuple(orbit if s == 2 else
+                  tuple(x for p in orbit for q in orbit if p < q and entries[p][q]
+                        for x in (p, q, p))
+                  for orbit, s in zip(orbits, orbit_data.row_sums))
 
     data = FoldingData(gcm, auto, orbit_data, folded, lift, words, tuple(node_orbit))
 
@@ -226,9 +165,7 @@ def fold_weight(data: FoldingData, lam: Weight) -> Weight:
 def unfold_word(data: FoldingData, word_hat: Word) -> Word:
     """Expand a folded word letterwise through the per-orbit Weyl words."""
     out: list[int] = []
-    for k in word_hat:
-        if not 0 <= k < data.n_folded:
-            raise InvalidInput(f"folded letter {k} out of range")
+    for k in weyl_word(data.folded, word_hat):
         out.extend(data.orbit_words[k])
     return tuple(out)
 

@@ -243,6 +243,8 @@ class BatteryConfig:
 
 def battery_instances(config: BatteryConfig) -> list[tuple[str, Instance]]:
     """Expand the battery config into (key, instance) pairs, deterministically."""
+    if config.lambda_box is not None and config.lambda_box < 0:
+        raise InvalidInput(f"lambda box {config.lambda_box} must not be negative")
     out = []
     for family in config.resolved_families():
         data = fold(build_gcm(family.gcm), family.automorphism)

@@ -181,6 +181,14 @@ def dominant_weight(gcm: GeneralizedCartanMatrix, lam) -> Weight:
     return lam
 
 
+def weyl_word(gcm: GeneralizedCartanMatrix, word) -> tuple[int, ...]:
+    """The word as a tuple, checked to be ints that are nodes of the matrix."""
+    word = int_tuple(word, "word")
+    if word and not (0 <= min(word) and max(word) < gcm.n):
+        raise InvalidInput(f"word {word} has a letter out of range for rank {gcm.n}")
+    return word
+
+
 def diagram_permutation(gcm: GeneralizedCartanMatrix, perm) -> tuple[int, ...]:
     """The permutation as a tuple, checked to be a bijection of the nodes preserving A."""
     perm = int_tuple(perm, "automorphism")

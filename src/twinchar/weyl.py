@@ -21,21 +21,22 @@ from functools import lru_cache
 
 from .errors import InvalidInput, NoDescentFound, NotFiniteType
 from .linalg import identity_matrix, mat_mul
-from .root_data import GeneralizedCartanMatrix, Weight, is_finite_type, is_symmetric_weight
+from .root_data import (
+    GeneralizedCartanMatrix,
+    Weight,
+    is_finite_type,
+    is_symmetric_weight,
+    weyl_word,
+)
 
 Word = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _check_letter(gcm: GeneralizedCartanMatrix, i: int) -> None:
-    if not 0 <= i < gcm.n:
-        raise InvalidInput(f"letter {i} out of range for rank {gcm.n}")
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)   # typed: 1.0 and True must not hit the entry of 1
 def reflection_matrix(gcm: GeneralizedCartanMatrix, i: int) -> Matrix:
     """Matrix of s_i on weight coordinates: identity with column i replaced by e_i - alpha_i."""
-    _check_letter(gcm, i)
+    weyl_word(gcm, (i,))
     alpha = gcm.simple_root(i)
     n = gcm.n
     return tuple(
@@ -47,7 +48,7 @@ def reflection_matrix(gcm: GeneralizedCartanMatrix, i: int) -> Matrix:
 def element_of(gcm: GeneralizedCartanMatrix, word: Word) -> Matrix:
     """Product of simple-reflection matrices; a homomorphism from words to matrices."""
     m = identity_matrix(gcm.n)
-    for i in word:
+    for i in weyl_word(gcm, word):
         m = mat_mul(m, reflection_matrix(gcm, i))
     return m
 
@@ -67,14 +68,14 @@ def _reflect(roots, x: list[int], i: int) -> None:
             x[k] -= c * a
 
 
-def _apply(gcm: GeneralizedCartanMatrix, letters, lam: Weight) -> list[int]:
-    """s_{l_k} ... s_{l_1}(lam) as a list: the letters act first to last."""
+def _apply(gcm: GeneralizedCartanMatrix, word, lam: Weight, inverse: bool = False) -> list[int]:
+    """w(lam) as a list; w^-1(lam) when inverse (the letters then act first to last)."""
+    word = weyl_word(gcm, word)
     if len(lam) != gcm.n:
         raise InvalidInput(f"weight {tuple(lam)} has size {len(lam)}, expected {gcm.n}")
     roots = _simple_roots(gcm)
     x = list(lam)
-    for i in letters:
-        _check_letter(gcm, i)
+    for i in (word if inverse else reversed(word)):
         _reflect(roots, x, i)
     return x
 
@@ -86,12 +87,12 @@ def act(gcm: GeneralizedCartanMatrix, word: Word, lam: Weight) -> Weight:
     >>> act(cartan_matrix("A2"), (0, 1), (1, 0))
     (-1, 1)
     """
-    return tuple(_apply(gcm, reversed(word), lam))
+    return tuple(_apply(gcm, word, lam))
 
 
 def rho_vector(gcm: GeneralizedCartanMatrix, word: Word) -> Weight:
     """The vector w^-1(rho) that represents the element of the word."""
-    return tuple(_apply(gcm, word, gcm.rho()))
+    return tuple(_apply(gcm, word, gcm.rho(), inverse=True))
 
 
 def word_of_rho_vector(gcm: GeneralizedCartanMatrix, x: Weight) -> Word:
@@ -161,7 +162,7 @@ def is_in_w_tilde(gcm: GeneralizedCartanMatrix, word: Word, perm: tuple[int, ...
     """
     if len(perm) != gcm.n:
         raise InvalidInput(f"automorphism size {len(perm)} does not match rank {gcm.n}")
-    return is_symmetric_weight(_apply(gcm, reversed(word), gcm.rho()), perm)
+    return is_symmetric_weight(_apply(gcm, word, gcm.rho()), perm)
 
 
 def enumerate_weyl(gcm: GeneralizedCartanMatrix,
@@ -171,6 +172,8 @@ def enumerate_weyl(gcm: GeneralizedCartanMatrix,
     With ``max_length=None`` the group must be finite; the result is sorted
     by (length, word).
     """
+    if max_length is not None and max_length < 0:
+        raise InvalidInput(f"length cap {max_length} must not be negative")
     if max_length is None and not is_finite_type(gcm):
         raise NotFiniteType("cannot enumerate an infinite Weyl group without a length cap")
     ident = identity_matrix(gcm.n)

@@ -45,6 +45,7 @@ from .root_data import (
     diagram_permutation,
     dominant_weight,
     is_symmetric_weight,
+    weyl_word,
 )
 from .linalg import exact_quotient
 
@@ -62,8 +63,8 @@ def content_word_count(beta: RootVector) -> int:
 
 
 def _within_cap(what: str, beta: RootVector, word_cap: int) -> None:
-    if word_cap < 1:
-        raise InvalidInput(f"word cap {word_cap} must be at least 1")
+    if type(word_cap) is not int or word_cap < 1:
+        raise InvalidInput(f"word cap {word_cap!r} must be an integer of at least 1")
     count = content_word_count(beta)
     if count > word_cap:
         raise TooLarge(f"{what} {beta} has {count} words, above the cap {word_cap}")
@@ -273,7 +274,7 @@ def extremal_vector(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> PairingV
     """
     _require_finite(gcm)
     lam = dominant_weight(gcm, lam)
-    word = tuple(word)
+    word = weyl_word(gcm, word)
     exponents = _exponents(gcm, lam, word)
     v = highest_weight_vector(gcm, lam)
     for t in range(len(word) - 1, -1, -1):
@@ -374,8 +375,9 @@ def twining_character(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     perm = diagram_permutation(gcm, perm)
     if not is_symmetric_weight(lam, perm):
         raise NotSymmetricWeight(f"weight {lam} is not fixed by {perm}")
-    if not weyl.is_in_w_tilde(gcm, tuple(word), perm):
-        raise NotInWTilde(f"word {tuple(word)} does not commute with {perm}")
+    word = weyl_word(gcm, word)
+    if not weyl.is_in_w_tilde(gcm, word, perm):
+        raise NotInWTilde(f"word {word} does not commute with {perm}")
     subspaces = demazure_subspaces(gcm, lam, word, word_cap)
     terms = []
     for beta, subspace in subspaces.items():

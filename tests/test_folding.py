@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -10,12 +11,12 @@ import pytest
 from twinchar.errors import (
     LinkingConditionFailed,
     NotDiagramAutomorphism,
+    NotGCM,
     NotInWTilde,
     NotSymmetricWeight,
-    UnsupportedOrbitShape,
+    NotSymmetrizable,
 )
 from twinchar.folding import (
-    _orbit_components,
     fold,
     fold_weight,
     fold_word,
@@ -26,7 +27,14 @@ from twinchar.folding import (
 )
 from twinchar.linalg import mat_mul
 from twinchar.root_data import cartan_matrix, validate_gcm, weight_box
-from twinchar.weyl import element_of, enumerate_weyl, is_in_w_tilde, length, reflection_matrix
+from twinchar.weyl import (
+    element_of,
+    enumerate_weyl,
+    is_in_w_tilde,
+    length,
+    reflection_matrix,
+    rho_vector,
+)
 
 BATTERY = [
     ("A2", (1, 0)),
@@ -88,14 +96,59 @@ def test_linking_condition_failure():
         fold(doubled, auto2.perm)
 
 
-def test_orbit_shape_analyzer():
-    a3 = cartan_matrix("A3")
-    assert _orbit_components(a3.entries, (0, 2)) == [(0,), (2,)]
-    assert _orbit_components(cartan_matrix("A2").entries, (0, 1)) == [(0, 1)]
-    with pytest.raises(UnsupportedOrbitShape):
-        _orbit_components(a3.entries, (0, 1, 2))
-    with pytest.raises(UnsupportedOrbitShape):
-        _orbit_components(validate_gcm([[2, -2], [-2, 2]]).entries, (0, 1))
+def small_gcms():
+    """Every GCM of rank at most 3 with off-diagonal entries in {0, -1, -2, -3}."""
+    for n in (1, 2, 3):
+        cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for values in product((0, -1, -2, -3), repeat=len(cells)):
+            entries = [[2] * n for _ in range(n)]
+            for (i, j), value in zip(cells, values):
+                entries[i][j] = value
+            try:
+                yield validate_gcm(entries)
+            except (NotGCM, NotSymmetrizable):
+                pass
+
+
+def test_orbit_words_are_parabolic_longest_elements():
+    """Oracle for fold's row-sum rule over every small GCM and automorphism.
+
+    fold fails exactly when an orbit row sum is outside {1, 2}.  Otherwise
+    each orbit word is a reduced word in its orbit's letters whose right
+    descents are the whole orbit, which defines the longest element of the
+    parabolic subgroup, and every representative gives each folded entry.
+    """
+    cases = [(gcm, perm) for gcm in small_gcms() for perm in permutations(range(gcm.n))]
+    cases += [(cartan_matrix(label), perm) for label, perm in [
+        ("A4", (3, 2, 1, 0)), ("D4", (2, 1, 3, 0)), ("D4", (0, 1, 3, 2)),
+        ("A5", (4, 3, 2, 1, 0)), ("D5", (0, 1, 2, 4, 3))]]
+    outcomes = {"folded": 0, "linking failed": 0}
+    for gcm, perm in cases:
+        try:
+            _, orb = validate_automorphism(gcm, perm)
+        except NotDiagramAutomorphism:
+            continue
+        a = gcm.entries
+        if any(sum(a[i][j] for j in orbit) not in (1, 2)
+               for orbit in orb.orbits for i in orbit):
+            with pytest.raises(LinkingConditionFailed):
+                fold(gcm, perm)
+            outcomes["linking failed"] += 1
+            continue
+        data = fold(gcm, perm)
+        outcomes["folded"] += 1
+        for k, (orbit, word) in enumerate(zip(orb.orbits, data.orbit_words)):
+            assert set(word) <= set(orbit), (a, perm, word)
+            # the length in the parabolic subgroup, a finite Weyl group, is the length in W
+            local = validate_gcm([[a[i][j] for j in orbit] for i in orbit])
+            assert length(local, tuple(orbit.index(i) for i in word)) == len(word)
+            x = rho_vector(gcm, word)
+            assert {i for i, c in enumerate(x) if c < 0} == set(orbit), (a, perm, word)
+            for l, orbit_l in enumerate(orb.orbits):
+                for i in orbit:
+                    assert data.folded.entries[k][l] == \
+                        orb.scale(l) * sum(a[i][j] for j in orbit_l)
+    assert outcomes["folded"] > 400 and outcomes["linking failed"] > 50, outcomes
 
 
 def test_weight_lift_and_restriction():

@@ -1,11 +1,15 @@
 """Instance files, the verifier, the battery runner and the CLI."""
 
 import ast
+import contextlib
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinchar import errors, harness, weyl, word_model
 from twinchar.characters import canonical_serialize
@@ -269,10 +273,13 @@ WORD_CAP_COMMANDS = (
     ["twining", "--gcm", "A2", "--auto", "0,0", "--lambda", "1,1", "--word", "0,1,0"],
     ["twining", "--gcm", "B2", "--auto", "1,0", "--lambda", "1,1", "--word", ""],
     ["verify", "-i", "{tmp_path}/undecodable.json"],
+    ["battery", "--lambda-box", "-1"],
+    ["battery", "--max-word-len", "-1"],
     *([*command, "--word-cap", cap] for command in WORD_CAP_COMMANDS for cap in ("0", "-1")),
 ], ids=["unparsable-weight", "long-weight", "demazure-long-weight", "twining-short-weight",
         "twining-long-automorphism", "directory-instance", "twining-not-a-bijection",
-        "twining-not-preserving", "undecodable-instance",
+        "twining-not-preserving", "undecodable-instance", "battery-negative-lambda-box",
+        "battery-negative-max-word-len",
         *(f"{command[0]}-word-cap-{cap}" for command in WORD_CAP_COMMANDS
           for cap in ("0", "-1"))])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, argv):
@@ -301,6 +308,8 @@ def test_word_cap_below_one_is_rejected_by_the_api():
         demazure_subspaces(a2, (1, 1), (), word_cap=-1)
     with pytest.raises(InvalidInput):
         weight_space(a2, (1, 1), (0, 0), word_cap=0)
+    with pytest.raises(InvalidInput):
+        demazure_subspaces(a2, (1, 1), (), word_cap=True)
 
 
 def test_library_has_no_assert_statements():
@@ -337,3 +346,43 @@ def test_broken_invariants_exit_4(tmp_path, monkeypatch, capsys):
         patched.setattr(weyl, "is_in_w_tilde", lambda gcm, word, perm: False)
         assert main(["fold", "-i", inst]) == 4
     assert "does not commute" in capsys.readouterr().err
+
+
+JUNK = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none(),
+                 st.lists(st.lists(st.integers(-3, 3), max_size=3), max_size=3))
+FUZZ_LABELS = {1: ["A1"], 2: ["A2", "B2", "G2"], 3: ["A3", "B3", "C3"]}
+
+
+@st.composite
+def fuzz_instances(draw):
+    """A near-valid instance of rank <= 3, with at most one field replaced by junk."""
+    n = draw(st.integers(1, 3))
+    entries = st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n).map(
+        lambda flat: [[2 if i == j else flat[i * n + j] for j in range(n)] for i in range(n)])
+    payload = {
+        "gcm": draw(st.one_of(st.sampled_from(FUZZ_LABELS[n]), entries)),
+        "automorphism": draw(st.one_of(st.permutations(list(range(n))),
+                                       st.lists(st.integers(-1, n), max_size=n + 1))),
+        draw(st.sampled_from(["lambda_hat", "lambda"])):
+            draw(st.lists(st.integers(-1, 2), min_size=1, max_size=n)),
+        draw(st.sampled_from(["w_hat", "w"])): draw(st.lists(st.integers(-1, n), max_size=4)),
+    }
+    spoiled = draw(st.sampled_from([None, "gcm", "automorphism", "lambda_hat", "lambda",
+                                    "w_hat", "w", "unknown", "whole"]))
+    if spoiled == "whole":
+        return draw(JUNK)
+    if spoiled is not None:
+        payload[spoiled] = draw(JUNK)
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=fuzz_instances())
+def test_cli_fuzzed_instances_never_escape(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("fuzz") / "instance.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["validate"], ["fold"], ["verify", "--word-cap", "2000"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "-i", str(path)])
+        assert code in (0, 2, 3), (argv, payload, err.getvalue())

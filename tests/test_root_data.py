@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinchar import weyl
 from twinchar.characters import demazure_character, freudenthal_character
 from twinchar.errors import InvalidInput, NotFiniteType, NotGCM, NotSymmetrizable
+from twinchar.folding import fold, unfold_word
 from twinchar.linalg import determinant
 from twinchar.root_data import (
     cartan_matrix,
@@ -200,3 +202,23 @@ def test_catalog_frozen_matrices():
 def test_weight_of_wrong_size_is_rejected(call, lam):
     with pytest.raises(InvalidInput):
         call(cartan_matrix("A2"), lam)
+
+
+@pytest.mark.parametrize("call", [
+    lambda gcm, word: weyl.reduced_word(gcm, word),
+    lambda gcm, word: weyl.element_of(gcm, word),
+    lambda gcm, word: [weyl.reflection_matrix(gcm, i) for i in (0, 1) + word],
+    lambda gcm, word: weyl.act(gcm, word, (1, 1)),
+    lambda gcm, word: weyl.is_in_w_tilde(gcm, word, (1, 0)),
+    lambda gcm, word: demazure_character(gcm, (1, 1), word),
+    lambda gcm, word: extremal_vector(gcm, (1, 1), word),
+    lambda gcm, word: demazure_subspaces(gcm, (1, 1), word),
+    lambda gcm, word: twining_character(gcm, (1, 1), word, (1, 0)),
+    lambda gcm, word: unfold_word(fold(gcm, (1, 0)), word),
+], ids=["reduced_word", "element_of", "reflection_matrix", "act", "is_in_w_tilde",
+        "demazure_character", "extremal_vector", "demazure_subspaces", "twining_character",
+        "unfold_word"])
+@pytest.mark.parametrize("word", [(True, 0), (1.0,), ("1",)], ids=["bool", "float", "str"])
+def test_word_of_non_integers_is_rejected(call, word):
+    with pytest.raises(InvalidInput):
+        call(cartan_matrix("A2"), word)
