@@ -6,13 +6,21 @@ verifier computes the twining character directly in the word model (left
 side) and the folded Demazure character pushed through the weight lift
 (right side) and compares them exactly; a mismatch is a report, not a
 crash, so the harness doubles as a falsification tool.
+
+Each (matrix, automorphism) family is folded once per process: ``prepare``
+and ``battery_instances`` share a bounded cache keyed on the validated
+matrix and the validated permutation, never on the raw instance fields,
+so every instance still passes the full input checks and the first call
+of a family still runs every construction check of ``fold``.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from . import weyl, word_model
 from .characters import (
@@ -35,6 +43,7 @@ from .root_data import (
     GeneralizedCartanMatrix,
     Weight,
     cartan_matrix,
+    diagram_permutation,
     int_tuple,
     validate_gcm,
     weight_box,
@@ -127,9 +136,21 @@ def build_gcm(source) -> GeneralizedCartanMatrix:
     return validate_gcm(source)
 
 
+@lru_cache(maxsize=64)
+def _family(gcm: GeneralizedCartanMatrix, perm: tuple[int, ...]) -> FoldingData:
+    # keyed on validated data only: (True, False) == (1, 0) and both hash alike
+    return fold(gcm, perm)
+
+
+def _folding(gcm_source, automorphism) -> FoldingData:
+    """The folding data of a family, validated on every call and folded once."""
+    gcm = build_gcm(gcm_source)
+    return _family(gcm, diagram_permutation(gcm, automorphism))
+
+
 def prepare(instance: Instance) -> PreparedInstance:
     """Validate an instance and convert everything to both sides."""
-    data = fold(build_gcm(instance.gcm), instance.automorphism)
+    data = _folding(instance.gcm, instance.automorphism)
     if instance.lam is not None:
         lam = instance.lam
         lambda_hat = fold_weight(data, lam)
@@ -241,27 +262,29 @@ class BatteryConfig:
         return tuple(out)
 
 
-def battery_instances(config: BatteryConfig) -> list[tuple[str, Instance]]:
-    """Expand the battery config into (key, instance) pairs, deterministically."""
+def battery_instances(config: BatteryConfig) -> Iterator[tuple[str, Instance]]:
+    """Yield the (key, instance) pairs of the battery config, deterministically.
+
+    Instances are built one at a time, so a wide ``lambda_box`` sweep starts
+    verifying before the rest of it exists.
+    """
     if config.lambda_box is not None and config.lambda_box < 0:
         raise InvalidInput(f"lambda box {config.lambda_box} must not be negative")
-    out = []
     for family in config.resolved_families():
-        data = fold(build_gcm(family.gcm), family.automorphism)
+        data = _folding(family.gcm, family.automorphism)
         words = [w for w, _ in weyl.enumerate_weyl(data.folded, family.max_word_len)]
         if config.lambda_box is not None:
-            lambda_hats = sorted(weight_box(data.folded.n, 0, config.lambda_box))
+            lambda_hats = weight_box(data.folded.n, 0, config.lambda_box)  # already ascending
         else:
-            lambda_hats = list(family.lambda_hats)
+            lambda_hats = family.lambda_hats
         for lambda_hat in lambda_hats:
             for w_hat in words:
                 key = (f"{family.name} lambda_hat={list(lambda_hat)} "
                        f"w_hat={list(w_hat)}")
-                out.append((key, Instance(gcm=family.gcm,
-                                          automorphism=family.automorphism,
-                                          lambda_hat=tuple(lambda_hat),
-                                          w_hat=tuple(w_hat))))
-    return out
+                yield key, Instance(gcm=family.gcm,
+                                    automorphism=family.automorphism,
+                                    lambda_hat=tuple(lambda_hat),
+                                    w_hat=tuple(w_hat))
 
 
 @dataclass

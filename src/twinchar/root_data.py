@@ -149,7 +149,7 @@ def _symmetrizer(entries: IntMatrix) -> tuple[int, ...]:
     return d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def is_finite_type(gcm: GeneralizedCartanMatrix) -> bool:
     """True iff every leading principal minor is positive."""
     return all(m > 0 for m in leading_principal_minors(gcm.entries))
@@ -161,7 +161,13 @@ def _require_finite(gcm: GeneralizedCartanMatrix) -> None:
 
 
 def int_tuple(values, what: str) -> tuple[int, ...]:
-    """The values as a tuple of ints; bool, float and str entries raise InvalidInput."""
+    """The values as a tuple of ints; bool, float and str entries raise InvalidInput.
+
+    A dict or a set raises too: it would pass as its keys or members, in an
+    order that is not the caller's.
+    """
+    if isinstance(values, (dict, set, frozenset)):
+        raise InvalidInput(f"{what} {values!r} is unordered, not a list of integers")
     try:
         out = tuple(values)
     except TypeError:
@@ -216,7 +222,7 @@ def _reflect_root(entries: IntMatrix, beta: RootVector, i: int) -> RootVector:
     return beta[:i] + (new_i,) + beta[i + 1:]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def positive_roots(gcm: GeneralizedCartanMatrix) -> tuple[RootVector, ...]:
     """All positive roots in root coordinates, by reflection closure of the simple roots."""
     _require_finite(gcm)
@@ -268,7 +274,7 @@ _EXCEPTIONAL = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def cartan_matrix(label: str) -> GeneralizedCartanMatrix:
     """Catalog constructor by type label: "A2", "A3", "A4", "B2", "C3", "D4", "G2", ...
 

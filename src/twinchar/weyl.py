@@ -33,7 +33,7 @@ Word = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None, typed=True)   # typed: 1.0 and True must not hit the entry of 1
+@lru_cache(maxsize=256, typed=True)   # typed: 1.0 and True must not hit the entry of 1
 def reflection_matrix(gcm: GeneralizedCartanMatrix, i: int) -> Matrix:
     """Matrix of s_i on weight coordinates: identity with column i replaced by e_i - alpha_i."""
     weyl_word(gcm, (i,))
@@ -53,7 +53,7 @@ def element_of(gcm: GeneralizedCartanMatrix, word: Word) -> Matrix:
     return m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _simple_roots(gcm: GeneralizedCartanMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
     # per letter i, the nonzero (k, a_ki): alpha_i in weight coordinates
     return tuple(tuple((k, row[i]) for k, row in enumerate(gcm.entries) if row[i])

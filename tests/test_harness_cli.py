@@ -2,8 +2,10 @@
 
 import ast
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twinchar
 from twinchar import errors, harness, weyl, word_model
 from twinchar.characters import canonical_serialize
 from twinchar.cli import main
 from twinchar.errors import InvalidInput, NotDiagramAutomorphism, NotSymmetricWeight
+from twinchar.folding import fold
 from twinchar.linalg import exact_quotient
 from twinchar.root_data import cartan_matrix, validate_gcm
 from twinchar.weyl import enumerate_weyl
@@ -123,6 +127,68 @@ def test_battery_lambda_box_sweep():
     summary = harness.run_battery(config)
     # 3 folded weights x 2 words, the fixed weight list is replaced by the box
     assert summary.counts == {"equal": 6, "unequal": 0, "skipped": 0}
+
+
+def test_battery_instances_are_built_lazily(monkeypatch):
+    built = []
+    original = harness.Instance
+    monkeypatch.setattr(harness, "Instance",
+                        lambda **fields: built.append(fields) or original(**fields))
+    key, instance = next(iter(harness.battery_instances(harness.BatteryConfig(lambda_box=12))))
+    assert key == "A2-flip lambda_hat=[0] w_hat=[]"
+    assert instance == original(gcm="A2", automorphism=(1, 0), lambda_hat=(0,), w_hat=())
+    assert len(built) == 1
+
+
+def test_default_battery_folds_once_per_family(monkeypatch):
+    harness._family.cache_clear()
+    calls = []
+    real_fold = harness.fold
+    monkeypatch.setattr(harness, "fold",
+                        lambda gcm, perm: calls.append(perm) or real_fold(gcm, perm))
+    summary = harness.run_battery()
+    assert summary.counts == {"equal": 96, "unequal": 0, "skipped": 8}
+    assert len(calls) == len(harness.default_families()) == 5
+
+
+def test_cached_family_equals_a_fresh_fold():
+    harness._family.cache_clear()
+    for family in harness.default_families():
+        cached = harness._folding(family.gcm, family.automorphism)
+        assert cached == fold(harness.build_gcm(family.gcm), family.automorphism)
+        assert harness._folding(family.gcm, list(family.automorphism)) is cached
+    # a matrix given as lists is unhashable, but its validated form is a key
+    a2 = harness.Instance(gcm=[[2, -1], [-1, 2]], automorphism=[1, 0],
+                          lambda_hat=(1,), w_hat=(0,))
+    assert harness.verify(a2).equal
+
+
+@pytest.mark.parametrize("auto, error", [
+    ((True, False), InvalidInput),
+    ((1.0, 0), InvalidInput),
+    ((0, 0), NotDiagramAutomorphism),
+], ids=["bool", "float", "not_a_bijection"])
+def test_family_cache_keeps_validating(tmp_path, auto, error):
+    # (True, False) == (1, 0) and hashes alike, so a key on raw fields would let it through
+    harness._family.cache_clear()
+    assert harness.verify({"gcm": "A2", "automorphism": [1, 0],
+                           "lambda_hat": [1], "w_hat": [0]}).equal
+    with pytest.raises(error):
+        harness.verify(harness.Instance(gcm="A2", automorphism=auto,
+                                        lambda_hat=(1,), w_hat=(0,)))
+    path = write_instance(tmp_path, {"gcm": "A2", "automorphism": list(auto),
+                                     "lambda_hat": [1], "w_hat": [0]})
+    assert main(["verify", "-i", path]) == 2
+
+
+def test_family_cache_does_not_hide_construction_checks(tmp_path, monkeypatch, capsys):
+    inst = write_instance(tmp_path, {"gcm": "A3", "automorphism": [2, 1, 0],
+                                     "lambda_hat": [1, 1], "w_hat": [0]})
+    assert main(["verify", "-i", inst]) == 0
+    harness._family.cache_clear()
+    monkeypatch.setattr(weyl, "is_in_w_tilde", lambda gcm, word, perm: False)
+    assert main(["verify", "-i", inst]) == 4
+    assert "does not commute" in capsys.readouterr().err
 
 
 def test_corrupted_folded_matrix_is_detected():
@@ -318,6 +384,17 @@ def test_library_has_no_assert_statements():
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == [], path.name
+
+
+def test_every_cache_is_bounded():
+    # an unbounded lru_cache grows for the life of the process, as a long battery does
+    caches = []
+    for info in pkgutil.iter_modules(twinchar.__path__):
+        module = importlib.import_module(f"twinchar.{info.name}")
+        caches += [(info.name, name, value.cache_info().maxsize)
+                   for name, value in vars(module).items() if hasattr(value, "cache_info")]
+    assert ("harness", "_family", 64) in caches
+    assert [c for c in caches if c[2] is None] == []
 
 
 def test_no_error_claims_the_falsification_exit_code():

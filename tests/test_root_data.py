@@ -14,6 +14,7 @@ from twinchar.folding import fold, unfold_word
 from twinchar.linalg import determinant
 from twinchar.root_data import (
     cartan_matrix,
+    diagram_permutation,
     is_finite_type,
     positive_roots,
     validate_gcm,
@@ -222,3 +223,17 @@ def test_weight_of_wrong_size_is_rejected(call, lam):
 def test_word_of_non_integers_is_rejected(call, word):
     with pytest.raises(InvalidInput):
         call(cartan_matrix("A2"), word)
+
+
+@pytest.mark.parametrize("call", [
+    lambda gcm, value: demazure_character(gcm, value, (0,)),
+    lambda gcm, value: demazure_character(gcm, (1, 0), value),
+    lambda gcm, value: diagram_permutation(gcm, value),
+    lambda gcm, value: twining_character(gcm, (1, 1), (), value),
+], ids=["weight", "word", "automorphism", "twining_automorphism"])
+@pytest.mark.parametrize("value", [{1: "x", 0: "y"}, {1, 0}, frozenset({1, 0})],
+                         ids=["dict", "set", "frozenset"])
+def test_unordered_containers_are_rejected(call, value):
+    # a dict would pass as its keys and a set in its own order
+    with pytest.raises(InvalidInput):
+        call(cartan_matrix("A2"), value)
