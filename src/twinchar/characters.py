@@ -13,7 +13,7 @@ from itertools import product
 
 from . import weyl
 from .errors import NonPositiveDenominator
-from .linalg import exact_quotient, mat_vec
+from .linalg import exact_quotient
 from .root_data import (
     GeneralizedCartanMatrix,
     RootVector,
@@ -201,13 +201,13 @@ def _unit(n: int, i: int) -> RootVector:
 def map_character(folding, poly: CharacterPolynomial) -> CharacterPolynomial:
     """Push a folded-side character through the weight lift, exponent by exponent.
 
-    ``folding`` only needs a ``weight_lift`` attribute (n rows, one column
-    per folded node); coefficients are untouched and the map is injective
-    on supports.
+    ``folding`` only needs ``n_folded`` and ``node_orbit`` (node -> orbit);
+    the lift of a folded weight reads entry ``node_orbit[i]`` at node i, as
+    ``folding.unfold_weight`` does.  Coefficients are untouched and the map
+    is injective on supports.
     """
-    lift = folding.weight_lift
-    n_folded = len(lift[0])
-    if poly.n != n_folded:
-        raise ValueError(f"character rank {poly.n} does not match folded rank {n_folded}")
-    terms = [(mat_vec(lift, w), c) for w, c in poly._terms.items()]
-    return CharacterPolynomial(len(lift), terms)
+    if poly.n != folding.n_folded:
+        raise ValueError(f"character rank {poly.n} does not match folded rank {folding.n_folded}")
+    node_orbit = folding.node_orbit
+    terms = [(tuple(w[k] for k in node_orbit), c) for w, c in poly._terms.items()]
+    return CharacterPolynomial(len(node_orbit), terms)

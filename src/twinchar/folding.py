@@ -141,7 +141,7 @@ def fold(gcm: GeneralizedCartanMatrix, perm) -> FoldingData:
         for l in range(n_folded):
             omega = tuple(1 if j == l else 0 for j in range(n_folded))
             lhs = weyl.act(gcm, words[k], unfold_weight(data, omega))
-            if lhs != unfold_weight(data, folded.reflect(omega, k)):
+            if lhs != unfold_weight(data, weyl.act(folded, (k,), omega)):
                 raise NotIntertwining(f"weight lift fails to intertwine folded reflection {k}")
     return data
 
@@ -180,12 +180,12 @@ def fold_word(data: FoldingData, word: Word) -> Word:
     the same element.
     """
     gcm = data.gcm
-    x = weyl.rho_vector(gcm, word)
+    x = weyl.element_of(gcm, word)
     if not is_symmetric_weight(x, data.auto.perm):
         raise NotInWTilde(f"word {word} does not commute with the automorphism")
     x_hat = tuple(x[orbit[0]] for orbit in data.orbit_data.orbits)
     result = weyl.word_of_rho_vector(data.folded, x_hat)
-    if weyl.rho_vector(gcm, unfold_word(data, result)) != x:
+    if weyl.element_of(gcm, unfold_word(data, result)) != x:
         raise NoDescentFound("descent peeling did not invert the word expansion; "
                              "folding data is inconsistent")
     return result

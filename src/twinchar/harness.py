@@ -44,6 +44,7 @@ from .root_data import (
     Weight,
     cartan_matrix,
     diagram_permutation,
+    int_at_least,
     int_tuple,
     validate_gcm,
     weight_box,
@@ -268,8 +269,8 @@ def battery_instances(config: BatteryConfig) -> Iterator[tuple[str, Instance]]:
     Instances are built one at a time, so a wide ``lambda_box`` sweep starts
     verifying before the rest of it exists.
     """
-    if config.lambda_box is not None and config.lambda_box < 0:
-        raise InvalidInput(f"lambda box {config.lambda_box} must not be negative")
+    if config.lambda_box is not None:
+        int_at_least(config.lambda_box, 0, "lambda box")
     for family in config.resolved_families():
         data = _folding(family.gcm, family.automorphism)
         words = [w for w, _ in weyl.enumerate_weyl(data.folded, family.max_word_len)]

@@ -1,7 +1,7 @@
 """Small exact integer linear algebra helpers on tuple matrices.
 
 Matrices are tuples of row tuples with integer entries.  Everything here
-stays in the integers: there is no Fraction and no floating point, and
+stays in the integers: there are no fractions and no floating point, and
 the one elimination routine is the fraction-free determinant.
 """
 
@@ -10,24 +10,6 @@ from __future__ import annotations
 from .errors import InexactDivision
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Product of an (m x k) and a (k x p) matrix."""
-    if len(b) != len(a[0]):
-        raise ValueError("matrix shapes do not compose")
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def mat_vec(a: Matrix, v) -> tuple:
-    if len(v) != len(a[0]):
-        raise ValueError("matrix/vector size mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def determinant(a: Matrix) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -50,12 +49,6 @@ class GeneralizedCartanMatrix:
         """
         return tuple(row[j] for row in self.entries)
 
-    def reflect(self, lam: Weight, i: int) -> Weight:
-        """Simple reflection s_i(lam) = lam - <lam, alpha_i^vee> alpha_i."""
-        m = lam[i]
-        alpha = self.simple_root(i)
-        return tuple(c - m * a for c, a in zip(lam, alpha))
-
     def is_dominant(self, lam: Weight) -> bool:
         return all(c >= 0 for c in lam)
 
@@ -84,19 +77,10 @@ class GeneralizedCartanMatrix:
 def validate_gcm(matrix) -> GeneralizedCartanMatrix:
     """Check the GCM axioms and compute the smallest positive symmetrizer.
 
-    The symmetrizer is found by propagating the ratio d_j = d_i a_ij / a_ji
-    along edges of the diagram graph; an inconsistent cycle means the
-    matrix is not symmetrizable.
+    Each row must be a list of ints (``int_tuple``): a float, a bool or a
+    string entry is invalid input even when it equals an integer.
     """
-    entries = []
-    for row in matrix:
-        out = []
-        for x in row:
-            if x != int(x):
-                raise NotGCM(f"entry {x!r} is not an integer")
-            out.append(int(x))
-        entries.append(tuple(out))
-    entries = tuple(entries)
+    entries = tuple(int_tuple(row, "matrix row") for row in matrix)
     n = len(entries)
     if n == 0 or any(len(row) != n for row in entries):
         raise NotGCM("matrix must be square and nonempty")
@@ -115,38 +99,45 @@ def validate_gcm(matrix) -> GeneralizedCartanMatrix:
 
 
 def _symmetrizer(entries: IntMatrix) -> tuple[int, ...]:
+    """The smallest positive integers d with d_i a_ij = d_j a_ji, in integers only.
+
+    Each connected component of the diagram starts at d = 1 and propagates
+    d_j = d_i |a_ij| / |a_ji| along its edges; when that division leaves a
+    remainder, the component found so far is scaled up first so that it is
+    exact.  Each component is then divided by its gcd.  Propagation fixes d
+    on a spanning tree only; the final check is the one test of the other
+    edges, so an inconsistent cycle raises there.
+    """
     n = len(entries)
-    d: list = [None] * n
+    d = [0] * n
     for start in range(n):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start] = Fraction(1)
+        d[start] = 1
         component = [start]
         queue = [start]
         while queue:
             i = queue.pop()
             for j in range(n):
-                if j == i or entries[i][j] == 0:
+                if j == i or entries[i][j] == 0 or d[j]:
                     continue
-                want = d[i] * Fraction(entries[i][j], entries[j][i])
-                if d[j] is None:
-                    d[j] = want
-                    component.append(j)
-                    queue.append(j)
-                elif d[j] != want:
-                    raise NotSymmetrizable(f"inconsistent symmetrizer cycle through nodes {i}, {j}")
-        # smallest positive integers per connected component
-        scale = math.lcm(*(d[k].denominator for k in component))
-        ints = [int(d[k] * scale) for k in component]
-        g = math.gcd(*ints)
-        for k, v in zip(component, ints):
-            d[k] = v // g
-    d = tuple(d)
+                num, den = -d[i] * entries[i][j], -entries[j][i]
+                if num % den:
+                    up = den // math.gcd(num, den)
+                    for k in component:
+                        d[k] *= up
+                    num *= up
+                d[j] = num // den
+                component.append(j)
+                queue.append(j)
+        g = math.gcd(*(d[k] for k in component))
+        for k in component:
+            d[k] //= g
     for i in range(n):
         for j in range(n):
             if d[i] * entries[i][j] != d[j] * entries[j][i]:
                 raise NotSymmetrizable(f"d_i a_ij != d_j a_ji at ({i},{j})")
-    return d
+    return tuple(d)
 
 
 @lru_cache(maxsize=64)
@@ -175,6 +166,12 @@ def int_tuple(values, what: str) -> tuple[int, ...]:
     if any(type(x) is not int for x in out):
         raise InvalidInput(f"{what} {list(out)} has a non-integer entry")
     return out
+
+
+def int_at_least(value, minimum: int, what: str) -> None:
+    """Raise InvalidInput unless the value is an int (not a bool or a float) >= minimum."""
+    if type(value) is not int or value < minimum:
+        raise InvalidInput(f"{what} {value!r} must be an integer of at least {minimum}")
 
 
 def dominant_weight(gcm: GeneralizedCartanMatrix, lam) -> Weight:

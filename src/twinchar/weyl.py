@@ -11,8 +11,11 @@ peels the smallest right descent (x <- s_i x, which is w <- w s_i) until
 x = rho, at O(n) integer work per letter, and reads the peeled letters
 backwards.
 
-Integer matrices (``element_of``, ``reflection_matrix``, ``enumerate_weyl``)
-remain for enumerating a group and as an independent reference in tests.
+This vector is the only representation of a Weyl element: ``element_of``
+returns it, ``enumerate_weyl`` runs its breadth-first search on it, and
+``is_in_w_tilde`` and ``folding.fold_word`` read commutation with a
+diagram automorphism off it.  Matrices appear only in the tests, as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -20,37 +23,16 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InvalidInput, NoDescentFound, NotFiniteType
-from .linalg import identity_matrix, mat_mul
 from .root_data import (
     GeneralizedCartanMatrix,
     Weight,
+    int_at_least,
     is_finite_type,
     is_symmetric_weight,
     weyl_word,
 )
 
 Word = tuple[int, ...]
-Matrix = tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=256, typed=True)   # typed: 1.0 and True must not hit the entry of 1
-def reflection_matrix(gcm: GeneralizedCartanMatrix, i: int) -> Matrix:
-    """Matrix of s_i on weight coordinates: identity with column i replaced by e_i - alpha_i."""
-    weyl_word(gcm, (i,))
-    alpha = gcm.simple_root(i)
-    n = gcm.n
-    return tuple(
-        tuple((1 if k == l else 0) - (alpha[k] if l == i else 0) for l in range(n))
-        for k in range(n)
-    )
-
-
-def element_of(gcm: GeneralizedCartanMatrix, word: Word) -> Matrix:
-    """Product of simple-reflection matrices; a homomorphism from words to matrices."""
-    m = identity_matrix(gcm.n)
-    for i in weyl_word(gcm, word):
-        m = mat_mul(m, reflection_matrix(gcm, i))
-    return m
 
 
 @lru_cache(maxsize=64)
@@ -90,8 +72,18 @@ def act(gcm: GeneralizedCartanMatrix, word: Word, lam: Weight) -> Weight:
     return tuple(_apply(gcm, word, lam))
 
 
-def rho_vector(gcm: GeneralizedCartanMatrix, word: Word) -> Weight:
-    """The vector w^-1(rho) that represents the element of the word."""
+def element_of(gcm: GeneralizedCartanMatrix, word: Word) -> Weight:
+    """The vector w^-1(rho) that represents the element of the word.
+
+    Two words name the same element exactly when their vectors agree.
+
+    >>> from twinchar.root_data import cartan_matrix
+    >>> a2 = cartan_matrix("A2")
+    >>> element_of(a2, (0, 1))
+    (1, -2)
+    >>> element_of(a2, (0, 1, 0)) == element_of(a2, (1, 0, 1))
+    True
+    """
     return tuple(_apply(gcm, word, gcm.rho(), inverse=True))
 
 
@@ -124,7 +116,7 @@ def reduced_word(gcm: GeneralizedCartanMatrix, word: Word) -> Word:
     >>> reduced_word(cartan_matrix("A2"), (0, 1, 0, 0, 1))
     (0,)
     """
-    return word_of_rho_vector(gcm, rho_vector(gcm, word))
+    return word_of_rho_vector(gcm, element_of(gcm, word))
 
 
 def length(gcm: GeneralizedCartanMatrix, word: Word) -> int:
@@ -166,31 +158,40 @@ def is_in_w_tilde(gcm: GeneralizedCartanMatrix, word: Word, perm: tuple[int, ...
 
 
 def enumerate_weyl(gcm: GeneralizedCartanMatrix,
-                   max_length: int | None = None) -> list[tuple[Word, Matrix]]:
-    """All Weyl elements up to max_length with canonical shortest words, BFS order.
+                   max_length: int | None = None) -> list[tuple[Word, Weight]]:
+    """All Weyl elements up to max_length as (canonical shortest word, element_of vector).
 
+    Breadth-first over x <- s_i x (w <- w s_i), trying letters in increasing
+    order, so each element keeps the first shortest word that reaches it.
     With ``max_length=None`` the group must be finite; the result is sorted
     by (length, word).
+
+    >>> from twinchar.root_data import cartan_matrix
+    >>> [word for word, _ in enumerate_weyl(cartan_matrix("A2"))]
+    [(), (0,), (1,), (0, 1), (1, 0), (0, 1, 0)]
     """
-    if max_length is not None and max_length < 0:
-        raise InvalidInput(f"length cap {max_length} must not be negative")
+    if max_length is not None:
+        int_at_least(max_length, 0, "length cap")
     if max_length is None and not is_finite_type(gcm):
         raise NotFiniteType("cannot enumerate an infinite Weyl group without a length cap")
-    ident = identity_matrix(gcm.n)
-    found: dict[Matrix, Word] = {ident: ()}
-    frontier: list[tuple[Word, Matrix]] = [((), ident)]
+    roots = _simple_roots(gcm)
+    rho = gcm.rho()
+    found: dict[Weight, Word] = {rho: ()}
+    frontier: list[tuple[Word, Weight]] = [((), rho)]
     depth = 0
     while frontier and (max_length is None or depth < max_length):
         depth += 1
         fresh = []
-        for word, m in frontier:
+        for word, x in frontier:
             for i in range(gcm.n):
-                m2 = mat_mul(m, reflection_matrix(gcm, i))
-                if m2 not in found:
-                    found[m2] = word + (i,)
-                    fresh.append((word + (i,), m2))
+                y = list(x)
+                _reflect(roots, y, i)
+                y = tuple(y)
+                if y not in found:
+                    found[y] = word + (i,)
+                    fresh.append((word + (i,), y))
         frontier = fresh
-    return sorted(((w, m) for m, w in found.items()), key=lambda t: (len(t[0]), t[0]))
+    return sorted(((w, x) for x, w in found.items()), key=lambda t: (len(t[0]), t[0]))
 
 
 def parse_word(text: str) -> Word:

@@ -43,6 +43,7 @@ from .root_data import (
     _require_finite,
     diagram_permutation,
     dominant_weight,
+    int_at_least,
     is_symmetric_weight,
     weyl_word,
 )
@@ -62,8 +63,7 @@ def content_word_count(beta: RootVector) -> int:
 
 
 def _within_cap(what: str, beta: RootVector, word_cap: int) -> None:
-    if type(word_cap) is not int or word_cap < 1:
-        raise InvalidInput(f"word cap {word_cap!r} must be an integer of at least 1")
+    int_at_least(word_cap, 1, "word cap")
     count = content_word_count(beta)
     if count > word_cap:
         raise TooLarge(f"{what} {beta} has {count} words, above the cap {word_cap}")
@@ -194,7 +194,7 @@ def _reduce(rows, pivots, scale: int, v: dict) -> dict:
 
 
 def _span(lam: Weight, content: RootVector, coord_dicts) -> Subspace:
-    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
+    """Gauss-Jordan elimination without fractions (Bareiss, Math. Comp. 22, 1968).
 
     ``scale`` stays the pivot minor of the inserted vectors, so by Sylvester's
     identity every row update divides exactly.  Each input is first divided by
@@ -253,14 +253,15 @@ def _exponents(gcm: GeneralizedCartanMatrix, lam: Weight, word: FWord) -> list[i
     Reflecting down the word gives lam - w(lam) = sum_t m_t alpha_{i_t}; any
     negative exponent means the expression was not reduced.
     """
+    roots = weyl._simple_roots(gcm)
     exponents = [0] * len(word)
-    mu = lam
+    mu = list(lam)
     for t in range(len(word) - 1, -1, -1):
         m = mu[word[t]]
         if m < 0:
             raise NotReduced(f"word {word} yields a negative exponent at position {t}")
         exponents[t] = m
-        mu = gcm.reflect(mu, word[t])
+        weyl._reflect(roots, mu, word[t])
     return exponents
 
 

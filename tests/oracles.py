@@ -1,4 +1,9 @@
-"""Word-model oracles used only by the tests: contents, the form and word profiles."""
+"""Oracles used only by the tests.
+
+Word-model contents, the form and word profiles; and the matrix model of a
+Weyl element, a product of simple-reflection matrices on weight
+coordinates that shares no code with the library's w^-1(rho) vectors.
+"""
 
 from twinchar.word_model import _pair, f_action, highest_weight_vector
 
@@ -30,3 +35,61 @@ def vector_of_word(gcm, lam, word):
     for letter in reversed(tuple(word)):
         v = f_action(gcm, letter, v)
     return v
+
+
+def identity_matrix(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_mul(a, b):
+    """Product of an (m x k) and a (k x p) matrix of tuples."""
+    if len(b) != len(a[0]):
+        raise ValueError("matrix shapes do not compose")
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def mat_vec(a, v):
+    if len(v) != len(a[0]):
+        raise ValueError("matrix/vector size mismatch")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def matrix_of(gcm, word):
+    """Matrix of w on weight coordinates, so that w(lam) = matrix_of(gcm, word) . lam.
+
+    The product of the simple-reflection matrices of the letters; s_i is the
+    identity with column i replaced by e_i - alpha_i.
+    """
+    n = gcm.n
+    m = identity_matrix(n)
+    for i in word:
+        if not 0 <= i < n:
+            raise ValueError(f"letter {i} out of range for rank {n}")
+        alpha = gcm.simple_root(i)
+        m = mat_mul(m, tuple(tuple((k == l) - (alpha[k] if l == i else 0) for l in range(n))
+                             for k in range(n)))
+    return m
+
+
+def matrix_bfs(gcm, max_length=None):
+    """(word, matrix) of every element up to max_length, sorted by (length, word).
+
+    Breadth-first over right multiplication by simple reflections, letters
+    in increasing order, so each element keeps its first shortest word.
+    Without a cap it terminates only on a finite group.
+    """
+    found = {identity_matrix(gcm.n): ()}
+    frontier = [((), identity_matrix(gcm.n))]
+    depth = 0
+    while frontier and (max_length is None or depth < max_length):
+        depth += 1
+        fresh = []
+        for word, m in frontier:
+            for i in range(gcm.n):
+                m2 = mat_mul(m, matrix_of(gcm, (i,)))
+                if m2 not in found:
+                    found[m2] = word + (i,)
+                    fresh.append((word + (i,), m2))
+        frontier = fresh
+    return sorted(((w, m) for m, w in found.items()), key=lambda t: (len(t[0]), t[0]))

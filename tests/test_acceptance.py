@@ -22,7 +22,6 @@ from twinchar.characters import (
 )
 from twinchar.errors import NotTauStable
 from twinchar.folding import fold, unfold_weight, unfold_word, validate_automorphism
-from twinchar.linalg import mat_mul
 from twinchar.root_data import cartan_matrix, validate_gcm, weyl_dimension
 from twinchar.weyl import (
     element_of,
@@ -40,7 +39,7 @@ from twinchar.word_model import (
     weight_space,
 )
 
-from oracles import shapovalov_pair, vector_of_word
+from oracles import mat_mul, matrix_of, shapovalov_pair, vector_of_word
 
 FAMILIES = {
     "A2-flip": ("A2", (1, 0)),
@@ -88,8 +87,8 @@ def test_criterion_1_folding_battery():
 
         # intertwining of the weight lift with every folded reflection
         for k in range(data.n_folded):
-            lhs = mat_mul(element_of(gcm, data.orbit_words[k]), data.weight_lift)
-            rhs = mat_mul(data.weight_lift, element_of(data.folded, (k,)))
+            lhs = mat_mul(matrix_of(gcm, data.orbit_words[k]), data.weight_lift)
+            rhs = mat_mul(data.weight_lift, matrix_of(data.folded, (k,)))
             assert lhs == rhs, (name, k)
 
         # expanded-word image has exactly the folded group's cardinality and

@@ -127,6 +127,11 @@ def test_battery_lambda_box_sweep():
     summary = harness.run_battery(config)
     # 3 folded weights x 2 words, the fixed weight list is replaced by the box
     assert summary.counts == {"equal": 6, "unequal": 0, "skipped": 0}
+    # sweep sizes must be true ints: 0.5 and True would pass as a range bound
+    for sizes in ({"lambda_box": 0.5}, {"lambda_box": True}, {"max_word_len": 1.5},
+                  {"max_word_len": True}, {"lambda_box": 1, "max_word_len": "1"}):
+        with pytest.raises(InvalidInput):
+            harness.run_battery(replace(config, **sizes))
 
 
 def test_battery_instances_are_built_lazily(monkeypatch):

@@ -1,6 +1,7 @@
 """Cartan matrix validation, weight arithmetic, roots and dimensions."""
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from twinchar import weyl
 from twinchar.characters import demazure_character, freudenthal_character
 from twinchar.errors import InvalidInput, NotFiniteType, NotGCM, NotSymmetrizable
-from twinchar.folding import fold, unfold_word
+from twinchar.folding import fold, fold_word, unfold_word
 from twinchar.linalg import determinant
 from twinchar.root_data import (
     cartan_matrix,
@@ -72,12 +73,68 @@ def test_bad_diagonal_and_positive_offdiagonal_rejected():
         validate_gcm([[1, -1], [-1, 2]])
     with pytest.raises(NotGCM):
         validate_gcm([[2, 1], [1, 2]])
+    # entries must be ints: a float or a bool is rejected even when it equals one
+    for matrix in ([[2.0, -1], [-1, 2]], [[2, False], [False, 2]], [[2, -1], [-1.0, 2]],
+                   [[2, -1], [-1, "2"]], [[2, -1], 5]):
+        with pytest.raises(InvalidInput):
+            validate_gcm(matrix)
 
 
 def test_non_symmetrizable_cycle_rejected():
     # 3-cycle with mismatched edge ratios cannot carry a symmetrizer
     with pytest.raises(NotSymmetrizable):
         validate_gcm([[2, -1, -2], [-2, 2, -1], [-1, -2, 2]])
+
+
+def fraction_symmetrizer(entries):
+    """Oracle: rational propagation d_j = d_i a_ij / a_ji, cleared to coprime integers."""
+    n = len(entries)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        component, queue = [start], [start]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                if j != i and entries[i][j]:
+                    want = d[i] * Fraction(entries[i][j], entries[j][i])
+                    if d[j] is None:
+                        d[j] = want
+                        component.append(j)
+                        queue.append(j)
+                    elif d[j] != want:
+                        return None
+        scale = math.lcm(*(d[k].denominator for k in component))
+        ints = [int(d[k] * scale) for k in component]
+        g = math.gcd(*ints)
+        for k, v in zip(component, ints):
+            d[k] = v // g
+    return tuple(d)
+
+
+def test_integer_symmetrizer_matches_rational_propagation():
+    # every rank <= 3 zero-pattern-symmetric matrix with off-diagonal entries in {0..-4}
+    values = range(-4, 1)
+    checked = rejected = 0
+    for n in (1, 2, 3):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for choice in product(product(values, repeat=2), repeat=len(pairs)):
+            if any((a == 0) != (b == 0) for a, b in choice):
+                continue
+            m = [[2] * n for _ in range(n)]
+            for (i, j), (a, b) in zip(pairs, choice):
+                m[i][j], m[j][i] = a, b
+            expected = fraction_symmetrizer(m)
+            if expected is None:
+                with pytest.raises(NotSymmetrizable):
+                    validate_gcm(m)
+                rejected += 1
+            else:
+                assert validate_gcm(m).symmetrizer == expected, m
+                checked += 1
+    assert checked > 1000 and rejected > 1000, (checked, rejected)
 
 
 def test_symmetrizer_makes_da_symmetric():
@@ -101,7 +158,7 @@ def test_simple_root_and_reflection_examples():
     a2 = cartan_matrix("A2")
     assert a2.simple_root(0) == (2, -1)
     assert a2.simple_root(1) == (-1, 2)
-    assert a2.reflect((1, 1), 0) == (-1, 2)
+    assert weyl.act(a2, (0,), (1, 1)) == (-1, 2)
     assert not a2.is_dominant((-1, 2))
     assert a2.is_dominant((0, 3))
 
@@ -112,7 +169,9 @@ def test_reflection_is_an_involution(label, data):
     gcm = cartan_matrix(label)
     lam = tuple(data.draw(st.integers(-4, 4)) for _ in range(gcm.n))
     for i in range(gcm.n):
-        assert gcm.reflect(gcm.reflect(lam, i), i) == lam
+        once = weyl.act(gcm, (i,), lam)
+        assert once[i] == -lam[i]
+        assert weyl.act(gcm, (i,), once) == lam
 
 
 def test_root_coordinate_round_trip():
@@ -208,7 +267,6 @@ def test_weight_of_wrong_size_is_rejected(call, lam):
 @pytest.mark.parametrize("call", [
     lambda gcm, word: weyl.reduced_word(gcm, word),
     lambda gcm, word: weyl.element_of(gcm, word),
-    lambda gcm, word: [weyl.reflection_matrix(gcm, i) for i in (0, 1) + word],
     lambda gcm, word: weyl.act(gcm, word, (1, 1)),
     lambda gcm, word: weyl.is_in_w_tilde(gcm, word, (1, 0)),
     lambda gcm, word: demazure_character(gcm, (1, 1), word),
@@ -216,9 +274,10 @@ def test_weight_of_wrong_size_is_rejected(call, lam):
     lambda gcm, word: demazure_subspaces(gcm, (1, 1), word),
     lambda gcm, word: twining_character(gcm, (1, 1), word, (1, 0)),
     lambda gcm, word: unfold_word(fold(gcm, (1, 0)), word),
-], ids=["reduced_word", "element_of", "reflection_matrix", "act", "is_in_w_tilde",
+    lambda gcm, word: fold_word(fold(gcm, (1, 0)), word),
+], ids=["reduced_word", "element_of", "act", "is_in_w_tilde",
         "demazure_character", "extremal_vector", "demazure_subspaces", "twining_character",
-        "unfold_word"])
+        "unfold_word", "fold_word"])
 @pytest.mark.parametrize("word", [(True, 0), (1.0,), ("1",)], ids=["bool", "float", "str"])
 def test_word_of_non_integers_is_rejected(call, word):
     with pytest.raises(InvalidInput):

@@ -1,4 +1,8 @@
-"""Weyl words, matrix canonical forms, reduced words and the commuting subgroup."""
+"""Weyl elements as w^-1(rho) vectors, reduced words and the commuting subgroup.
+
+The matrix model in ``oracles`` (products of reflection matrices) is the
+independent reference for the group, its lengths and its BFS words.
+"""
 
 import random
 
@@ -6,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinchar.errors import NotFiniteType
-from twinchar.linalg import identity_matrix, mat_mul
+from twinchar.errors import InvalidInput, NotFiniteType
 from twinchar.root_data import cartan_matrix, positive_roots, validate_gcm
 from twinchar.weyl import (
+    act,
     element_of,
     enumerate_weyl,
     format_word,
@@ -20,30 +24,21 @@ from twinchar.weyl import (
     reduced_word,
 )
 
+from oracles import identity_matrix, mat_mul, mat_vec, matrix_bfs, matrix_of
+
 WEYL_ORDERS = {"A2": 6, "A3": 24, "B2": 8, "G2": 12, "C3": 48, "A4": 120, "D4": 192}
 
 
 def brute_force_group(gcm):
-    """Oracle: the whole group as a set of matrices by naive closure."""
-    gens = [element_of(gcm, (i,)) for i in range(gcm.n)]
-    group = {identity_matrix(gcm.n)}
-    frontier = list(group)
-    while frontier:
-        fresh = []
-        for m in frontier:
-            for g in gens:
-                m2 = mat_mul(m, g)
-                if m2 not in group:
-                    group.add(m2)
-                    fresh.append(m2)
-        frontier = fresh
-    return group
+    """Oracle: the whole group as a map from matrix to length, by naive closure."""
+    return {m: len(word) for word, m in matrix_bfs(gcm)}
 
 
 def test_square_of_generator_is_identity():
     a2 = cartan_matrix("A2")
-    assert element_of(a2, (0, 0)) == identity_matrix(2)
-    assert element_of(a2, (1, 1)) == identity_matrix(2)
+    assert element_of(a2, (0, 0)) == element_of(a2, ()) == a2.rho()
+    assert element_of(a2, (1, 1)) == a2.rho()
+    assert matrix_of(a2, (0, 0)) == matrix_of(a2, (1, 1)) == identity_matrix(2)
 
 
 def test_length_of_longest_word_a2():
@@ -53,18 +48,20 @@ def test_length_of_longest_word_a2():
 def test_reduced_word_of_messy_word():
     # s0 s1 s0 s0 s1 = s0 s1 s1 = s0, checked against the 6-element group
     a2 = cartan_matrix("A2")
-    m = element_of(a2, (0, 1, 0, 0, 1))
-    assert m in brute_force_group(a2)
-    assert m == element_of(a2, (0,))
+    assert matrix_of(a2, (0, 1, 0, 0, 1)) == matrix_of(a2, (0,))
+    assert element_of(a2, (0, 1, 0, 0, 1)) == element_of(a2, (0,))
     assert reduced_word(a2, (0, 1, 0, 0, 1)) == (0,)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 1), max_size=6), st.lists(st.integers(0, 1), max_size=6))
 def test_element_of_is_a_homomorphism(u, v):
+    # concatenation acts on the vector: (uv)^-1(rho) = v^-1(u^-1(rho))
     a2 = cartan_matrix("A2")
-    assert element_of(a2, tuple(u) + tuple(v)) == mat_mul(
-        element_of(a2, tuple(u)), element_of(a2, tuple(v)))
+    u, v = tuple(u), tuple(v)
+    assert element_of(a2, u + v) == act(a2, v[::-1], element_of(a2, u))
+    # and it is the reflection-matrix product of the inverse word applied to rho
+    assert element_of(a2, u + v) == mat_vec(matrix_of(a2, (u + v)[::-1]), a2.rho())
 
 
 def test_reduced_word_idempotence_over_whole_group():
@@ -83,9 +80,9 @@ def peel_by_depth(gcm, depth, m):
     letters = []
     while m != ident:
         i = next(i for i in range(gcm.n)
-                 if depth[mat_mul(m, element_of(gcm, (i,)))] < depth[m])
+                 if depth[mat_mul(m, matrix_of(gcm, (i,)))] < depth[m])
         letters.append(i)
-        m = mat_mul(m, element_of(gcm, (i,)))
+        m = mat_mul(m, matrix_of(gcm, (i,)))
     return tuple(reversed(letters))
 
 
@@ -93,22 +90,22 @@ def test_reduced_word_matches_depth_map_oracle():
     rng = random.Random(20)
     for label in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"):
         gcm = cartan_matrix(label)
-        elements = enumerate_weyl(gcm)
-        depth = {m: len(word) for word, m in elements}
-        for word, m in elements:
-            assert reduced_word(gcm, word) == peel_by_depth(gcm, depth, m), (label, word)
+        depth = brute_force_group(gcm)
+        for word, _ in enumerate_weyl(gcm):
+            expected = peel_by_depth(gcm, depth, matrix_of(gcm, word))
+            assert reduced_word(gcm, word) == expected, (label, word)
         for _ in range(40):
             word = tuple(rng.randrange(gcm.n) for _ in range(rng.randrange(16)))
-            expected = peel_by_depth(gcm, depth, element_of(gcm, word))
+            expected = peel_by_depth(gcm, depth, matrix_of(gcm, word))
             assert reduced_word(gcm, word) == expected, (label, word)
 
 
 def test_length_counts_positive_roots_sent_negative():
     # independent length oracle via the root action
-    from twinchar.linalg import mat_vec
     for label in ("A2", "B2"):
         gcm = cartan_matrix(label)
-        for word, m in enumerate_weyl(gcm):
+        for word, _ in enumerate_weyl(gcm):
+            m = matrix_of(gcm, word)
             negatives = 0
             for beta in positive_roots(gcm):
                 image = gcm.root_coords(mat_vec(m, gcm.weight_of_root(beta)))
@@ -159,8 +156,10 @@ def test_enumerate_weyl_orders():
 def test_enumerate_weyl_matches_brute_force():
     for label in ("A2", "B2", "G2"):
         gcm = cartan_matrix(label)
-        enumerated = {m for _, m in enumerate_weyl(gcm)}
-        assert enumerated == brute_force_group(gcm)
+        enumerated = enumerate_weyl(gcm)
+        assert {matrix_of(gcm, w): len(w) for w, _ in enumerated} == brute_force_group(gcm)
+        assert all(x == element_of(gcm, w) for w, x in enumerated)
+        assert [w for w, _ in enumerated] == [w for w, _ in matrix_bfs(gcm)]
 
 
 def test_enumerate_weyl_with_length_cap():
@@ -169,6 +168,23 @@ def test_enumerate_weyl_with_length_cap():
     assert [w for w, _ in capped] == [(), (0,), (1,)]
     with pytest.raises(NotFiniteType):
         enumerate_weyl(validate_gcm([[2, -2], [-2, 2]]))
+    # a size must be a true int: 2.5 would act as 3 and True as 1
+    for cap in (2.5, True, -1, "2"):
+        with pytest.raises(InvalidInput):
+            enumerate_weyl(a2, max_length=cap)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[2, -2], [-2, 2]],
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    [[2, -3], [-3, 2]],
+], ids=["affine-A1", "affine-3-cycle", "hyperbolic-3-3"])
+def test_capped_enumeration_of_infinite_groups_matches_matrix_oracle(matrix):
+    gcm = validate_gcm(matrix)
+    for cap in (0, 1, 2, 5):
+        enumerated = enumerate_weyl(gcm, max_length=cap)
+        assert [w for w, _ in enumerated] == [w for w, _ in matrix_bfs(gcm, cap)], cap
+        assert all(x == element_of(gcm, w) for w, x in enumerated)
 
 
 def test_word_serialization_round_trip():
