@@ -24,7 +24,6 @@ from .folding import (
     is_symmetric_weight,
     unfold_weight,
     unfold_word,
-    validate_automorphism,
 )
 from .harness import (
     BatteryConfig,
@@ -95,7 +94,6 @@ __all__ = [
     "twining_trace",
     "unfold_weight",
     "unfold_word",
-    "validate_automorphism",
     "validate_gcm",
     "verify",
     "weight_space",

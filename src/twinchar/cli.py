@@ -39,27 +39,25 @@ def _cmd_validate(args) -> int:
 def _cmd_fold(args) -> int:
     instance = harness.load_instance(args.instance)
     data = fold(harness.build_gcm(instance.gcm), instance.automorphism)
-    orbit_data = data.orbit_data
+    lift = [[1 if k == o else 0 for k in range(data.n_folded)] for o in data.node_orbit]
     if args.json:
         print(json.dumps({
             "folded": [list(r) for r in data.folded.entries],
-            "orbits": [list(o) for o in orbit_data.orbits],
-            "row_sums": list(orbit_data.row_sums),
-            "scales": [str(orbit_data.scale(k)) for k in range(data.n_folded)],
-            "weight_lift": [list(r) for r in data.weight_lift],
+            "orbits": [list(o) for o in data.orbits],
+            "row_sums": list(data.row_sums),
+            "scales": [str(2 // s) for s in data.row_sums],
+            "weight_lift": lift,
             "orbit_words": [list(w) for w in data.orbit_words],
         }))
         return 0
     print("folded: " + json.dumps([list(r) for r in data.folded.entries]))
-    orbit_bits = []
-    for k, orbit in enumerate(orbit_data.orbits):
-        orbit_bits.append("{%s} s=%d c=%s" % (
-            ",".join(map(str, orbit)), orbit_data.row_sums[k], orbit_data.scale(k)))
-    print("orbits: " + " ; ".join(orbit_bits))
-    print("lift: " + json.dumps([list(r) for r in data.weight_lift]))
+    print("orbits: " + " ; ".join(
+        "{%s} s=%d c=%d" % (",".join(map(str, o)), s, 2 // s)
+        for o, s in zip(data.orbits, data.row_sums)))
+    print("lift: " + json.dumps(lift))
     print("words: " + " ; ".join(
         "{%s}->%s" % (",".join(map(str, o)), format_word(w))
-        for o, w in zip(orbit_data.orbits, data.orbit_words)))
+        for o, w in zip(data.orbits, data.orbit_words)))
     return 0
 
 

@@ -1,16 +1,18 @@
-"""Diagram automorphisms, orbit data and folding to the orbit Cartan matrix.
+"""Diagram automorphisms and folding to the orbit Cartan matrix.
 
-``fold(gcm, perm)`` validates the permutation once and produces the folded
-matrix (one row/column per orbit, scaled by 2 over the orbit row sum), the
-weight-lift matrix whose columns are orbit indicators, and one Weyl word
-per orbit (the longest element of the parabolic subgroup on that orbit).
-The linking condition, every orbit row sum s in {1, 2}, fixes the rest:
-s = 2 leaves no edge inside the orbit; s = 1 gives each node exactly one
-orbit neighbour, with entry -1 both ways (row sums are constant on an
-orbit and the zero pattern is symmetric), so the orbit splits into A2
-pairs; and the scale 2 / s is an integer.  The folded matrix must be a
-valid GCM and the lift must intertwine every folded simple reflection
-with its orbit word, so a wrong convention cannot survive construction.
+``fold(gcm, perm)`` validates the permutation once and returns one flat
+record: the orbits of the automorphism and their row sums, the folded
+matrix (one row/column per orbit, scaled by 2 over the orbit row sum),
+the weight lift as the map node -> orbit index (the lift matrix has the
+orbit indicators as columns), and one Weyl word per orbit (the longest
+element of the parabolic subgroup on that orbit).  The linking
+condition, every orbit row sum s in {1, 2}, fixes the rest: s = 2 leaves
+no edge inside the orbit; s = 1 gives each node exactly one orbit
+neighbour, with entry -1 both ways (row sums are constant on an orbit and
+the zero pattern is symmetric), so the orbit splits into A2 pairs; and
+the scale 2 / s is an integer.  The folded matrix must be a valid GCM and
+the lift must intertwine every folded simple reflection with its orbit
+word, so a wrong convention cannot survive construction.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import (
 )
 from .root_data import (
     GeneralizedCartanMatrix,
-    IntMatrix,
     Weight,
     diagram_permutation,
     is_symmetric_weight,
@@ -47,92 +48,68 @@ class DiagramAutomorphism:
 
 
 @dataclass(frozen=True)
-class OrbitData:
-    orbits: tuple[tuple[int, ...], ...]   # sorted, ordered by smallest member
-    row_sums: tuple[int, ...]             # s value per orbit (any representative)
-
-    def scale(self, k: int) -> int:
-        """The column scale 2 / s of orbit k; the linking condition needs s in {1, 2}."""
-        s = self.row_sums[k]
-        if s not in (1, 2):
-            raise LinkingConditionFailed(
-                f"orbit {self.orbits[k]} has row sum {s}; folding needs 1 or 2")
-        return 2 // s
-
-
-def validate_automorphism(gcm: GeneralizedCartanMatrix,
-                          perm) -> tuple[DiagramAutomorphism, OrbitData]:
-    """Check that perm preserves the Cartan matrix; compute orbits and row sums."""
-    perm = diagram_permutation(gcm, perm)
-    n = gcm.n
-    orbits = []
-    for i in range(n):
-        if not any(i in orbit for orbit in orbits):
-            orbit = [i]
-            while perm[orbit[-1]] != i:
-                orbit.append(perm[orbit[-1]])
-            orbits.append(tuple(sorted(orbit)))
-
-    # perm permutes each orbit and preserves a, so every representative gives the same sum
-    row_sums = tuple(sum(gcm.entries[orbit[0]][j] for j in orbit) for orbit in orbits)
-    order = math.lcm(*(len(orbit) for orbit in orbits))
-    return DiagramAutomorphism(perm, order), OrbitData(tuple(orbits), row_sums)
-
-
-@dataclass(frozen=True)
 class FoldingData:
     gcm: GeneralizedCartanMatrix
     auto: DiagramAutomorphism
-    orbit_data: OrbitData
+    orbits: tuple[tuple[int, ...], ...]    # sorted, ordered by smallest member
+    row_sums: tuple[int, ...]              # s value per orbit (any representative)
     folded: GeneralizedCartanMatrix
-    weight_lift: IntMatrix                 # n x n_folded, columns are orbit indicators
     orbit_words: tuple[Word, ...]          # one unfolded Weyl word per folded node
-    node_orbit: tuple[int, ...]            # node -> orbit index
+    node_orbit: tuple[int, ...]            # node -> orbit index: the weight lift
 
     @property
     def n_folded(self) -> int:
-        return len(self.orbit_data.orbits)
+        return len(self.orbits)
 
 
 def fold(gcm: GeneralizedCartanMatrix, perm) -> FoldingData:
     """Fold along a diagram automorphism satisfying the linking condition.
 
     The permutation is validated here, so the returned data carries the
-    automorphism and its orbit data.  Folded entry (k, l) is ``scale(l)``
-    times the sum over orbit l of row rep(k).  The scale sits on the column
-    orbit: simple roots are columns of the matrix everywhere in this
-    package, and only the column scaling lets the orbit-indicator lift
-    intertwine the folded reflections with the orbit words (the
+    automorphism.  The linking condition is checked orbit by orbit, in
+    orbit order, and is stated nowhere else.  Folded entry (k, l) is the
+    scale 2 / s_l times the sum over orbit l of row rep(k).  The scale sits
+    on the column orbit: simple roots are columns of the matrix everywhere
+    in this package, and only the column scaling lets the orbit-indicator
+    lift intertwine the folded reflections with the orbit words (the
     construction checks exactly that).  Orbit words follow from the row
     sum: the sorted orbit for s = 2; p, q, p for each pair p < q with
     a[p][q] != 0, in increasing p, for s = 1.
     """
-    auto, orbit_data = validate_automorphism(gcm, perm)
-    orbits = orbit_data.orbits
+    perm = diagram_permutation(gcm, perm)
     entries = gcm.entries
     n = gcm.n
+    node_orbit = [-1] * n
+    orbits = []
+    for i in range(n):
+        if node_orbit[i] < 0:
+            orbit = [i]
+            while perm[orbit[-1]] != i:
+                orbit.append(perm[orbit[-1]])
+            for j in orbit:
+                node_orbit[j] = len(orbits)
+            orbits.append(tuple(sorted(orbit)))
     n_folded = len(orbits)
-    scales = [orbit_data.scale(l) for l in range(n_folded)]
+
+    # perm permutes each orbit and preserves a, so every representative gives the same sum
+    row_sums = tuple(sum(entries[orbit[0]][j] for j in orbit) for orbit in orbits)
+    for orbit, s in zip(orbits, row_sums):
+        if s not in (1, 2):
+            raise LinkingConditionFailed(f"orbit {orbit} has row sum {s}; folding needs 1 or 2")
 
     # representative-independent for the same reason as the row sums
     folded = validate_gcm(tuple(
-        tuple(scales[l] * sum(entries[orbit_k[0]][j] for j in orbit_l)
-              for l, orbit_l in enumerate(orbits))
+        tuple((2 // s) * sum(entries[orbit_k[0]][j] for j in orbit_l)
+              for orbit_l, s in zip(orbits, row_sums))
         for orbit_k in orbits))
-
-    node_orbit = [0] * n
-    for k, orbit in enumerate(orbits):
-        for i in orbit:
-            node_orbit[i] = k
-    lift = tuple(tuple(1 if node_orbit[i] == k else 0 for k in range(n_folded))
-                 for i in range(n))
 
     words = tuple(orbit if s == 2 else
                   tuple(x for p in orbit for q in orbit if p < q and entries[p][q]
                         for x in (p, q, p))
-                  for orbit, s in zip(orbits, orbit_data.row_sums))
+                  for orbit, s in zip(orbits, row_sums))
 
-    data = FoldingData(gcm, auto, orbit_data, folded, lift, words, tuple(node_orbit))
+    auto = DiagramAutomorphism(perm, math.lcm(*(len(orbit) for orbit in orbits)))
+    data = FoldingData(gcm, auto, tuple(orbits), row_sums, folded, words, tuple(node_orbit))
 
     # w_k . lift == lift . s_k, checked column by column on the folded fundamental weights
     for k in range(n_folded):
@@ -158,8 +135,8 @@ def fold_weight(data: FoldingData, lam: Weight) -> Weight:
     if len(lam) != data.gcm.n:
         raise InvalidInput(f"weight {lam} has wrong size {len(lam)}")
     if not is_symmetric_weight(lam, data.auto.perm):
-        raise NotSymmetricWeight(f"weight {lam} is not constant on orbits {data.orbit_data.orbits}")
-    return tuple(lam[orbit[0]] for orbit in data.orbit_data.orbits)
+        raise NotSymmetricWeight(f"weight {lam} is not constant on orbits {data.orbits}")
+    return tuple(lam[orbit[0]] for orbit in data.orbits)
 
 
 def unfold_word(data: FoldingData, word_hat: Word) -> Word:
@@ -183,7 +160,7 @@ def fold_word(data: FoldingData, word: Word) -> Word:
     x = weyl.element_of(gcm, word)
     if not is_symmetric_weight(x, data.auto.perm):
         raise NotInWTilde(f"word {word} does not commute with the automorphism")
-    x_hat = tuple(x[orbit[0]] for orbit in data.orbit_data.orbits)
+    x_hat = tuple(x[orbit[0]] for orbit in data.orbits)
     result = weyl.word_of_rho_vector(data.folded, x_hat)
     if weyl.element_of(gcm, unfold_word(data, result)) != x:
         raise NoDescentFound("descent peeling did not invert the word expansion; "

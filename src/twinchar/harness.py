@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import weyl, word_model
@@ -253,15 +253,6 @@ class BatteryConfig:
     max_word_len: int | None = None   # overrides every family sweep when set
     lambda_box: int | None = None     # sweep lambda_hat over {0..box}^n instead
 
-    def resolved_families(self) -> tuple[BatteryFamily, ...]:
-        families = self.families or default_families()
-        out = []
-        for family in families:
-            if self.max_word_len is not None:
-                family = replace(family, max_word_len=self.max_word_len)
-            out.append(family)
-        return tuple(out)
-
 
 def battery_instances(config: BatteryConfig) -> Iterator[tuple[str, Instance]]:
     """Yield the (key, instance) pairs of the battery config, deterministically.
@@ -271,9 +262,11 @@ def battery_instances(config: BatteryConfig) -> Iterator[tuple[str, Instance]]:
     """
     if config.lambda_box is not None:
         int_at_least(config.lambda_box, 0, "lambda box")
-    for family in config.resolved_families():
+    for family in config.families or default_families():
         data = _folding(family.gcm, family.automorphism)
-        words = [w for w, _ in weyl.enumerate_weyl(data.folded, family.max_word_len)]
+        max_word_len = (family.max_word_len if config.max_word_len is None
+                        else config.max_word_len)
+        words = [w for w, _ in weyl.enumerate_weyl(data.folded, max_word_len)]
         if config.lambda_box is not None:
             lambda_hats = weight_box(data.folded.n, 0, config.lambda_box)  # already ascending
         else:

@@ -77,10 +77,11 @@ class GeneralizedCartanMatrix:
 def validate_gcm(matrix) -> GeneralizedCartanMatrix:
     """Check the GCM axioms and compute the smallest positive symmetrizer.
 
-    Each row must be a list of ints (``int_tuple``): a float, a bool or a
-    string entry is invalid input even when it equals an integer.
+    The matrix must be a list (``_sequence``) of rows that are lists of
+    ints (``int_tuple``): a float, a bool or a string entry is invalid
+    input even when it equals an integer.
     """
-    entries = tuple(int_tuple(row, "matrix row") for row in matrix)
+    entries = tuple(int_tuple(row, "matrix row") for row in _sequence(matrix, "matrix"))
     n = len(entries)
     if n == 0 or any(len(row) != n for row in entries):
         raise NotGCM("matrix must be square and nonempty")
@@ -151,18 +152,23 @@ def _require_finite(gcm: GeneralizedCartanMatrix) -> None:
         raise NotFiniteType("operation requires a finite-type Cartan matrix")
 
 
-def int_tuple(values, what: str) -> tuple[int, ...]:
-    """The values as a tuple of ints; bool, float and str entries raise InvalidInput.
+def _sequence(values, what: str) -> tuple:
+    """The values as a tuple; a non-iterable, a dict or a set raises InvalidInput.
 
-    A dict or a set raises too: it would pass as its keys or members, in an
-    order that is not the caller's.
+    A dict or a set would pass as its keys or members, in an order that is
+    not the caller's.
     """
     if isinstance(values, (dict, set, frozenset)):
-        raise InvalidInput(f"{what} {values!r} is unordered, not a list of integers")
+        raise InvalidInput(f"{what} {values!r} is unordered, not a list")
     try:
-        out = tuple(values)
+        return tuple(values)
     except TypeError:
-        raise InvalidInput(f"{what} {values!r} is not a list of integers") from None
+        raise InvalidInput(f"{what} {values!r} is not a list") from None
+
+
+def int_tuple(values, what: str) -> tuple[int, ...]:
+    """The values (a list, see ``_sequence``) as a tuple of ints; bool, float and str raise."""
+    out = _sequence(values, what)
     if any(type(x) is not int for x in out):
         raise InvalidInput(f"{what} {list(out)} has a non-integer entry")
     return out
@@ -271,7 +277,6 @@ _EXCEPTIONAL = {
 }
 
 
-@lru_cache(maxsize=64)
 def cartan_matrix(label: str) -> GeneralizedCartanMatrix:
     """Catalog constructor by type label: "A2", "A3", "A4", "B2", "C3", "D4", "G2", ...
 
@@ -279,6 +284,13 @@ def cartan_matrix(label: str) -> GeneralizedCartanMatrix:
     0-1-...-(n-1) with the short/long end at node n-1; type D attaches both
     n-2 and n-1 to node n-3.
     """
+    if not isinstance(label, str):
+        raise InvalidInput(f"Cartan type label {label!r} is not a string")
+    return _catalog(label)
+
+
+@lru_cache(maxsize=64)
+def _catalog(label: str) -> GeneralizedCartanMatrix:
     lab = label.strip().upper()
     if lab in _EXCEPTIONAL:
         return validate_gcm(_EXCEPTIONAL[lab])

@@ -26,6 +26,7 @@ from .errors import InvalidInput, NoDescentFound, NotFiniteType
 from .root_data import (
     GeneralizedCartanMatrix,
     Weight,
+    _require_finite,
     int_at_least,
     is_finite_type,
     is_symmetric_weight,
@@ -93,8 +94,7 @@ def word_of_rho_vector(gcm: GeneralizedCartanMatrix, x: Weight) -> Word:
     Peels the smallest right descent, the smallest negative coordinate, until
     x is dominant.  Raises NoDescentFound when x is not in the orbit of rho.
     """
-    if not is_finite_type(gcm):
-        raise NotFiniteType("reduced words need a finite-type Cartan matrix")
+    _require_finite(gcm)
     roots = _simple_roots(gcm)
     x = list(x)
     letters = []
@@ -133,8 +133,7 @@ def longest_element(gcm: GeneralizedCartanMatrix) -> Word:
     >>> longest_element(cartan_matrix("A2"))
     (0, 1, 0)
     """
-    if not is_finite_type(gcm):
-        raise NotFiniteType("longest element needs a finite-type Cartan matrix")
+    _require_finite(gcm)
     roots = _simple_roots(gcm)
     x = list(gcm.rho())
     letters = []

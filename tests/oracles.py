@@ -1,8 +1,10 @@
 """Oracles used only by the tests.
 
-Word-model contents, the form and word profiles; and the matrix model of a
+Word-model contents, the form and word profiles; the matrix model of a
 Weyl element, a product of simple-reflection matrices on weight
-coordinates that shares no code with the library's w^-1(rho) vectors.
+coordinates that shares no code with the library's w^-1(rho) vectors; and
+the orbits of a permutation with the 0/1 weight-lift matrix they define,
+computed without the folding code.
 """
 
 from twinchar.word_model import _pair, f_action, highest_weight_vector
@@ -70,6 +72,25 @@ def matrix_of(gcm, word):
         m = mat_mul(m, tuple(tuple((k == l) - (alpha[k] if l == i else 0) for l in range(n))
                              for k in range(n)))
     return m
+
+
+def orbits_of(perm):
+    """The cycles of a permutation as sorted tuples, ordered by smallest member."""
+    orbits = []
+    for i in range(len(perm)):
+        if not any(i in orbit for orbit in orbits):
+            orbit, j = {i}, perm[i]
+            while j != i:
+                orbit.add(j)
+                j = perm[j]
+            orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
+def lift_matrix(data):
+    """The n x n_folded weight-lift matrix of folding data: column k indicates orbit k."""
+    orbits = orbits_of(data.auto.perm)
+    return tuple(tuple(1 if i in orbit else 0 for orbit in orbits) for i in range(data.gcm.n))
 
 
 def matrix_bfs(gcm, max_length=None):

@@ -21,7 +21,7 @@ from twinchar.characters import (
     map_character,
 )
 from twinchar.errors import NotTauStable
-from twinchar.folding import fold, unfold_weight, unfold_word, validate_automorphism
+from twinchar.folding import fold, unfold_weight, unfold_word
 from twinchar.root_data import cartan_matrix, validate_gcm, weyl_dimension
 from twinchar.weyl import (
     element_of,
@@ -39,7 +39,7 @@ from twinchar.word_model import (
     weight_space,
 )
 
-from oracles import mat_mul, matrix_of, shapovalov_pair, vector_of_word
+from oracles import lift_matrix, mat_mul, matrix_of, shapovalov_pair, vector_of_word
 
 FAMILIES = {
     "A2-flip": ("A2", (1, 0)),
@@ -62,9 +62,8 @@ EXPECTED_FOLDED = {
 
 def folded_data(name):
     label, perm = FAMILIES[name]
-    gcm = cartan_matrix(label)
-    auto, orbit_data = validate_automorphism(gcm, perm)
-    return gcm, auto, orbit_data, fold(gcm, auto.perm)
+    data = fold(cartan_matrix(label), perm)
+    return data.gcm, data.auto, data
 
 
 def report(number, elapsed, detail):
@@ -75,20 +74,21 @@ def test_criterion_1_folding_battery():
     start = time.perf_counter()
     for name, expected in EXPECTED_FOLDED.items():
         t0 = time.perf_counter()
-        gcm, auto, orbit_data, data = folded_data(name)
+        gcm, auto, data = folded_data(name)
         assert data.folded.entries == expected, name
 
         # representative independence of every folded entry
-        for k, orbit_k in enumerate(orbit_data.orbits):
-            for l, orbit_l in enumerate(orbit_data.orbits):
-                values = {orbit_data.scale(l) * sum(gcm.entries[i][j] for j in orbit_l)
+        for k, orbit_k in enumerate(data.orbits):
+            for l, orbit_l in enumerate(data.orbits):
+                values = {(2 // data.row_sums[l]) * sum(gcm.entries[i][j] for j in orbit_l)
                           for i in orbit_k}
                 assert values == {data.folded.entries[k][l]}, (name, k, l)
 
         # intertwining of the weight lift with every folded reflection
+        lift = lift_matrix(data)
         for k in range(data.n_folded):
-            lhs = mat_mul(matrix_of(gcm, data.orbit_words[k]), data.weight_lift)
-            rhs = mat_mul(data.weight_lift, matrix_of(data.folded, (k,)))
+            lhs = mat_mul(matrix_of(gcm, data.orbit_words[k]), lift)
+            rhs = mat_mul(lift, matrix_of(data.folded, (k,)))
             assert lhs == rhs, (name, k)
 
         # expanded-word image has exactly the folded group's cardinality and
@@ -139,7 +139,7 @@ def test_criterion_3_longest_element_regression():
     frozen = {("A2-flip", (1,)): 2, ("D4-triality", (0, 1)): 7}
     seen = {}
     for name, (label, perm) in FAMILIES.items():
-        _, _, _, data = folded_data(name)
+        _, _, data = folded_data(name)
         w0_hat = longest_element(data.folded)
         identity = tuple(range(data.folded.n))
         for lam_hat in _battery_lambda_hats(name):
@@ -189,7 +189,7 @@ def test_criterion_5_oracle_agreement():
     start = time.perf_counter()
     pairs = []
     for name in FAMILIES:
-        _, _, _, data = folded_data(name)
+        _, _, data = folded_data(name)
         for lam_hat in _battery_lambda_hats(name):
             pairs.append((data.gcm, unfold_weight(data, lam_hat)))
     checked = skipped = 0
@@ -271,7 +271,7 @@ def test_criterion_7_twist_properties():
     start = time.perf_counter()
     rng = random.Random(97)
     for name, (label, perm) in FAMILIES.items():
-        gcm, auto, _, data = folded_data(name)
+        gcm, auto, data = folded_data(name)
         lam = unfold_weight(data, (1,) * data.n_folded)
         # 100 sampled pairs: isometry and finite order of the twist
         for _ in range(100):
@@ -292,7 +292,7 @@ def test_criterion_7_twist_properties():
             assert cycled.coords == v.coords and cycled.content == v.content
 
     # traces are integers on every stable content of a verified instance
-    gcm, auto, _, data = folded_data("A3-flip")
+    gcm, auto, data = folded_data("A3-flip")
     lam = unfold_weight(data, (1, 1))
     word = unfold_word(data, (0, 1))
     for beta, sub in demazure_subspaces(gcm, lam, word).items():

@@ -254,13 +254,89 @@ def test_cli_validate_linking_failure_is_unsupported(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_fold_output(tmp_path, capsys):
-    inst = write_instance(tmp_path, {"gcm": "A3", "automorphism": [2, 1, 0],
-                                     "lambda_hat": [0, 0], "w_hat": []})
-    assert main(["fold", "-i", inst]) == 0
-    out = capsys.readouterr().out
-    assert "[[2, -1], [-2, 2]]" in out
-    assert "{0,2}->0,2" in out and "{1}->1" in out
+FOLD_OUTPUT = {
+    "A2-flip": (
+        "folded: [[2]]\n"
+        "orbits: {0,1} s=1 c=2\n"
+        "lift: [[1], [1]]\n"
+        "words: {0,1}->0,1,0\n",
+        '{"folded": [[2]], "orbits": [[0, 1]], "row_sums": [1], "scales": ["2"], '
+        '"weight_lift": [[1], [1]], "orbit_words": [[0, 1, 0]]}\n',
+        "gcm: rank 2, symmetrizer [1, 1]\n"
+        "automorphism: [1, 0] (order 2)\n"
+        "lambda: [1, 1]  lambda_hat: [1]\n"
+        "w: 0,1,0  w_hat: 0\n"
+        "valid\n"),
+    "A3-flip": (
+        "folded: [[2, -1], [-2, 2]]\n"
+        "orbits: {0,2} s=2 c=1 ; {1} s=2 c=1\n"
+        "lift: [[1, 0], [0, 1], [1, 0]]\n"
+        "words: {0,2}->0,2 ; {1}->1\n",
+        '{"folded": [[2, -1], [-2, 2]], "orbits": [[0, 2], [1]], "row_sums": [2, 2], '
+        '"scales": ["1", "1"], "weight_lift": [[1, 0], [0, 1], [1, 0]], '
+        '"orbit_words": [[0, 2], [1]]}\n',
+        "gcm: rank 3, symmetrizer [1, 1, 1]\n"
+        "automorphism: [2, 1, 0] (order 2)\n"
+        "lambda: [1, 1, 1]  lambda_hat: [1, 1]\n"
+        "w: 0,2,1  w_hat: 0,1\n"
+        "valid\n"),
+    "A4-flip": (
+        "folded: [[2, -2], [-1, 2]]\n"
+        "orbits: {0,3} s=2 c=1 ; {1,2} s=1 c=2\n"
+        "lift: [[1, 0], [0, 1], [0, 1], [1, 0]]\n"
+        "words: {0,3}->0,3 ; {1,2}->1,2,1\n",
+        '{"folded": [[2, -2], [-1, 2]], "orbits": [[0, 3], [1, 2]], "row_sums": [2, 1], '
+        '"scales": ["1", "2"], "weight_lift": [[1, 0], [0, 1], [0, 1], [1, 0]], '
+        '"orbit_words": [[0, 3], [1, 2, 1]]}\n',
+        "gcm: rank 4, symmetrizer [1, 1, 1, 1]\n"
+        "automorphism: [3, 2, 1, 0] (order 2)\n"
+        "lambda: [1, 1, 1, 1]  lambda_hat: [1, 1]\n"
+        "w: 0,3,1,2,1  w_hat: 0,1\n"
+        "valid\n"),
+    "D4-triality": (
+        "folded: [[2, -1], [-3, 2]]\n"
+        "orbits: {0,2,3} s=2 c=1 ; {1} s=2 c=1\n"
+        "lift: [[1, 0], [0, 1], [1, 0], [1, 0]]\n"
+        "words: {0,2,3}->0,2,3 ; {1}->1\n",
+        '{"folded": [[2, -1], [-3, 2]], "orbits": [[0, 2, 3], [1]], "row_sums": [2, 2], '
+        '"scales": ["1", "1"], "weight_lift": [[1, 0], [0, 1], [1, 0], [1, 0]], '
+        '"orbit_words": [[0, 2, 3], [1]]}\n',
+        "gcm: rank 4, symmetrizer [1, 1, 1, 1]\n"
+        "automorphism: [2, 1, 3, 0] (order 3)\n"
+        "lambda: [1, 1, 1, 1]  lambda_hat: [1, 1]\n"
+        "w: 0,2,3,1  w_hat: 0,1\n"
+        "valid\n"),
+    "D4-swap": (
+        "folded: [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]\n"
+        "orbits: {0} s=2 c=1 ; {1} s=2 c=1 ; {2,3} s=2 c=1\n"
+        "lift: [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]]\n"
+        "words: {0}->0 ; {1}->1 ; {2,3}->2,3\n",
+        '{"folded": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]], "orbits": [[0], [1], [2, 3]], '
+        '"row_sums": [2, 2, 2], "scales": ["1", "1", "1"], '
+        '"weight_lift": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]], '
+        '"orbit_words": [[0], [1], [2, 3]]}\n',
+        "gcm: rank 4, symmetrizer [1, 1, 1, 1]\n"
+        "automorphism: [0, 1, 3, 2] (order 2)\n"
+        "lambda: [1, 1, 1, 1]  lambda_hat: [1, 1, 1]\n"
+        "w: 0,1,2,3  w_hat: 0,1,2\n"
+        "valid\n"),
+}
+
+
+@pytest.mark.parametrize("family", harness.default_families(), ids=lambda f: f.name)
+def test_cli_fold_output(tmp_path, capsys, family):
+    # full text of fold, fold --json and validate for each default family, at
+    # lambda_hat = (1, ..., 1) and w_hat = (0, 1, ..., n_folded - 1)
+    n_folded = len(family.lambda_hats[0])
+    inst = write_instance(tmp_path, {"gcm": family.gcm,
+                                     "automorphism": list(family.automorphism),
+                                     "lambda_hat": [1] * n_folded,
+                                     "w_hat": list(range(n_folded))})
+    outputs = []
+    for argv in (["fold", "-i", inst], ["fold", "-i", inst, "--json"], ["validate", "-i", inst]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert tuple(outputs) == FOLD_OUTPUT[family.name]
 
 
 def test_cli_character_and_demazure(capsys):

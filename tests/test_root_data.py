@@ -75,9 +75,13 @@ def test_bad_diagonal_and_positive_offdiagonal_rejected():
         validate_gcm([[2, 1], [1, 2]])
     # entries must be ints: a float or a bool is rejected even when it equals one
     for matrix in ([[2.0, -1], [-1, 2]], [[2, False], [False, 2]], [[2, -1], [-1.0, 2]],
-                   [[2, -1], [-1, "2"]], [[2, -1], 5]):
+                   [[2, -1], [-1, "2"]], [[2, -1], 5], 5, None):
         with pytest.raises(InvalidInput):
             validate_gcm(matrix)
+    # a catalog label must be a string
+    for label in (5, None, ["A2"]):
+        with pytest.raises(InvalidInput):
+            cartan_matrix(label)
 
 
 def test_non_symmetrizable_cycle_rejected():
@@ -289,10 +293,13 @@ def test_word_of_non_integers_is_rejected(call, word):
     lambda gcm, value: demazure_character(gcm, (1, 0), value),
     lambda gcm, value: diagram_permutation(gcm, value),
     lambda gcm, value: twining_character(gcm, (1, 1), (), value),
-], ids=["weight", "word", "automorphism", "twining_automorphism"])
-@pytest.mark.parametrize("value", [{1: "x", 0: "y"}, {1, 0}, frozenset({1, 0})],
-                         ids=["dict", "set", "frozenset"])
+    lambda gcm, value: validate_gcm(value),
+], ids=["weight", "word", "automorphism", "twining_automorphism", "matrix"])
+@pytest.mark.parametrize("value", [{1: "x", 0: "y"}, {1, 0}, frozenset({1, 0}),
+                                   {(2, -1): 0, (-1, 2): 0}],
+                         ids=["dict", "set", "frozenset", "dict_of_rows"])
 def test_unordered_containers_are_rejected(call, value):
-    # a dict would pass as its keys and a set in its own order
+    # a dict would pass as its keys (the dict of rows as the A2 matrix) and a set
+    # in its own order
     with pytest.raises(InvalidInput):
         call(cartan_matrix("A2"), value)
