@@ -48,13 +48,11 @@ from .weyl import (
     reduced_word,
 )
 from .word_model import (
-    PairingVector,
     Subspace,
     demazure_subspaces,
     extremal_vector,
     twining_character,
     twining_trace,
-    weight_space,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +64,6 @@ __all__ = [
     "FoldingData",
     "GeneralizedCartanMatrix",
     "Instance",
-    "PairingVector",
     "Subspace",
     "TwiningError",
     "VerificationReport",
@@ -96,6 +93,5 @@ __all__ = [
     "unfold_word",
     "validate_gcm",
     "verify",
-    "weight_space",
     "weyl_dimension",
 ]

@@ -86,5 +86,9 @@ class NonPositiveDenominator(InvariantViolation):
     """A Freudenthal denominator |lam+rho|^2 - |mu+rho|^2 was not positive."""
 
 
+class RankMismatch(InvariantViolation):
+    """A weight space of the word model got a basis of another size than its Weyl conjugate."""
+
+
 class TooLarge(Unsupported):
-    """Instance exceeds the configured word-count cap."""
+    """The word model's tables for an instance would hold more basis words than the cap."""

@@ -11,7 +11,9 @@ Each (matrix, automorphism) family is folded once per process: ``prepare``
 and ``battery_instances`` share a bounded cache keyed on the validated
 matrix and the validated permutation, never on the raw instance fields,
 so every instance still passes the full input checks and the first call
-of a family still runs every construction check of ``fold``.
+of a family still runs every construction check of ``fold``.  A matrix
+given by its rows is validated once per process the same way: the cache
+key is the rows after the strict integer check, never the raw rows.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .folding import (
 from .root_data import (
     GeneralizedCartanMatrix,
     Weight,
+    _sequence,
     cartan_matrix,
     diagram_permutation,
     int_at_least,
@@ -134,7 +137,13 @@ class PreparedInstance:
 def build_gcm(source) -> GeneralizedCartanMatrix:
     if isinstance(source, str):
         return cartan_matrix(source)
-    return validate_gcm(source)
+    return _matrix(tuple(int_tuple(row, "matrix row") for row in _sequence(source, "matrix")))
+
+
+@lru_cache(maxsize=64)
+def _matrix(rows: tuple[tuple[int, ...], ...]) -> GeneralizedCartanMatrix:
+    # keyed on rows through int_tuple only: (True, False) == (1, 0) and both hash alike
+    return validate_gcm(rows)
 
 
 @lru_cache(maxsize=64)

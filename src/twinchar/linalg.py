@@ -1,7 +1,7 @@
 """Small exact integer linear algebra helpers on tuple matrices.
 
 Matrices are tuples of row tuples with integer entries.  Everything here
-stays in the integers: there are no fractions and no floating point, and
+stays in the integers: there are no rationals and no floating point, and
 the one elimination routine is the fraction-free determinant.
 """
 

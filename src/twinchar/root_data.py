@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from .errors import (
     InvalidInput,
@@ -57,7 +58,7 @@ class GeneralizedCartanMatrix:
 
     def weight_of_root(self, beta: RootVector) -> Weight:
         """Weight coordinates of sum_j beta_j alpha_j."""
-        return tuple(sum(row[j] * beta[j] for j in range(self.n)) for row in self.entries)
+        return tuple(sum(map(mul, row, beta)) for row in self.entries)
 
     def root_coords(self, lam: Weight) -> RootVector:
         """Inverse of weight_of_root by Cramer's rule; needs det != 0 and an integral result."""

@@ -1,13 +1,26 @@
 """Oracles used only by the tests.
 
-Word-model contents, the form and word profiles; the matrix model of a
-Weyl element, a product of simple-reflection matrices on weight
-coordinates that shares no code with the library's w^-1(rho) vectors; and
-the orbits of a permutation with the 0/1 weight-lift matrix they define,
+The all-words word model: a vector stored by its contravariant-form
+pairings against every lowering word of its content, with the Demazure
+dynamic programming and the twining trace on those profiles.  It shares
+nothing with the library's basis tables but the root data, and its sizes
+are multinomial, so only small contents are practical.  The matrix model
+of a Weyl element, a product of simple-reflection matrices on weight
+coordinates that shares no code with the library's w^-1(rho) vectors.  The
+orbits of a permutation with the 0/1 weight-lift matrix they define,
 computed without the folding code.
 """
 
-from twinchar.word_model import _pair, f_action, highest_weight_vector
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+from twinchar.characters import CharacterPolynomial
+from twinchar.errors import InvalidInput, NotSymmetricWeight, TooLarge
+from twinchar.root_data import dominant_weight, int_at_least, is_symmetric_weight
+
+ALL_WORDS_CAP = 100_000
 
 
 def word_content(n, word):
@@ -19,16 +32,115 @@ def word_content(n, word):
     return tuple(counts)
 
 
+def content_word_count(beta):
+    """Number of lowering words with the given content (a multinomial)."""
+    total = math.factorial(sum(beta))
+    for b in beta:
+        total //= math.factorial(b)
+    return total
+
+
+def fwords(beta):
+    """All words of one content in ascending lexicographic order."""
+    if not any(beta):
+        return [()]
+    return [(i,) + rest for i, b in enumerate(beta) if b
+            for rest in fwords(tuple(c - (k == i) for k, c in enumerate(beta)))]
+
+
+@lru_cache(maxsize=1 << 16)
+def _pair(gcm, lam, w1, w2):
+    """Contravariant form of two lowering words of one content on the highest vector.
+
+    Peel the head letter of w1 and push the matching raising operator
+    through w2; memoized over (suffix of w1, subsequence of w2).
+    """
+    if not w1:
+        return 1
+    i, rest = w1[0], w1[1:]
+    row = gcm.entries[i]
+    total = 0
+    acc = 0  # sum over positions s > t of a[i][w2_s]
+    for t in range(len(w2) - 1, -1, -1):
+        if w2[t] == i:
+            coeff = lam[i] - acc
+            if coeff:
+                total += coeff * _pair(gcm, lam, rest, w2[:t] + w2[t + 1:])
+        acc += row[w2[t]]
+    return total
+
+
 def shapovalov_pair(gcm, lam, w1, w2):
     """Contravariant form of two lowering words applied to the highest vector.
 
-    Zero across different contents; otherwise the memoized recursion of the
-    word model.
+    Zero across different contents; otherwise the memoized recursion.
     """
     w1, w2 = tuple(w1), tuple(w2)
     if word_content(gcm.n, w1) != word_content(gcm.n, w2):
         return 0
     return _pair(gcm, tuple(lam), w1, w2)
+
+
+@dataclass(frozen=True)
+class PairingVector:
+    """A module vector at content beta, stored as pairings against f-words.
+
+    ``coords`` keeps only the nonzero pairings; absent words pair to zero.
+    """
+
+    lam: tuple
+    content: tuple
+    coords: dict
+
+
+def highest_weight_vector(gcm, lam):
+    return PairingVector(tuple(lam), (0,) * gcm.n, {(): 1})
+
+
+def f_action(gcm, i, v):
+    """Transport the pairing profile one lowering step; content grows by e_i."""
+    lam_i = v.lam[i]
+    row = gcm.entries[i]
+    out = {}
+    for u, value in v.coords.items():
+        # inserting i at position p pairs with coefficient lam_i - sum_{s>=p} a[i][u_s]
+        acc = 0
+        for p in range(len(u), -1, -1):
+            coeff = lam_i - acc
+            if coeff:
+                w = u[:p] + (i,) + u[p:]
+                total = out.get(w, 0) + coeff * value
+                if total:
+                    out[w] = total
+                elif w in out:
+                    del out[w]
+            if p:
+                acc += row[u[p - 1]]
+    content = v.content[:i] + (v.content[i] + 1,) + v.content[i + 1:]
+    return PairingVector(v.lam, content, out)
+
+
+def e_action(i, v):
+    """Transport the pairing profile one raising step; content drops by e_i."""
+    if v.content[i] == 0:
+        raise InvalidInput(f"content {v.content} has no letter {i} to raise away")
+    out = {u[1:]: value for u, value in v.coords.items() if u[0] == i}
+    content = v.content[:i] + (v.content[i] - 1,) + v.content[i + 1:]
+    return PairingVector(v.lam, content, out)
+
+
+def tau_twist(perm, v):
+    """The twining map on pairing profiles: relabel test words letterwise.
+
+    Defined only when the highest weight is fixed by the permutation; the
+    output content is the relabeled content.
+    """
+    if not is_symmetric_weight(v.lam, perm):
+        raise NotSymmetricWeight(f"weight {v.lam} is not fixed by {perm}")
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    out = {tuple(inv[letter] for letter in u): value for u, value in v.coords.items()}
+    content = tuple(v.content[p] for p in perm)
+    return PairingVector(v.lam, content, out)
 
 
 def vector_of_word(gcm, lam, word):
@@ -37,6 +149,123 @@ def vector_of_word(gcm, lam, word):
     for letter in reversed(tuple(word)):
         v = f_action(gcm, letter, v)
     return v
+
+
+def fraction_echelon(vectors):
+    """Reduced row echelon form of the span of dict vectors: {pivot: row}, pivots 1.
+
+    Each pivot is the smallest key of its row and is cleared from every
+    other row.
+    """
+    rows = {}
+    for v in vectors:
+        v = fraction_reduce(rows, v)
+        if v:
+            pivot = min(v)
+            v = {k: x / v[pivot] for k, x in v.items()}
+            for other, row in rows.items():
+                if pivot in row:
+                    rows[other] = _minus(row, row[pivot], v)
+            rows[pivot] = v
+    return dict(sorted(rows.items()))
+
+
+def fraction_reduce(rows, v):
+    """v minus its expansion over the echelon rows: empty exactly when v is in the span."""
+    v = {k: Fraction(x) for k, x in v.items() if x}
+    for pivot, row in rows.items():
+        if v.get(pivot):
+            v = _minus(v, v[pivot], row)
+    return v
+
+
+def _minus(v, c, row):
+    out = dict(v)
+    for k, x in row.items():
+        out[k] = out.get(k, 0) - c * x
+    return {k: x for k, x in out.items() if x}
+
+
+@dataclass(frozen=True)
+class GramSpace:
+    """The span of Gram rows of one content, in Fraction echelon form."""
+
+    content: tuple
+    rows: dict
+
+    @property
+    def dimension(self):
+        return len(self.rows)
+
+
+def weight_space(gcm, lam, beta, word_cap=ALL_WORDS_CAP):
+    """Span of the pairing vectors of every word of one content (Gram rows).
+
+    The dimension equals the weight multiplicity of the irreducible module.
+    Contents with more than ``word_cap`` words raise TooLarge.
+    """
+    lam = dominant_weight(gcm, lam)
+    int_at_least(word_cap, 1, "word cap")
+    count = content_word_count(beta)
+    if count > word_cap:
+        raise TooLarge(f"content {beta} has {count} words, above the cap {word_cap}")
+    words = fwords(beta)
+    return GramSpace(tuple(beta), fraction_echelon(
+        {w2: _pair(gcm, lam, w1, w2) for w2 in words} for w1 in words))
+
+
+def all_words_exponents(gcm, lam, word):
+    """Lowering exponents along a reduced word, by reflecting lam down the word."""
+    mu, exponents = list(lam), []
+    for i in reversed(word):
+        exponents.append(mu[i])
+        mu = [m - mu[i] * row[i] for m, row in zip(mu, gcm.entries)]
+    return exponents[::-1]
+
+
+def all_words_subspaces(gcm, lam, word):
+    """Demazure subspaces of the all-words model: {content: GramSpace}, nonzero only."""
+    v = highest_weight_vector(gcm, lam)
+    for i, m in reversed(list(zip(word, all_words_exponents(gcm, lam, word)))):
+        for _ in range(m):
+            v = f_action(gcm, i, v)
+    spaces = {v.content: GramSpace(v.content, fraction_echelon([v.coords]))}
+    layer = [v.content]
+    while layer:
+        below = sorted({up[:i] + (up[i] - 1,) + up[i + 1:]
+                        for up in layer for i in range(gcm.n) if up[i]})
+        layer = []
+        for beta in below:
+            images = [e_action(i, PairingVector(tuple(lam), up.content, row)).coords
+                      for i in range(gcm.n)
+                      for up in [spaces.get(beta[:i] + (beta[i] + 1,) + beta[i + 1:])] if up
+                      for row in up.rows.values()]
+            rows = fraction_echelon(images)
+            if rows:
+                spaces[beta] = GramSpace(beta, rows)
+                layer.append(beta)
+    return spaces
+
+
+def all_words_twining_character(gcm, lam, word, perm):
+    """The twining character by the all-words model: traces of tau_twist on the subspaces."""
+    terms = []
+    for beta, space in all_words_subspaces(gcm, lam, word).items():
+        if not is_symmetric_weight(beta, perm):
+            continue
+        trace = Fraction(0)
+        for pivot, row in space.rows.items():
+            twisted = tau_twist(perm, PairingVector(tuple(lam), beta, row)).coords
+            trace += twisted.get(pivot, 0)
+            if fraction_reduce(space.rows, twisted):
+                raise AssertionError(f"twisted row at {beta} left the subspace")
+        weight = tuple(l - sum(row[j] * b for j, b in enumerate(beta))
+                       for l, row in zip(lam, gcm.entries))
+        if trace.denominator != 1:
+            raise AssertionError(f"trace {trace} at {beta} is not an integer")
+        if trace:
+            terms.append((weight, int(trace)))
+    return CharacterPolynomial(gcm.n, terms)
 
 
 def identity_matrix(n):

@@ -30,16 +30,22 @@ from twinchar.weyl import (
     longest_element,
 )
 from twinchar.word_model import (
-    content_word_count,
     demazure_subspaces,
-    tau_twist,
     twining_character,
     twining_trace,
     weight_below,
-    weight_space,
 )
 
-from oracles import lift_matrix, mat_mul, matrix_of, shapovalov_pair, vector_of_word
+from oracles import (
+    content_word_count,
+    lift_matrix,
+    mat_mul,
+    matrix_of,
+    shapovalov_pair,
+    tau_twist,
+    vector_of_word,
+    weight_space,
+)
 
 FAMILIES = {
     "A2-flip": ("A2", (1, 0)),

@@ -17,7 +17,7 @@ from twinchar.characters import (
 from twinchar.errors import NotDominant
 from twinchar.folding import fold
 from twinchar.root_data import cartan_matrix, validate_gcm, weyl_dimension
-from twinchar.weyl import element_of, enumerate_weyl, longest_element, reduced_word
+from twinchar.weyl import element_of, enumerate_weyl, longest_element
 
 A2 = cartan_matrix("A2")
 B2 = cartan_matrix("B2")

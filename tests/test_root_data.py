@@ -21,12 +21,9 @@ from twinchar.root_data import (
     validate_gcm,
     weyl_dimension,
 )
-from twinchar.word_model import (
-    demazure_subspaces,
-    extremal_vector,
-    twining_character,
-    weight_space,
-)
+from twinchar.word_model import demazure_subspaces, extremal_vector, twining_character
+
+from oracles import weight_space
 
 CATALOG = ["A2", "A3", "A4", "B2", "C3", "D4", "G2"]
 

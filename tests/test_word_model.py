@@ -1,5 +1,6 @@
-"""The pairing-coordinate word model: form, transports, subspaces, traces."""
+"""The word model: basis tables, subspaces and traces, against the all-words oracle."""
 
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -7,9 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinchar import word_model
+from twinchar import harness, word_model
 from twinchar.characters import CharacterPolynomial, demazure_character, freudenthal_character
-from twinchar.errors import NotReduced, NotSymmetricWeight, NotTauStable, TooLarge
+from twinchar.errors import (
+    NotReduced,
+    NotSymmetricWeight,
+    NotTauStable,
+    RankMismatch,
+    TooLarge,
+)
+from twinchar.folding import fold, unfold_weight, unfold_word
 from twinchar.root_data import (
     cartan_matrix,
     is_symmetric_weight,
@@ -17,25 +25,31 @@ from twinchar.root_data import (
     weight_box,
     weyl_dimension,
 )
-from twinchar.weyl import enumerate_weyl, is_in_w_tilde
+from twinchar.weyl import enumerate_weyl, is_in_w_tilde, longest_element
 from twinchar.word_model import (
-    PairingVector,
     Subspace,
-    content_word_count,
+    Vector,
     demazure_subspaces,
-    e_action,
     extremal_vector,
-    f_action,
-    fwords,
-    highest_weight_vector,
-    tau_twist,
     twining_character,
     twining_trace,
     weight_below,
-    weight_space,
 )
 
-from oracles import shapovalov_pair, vector_of_word, word_content
+from oracles import (
+    all_words_subspaces,
+    all_words_twining_character,
+    content_word_count,
+    e_action,
+    fraction_echelon,
+    fwords,
+    highest_weight_vector,
+    shapovalov_pair,
+    tau_twist,
+    vector_of_word,
+    weight_space,
+    word_content,
+)
 
 A2 = cartan_matrix("A2")
 RHO = (1, 1)
@@ -164,7 +178,7 @@ def test_extremal_vector_examples():
     v = extremal_vector(A2, RHO, (0, 1, 0))
     assert v.content == (2, 2)
     assert weight_below(A2, RHO, v.content) == (-1, -1)
-    assert extremal_vector(A2, RHO, ()).coords == {(): 1}
+    assert extremal_vector(A2, RHO, ()).coords == {0: 1}
     a1 = validate_gcm([[2]])
     v3 = extremal_vector(a1, (3,), (0,))
     assert v3.content == (3,)
@@ -180,7 +194,7 @@ def test_demazure_subspaces_examples():
     full = demazure_subspaces(A2, RHO, (0, 1, 0))
     assert sum(s.dimension for s in full.values()) == 8
     with pytest.raises(TooLarge):
-        demazure_subspaces(A2, (3, 3), (0, 1, 0), word_cap=100)
+        demazure_subspaces(A2, (3, 3), (0, 1, 0), word_cap=50)
 
 
 def test_demazure_subspaces_echelon_invariants():
@@ -238,7 +252,6 @@ def test_identity_automorphism_reduces_to_dimensions():
 def test_total_dimension_matches_weyl_formula():
     for label, lam in [("A2", (1, 1)), ("B2", (1, 1)), ("A3", (1, 0, 1))]:
         gcm = cartan_matrix(label)
-        from twinchar.weyl import longest_element
         subs = demazure_subspaces(gcm, lam, longest_element(gcm))
         assert sum(s.dimension for s in subs.values()) == weyl_dimension(gcm, lam)
 
@@ -262,11 +275,11 @@ def _subtract_scaled(target, c, source):
             del target[k]
 
 
-def _fraction_span(lam, content, coord_dicts):
+def _fraction_span(tables, content, vectors):
     """Reference echelon: Fraction rows with every pivot normalized to 1."""
     rows, pivots = [], []
-    for coords in coord_dicts:
-        work = {k: Fraction(v) for k, v in coords.items()}
+    for vector in vectors:
+        work = {k: Fraction(v) for k, v in enumerate(vector) if v}
         for pivot, row in zip(pivots, rows):
             if work.get(pivot):
                 _subtract_scaled(work, work[pivot], row)
@@ -280,15 +293,21 @@ def _fraction_span(lam, content, coord_dicts):
         pos = bisect_left(pivots, pivot)
         pivots.insert(pos, pivot)
         rows.insert(pos, work)
-    return Subspace(lam, content, tuple(PairingVector(lam, content, r) for r in rows),
-                    tuple(pivots), 1)
+    return Subspace(tables.lam, content, tuple(Vector(content, r) for r in rows),
+                    tuple(pivots), 1, tables)
 
 
 def _fraction_trace(sub, perm):
     """Reference trace: expand each twisted row over the normalized rows."""
+    t_rows, t_den = sub.tables.twist(perm, sub.content)
     trace = 0
     for j, row in enumerate(sub.rows):
-        work = dict(tau_twist(perm, row).coords)
+        work = {}
+        for k, x in row.coords.items():
+            for l, y in enumerate(t_rows[k]):
+                if y:
+                    work[l] = work.get(l, 0) + Fraction(x * y, t_den)
+        work = {k: v for k, v in work.items() if v}
         coefficients = [work.get(pivot, 0) for pivot in sub.pivots]
         for c, other in zip(coefficients, sub.rows):
             if c:
@@ -332,7 +351,129 @@ def test_integer_echelon_matches_fraction_reference(monkeypatch, label, perm, bo
 
 def test_echelon_entries_stay_small():
     # inputs are divided by their gcd before reduction; without that the scale of
-    # one content feeds the next and these entries grow to thousands of digits
-    b2 = cartan_matrix("B2")
-    subs = demazure_subspaces(b2, (2, 2), (0, 1, 0, 1))
-    assert max(abs(x) for s in subs.values() for r in s.rows for x in r.coords.values()) < 10**12
+    # one content feeds the next, and over the Weyl words of B2 (2, 2) the entries
+    # reach 5e13 (and 4 in the D4 adjoint module, whose rows are otherwise units)
+    for label, lam, bound in [("B2", (2, 2), 1000), ("D4", (0, 1, 0, 0), 1)]:
+        gcm = cartan_matrix(label)
+        for word, _ in enumerate_weyl(gcm):
+            subs = demazure_subspaces(gcm, lam, word)
+            assert max(abs(x) for s in subs.values() for r in s.rows
+                       for x in r.coords.values()) <= bound, (label, word)
+
+
+# (label, weight, every Weyl word or only the longest); the D4 adjoint module has
+# a weight of multiplicity 4, but 192 all-words Demazure modules take a minute
+ORACLE_MODULES = [("A2", (1, 1), True), ("A2", (2, 1), True), ("B2", (1, 1), True),
+                  ("G2", (1, 0), True), ("A3", (1, 0, 1), True), ("D4", (1, 0, 0, 0), True),
+                  ("D4", (0, 1, 0, 0), False)]
+
+
+@pytest.mark.parametrize("label, lam, every_word", ORACLE_MODULES,
+                         ids=[f"{label}-{''.join(map(str, lam))}"
+                              for label, lam, _ in ORACLE_MODULES])
+def test_basis_words_match_the_all_words_oracle(label, lam, every_word):
+    # Demazure pieces of the basis tables against the all-words model, word by
+    # word; every content below the longest element: basis size against the Gram
+    # rank and the Freudenthal multiplicity
+    gcm = cartan_matrix(label)
+    words = [w for w, _ in enumerate_weyl(gcm)] if every_word else [longest_element(gcm)]
+    for word in words:
+        ours = {beta: s.dimension for beta, s in demazure_subspaces(gcm, lam, word).items()}
+        oracle = {beta: s.dimension for beta, s in all_words_subspaces(gcm, lam, word).items()}
+        assert ours == oracle, (label, lam, word)
+    tables = word_model._tables(gcm, lam)
+    multiplicities = dict(freudenthal_character(gcm, lam).sorted_terms())
+    nonempty = {beta: len(basis) for beta, basis in tables.basis.items() if basis}
+    assert {weight_below(gcm, lam, beta): m for beta, m in nonempty.items()} == multiplicities
+    for beta, m in nonempty.items():
+        if content_word_count(beta) <= 300:
+            assert weight_space(gcm, lam, beta).dimension == m, (label, lam, beta)
+        # the basis words themselves are independent in the all-words model
+        words = [_basis_word(tables, beta, b) for b in range(m)]
+        assert len(fraction_echelon(vector_of_word(gcm, lam, w).coords for w in words)) == m
+
+
+def _basis_word(tables, beta, b):
+    if not any(beta):
+        return ()
+    i, t = tables.basis[beta][b]
+    return (i,) + _basis_word(tables, beta[:i] + (beta[i] - 1,) + beta[i + 1:], t)
+
+
+TWINING_FAMILIES = [("A2", (1, 0), [(1,), (2,)]), ("A3", (2, 1, 0), [(1, 0), (0, 1), (1, 1)]),
+                    ("A4", (3, 2, 1, 0), [(1, 0), (0, 1)]), ("D4", (2, 1, 3, 0), [(0, 1)]),
+                    ("D4", (0, 1, 3, 2), [(0, 1, 0), (1, 0, 0)])]
+
+
+@pytest.mark.parametrize("label, perm, lambda_hats", TWINING_FAMILIES,
+                         ids=["A2-flip", "A3-flip", "A4-flip", "D4-triality", "D4-swap"])
+def test_twining_character_matches_the_all_words_oracle(label, perm, lambda_hats):
+    data = fold(cartan_matrix(label), perm)
+    for lambda_hat in lambda_hats:
+        lam = unfold_weight(data, lambda_hat)
+        for w_hat, _ in enumerate_weyl(data.folded):
+            word = unfold_word(data, w_hat)
+            assert twining_character(data.gcm, lam, word, perm) == \
+                all_words_twining_character(data.gcm, lam, word, perm), (lambda_hat, w_hat)
+
+
+FORMER_SKIPS = [("A4", (3, 2, 1, 0), (0, 1), w_hat) for w_hat in [(1, 0, 1), (0, 1, 0, 1)]] + [
+    ("D4", (2, 1, 3, 0), (1, 0), w_hat)
+    for w_hat in [(0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1, 0), (1, 0, 1, 0, 1),
+                  (0, 1, 0, 1, 0, 1)]]
+
+
+@pytest.mark.parametrize("label, perm, lambda_hat, w_hat", FORMER_SKIPS,
+                         ids=[f"{label}-{''.join(map(str, lh))}-{''.join(map(str, w))}"
+                              for label, _, lh, w in FORMER_SKIPS])
+def test_former_word_cap_skips_verify_at_the_default_cap(label, perm, lambda_hat, w_hat):
+    # the all-words model needed up to 6.4e8 words per content here and was skipped
+    report = harness.verify({"gcm": label, "automorphism": list(perm),
+                             "lambda_hat": list(lambda_hat), "w_hat": list(w_hat)})
+    assert report.equal
+    data = fold(cartan_matrix(label), perm)
+    if len(w_hat) == len(longest_element(data.folded)):
+        assert report.lhs.coefficient_sum() == weyl_dimension(data.folded, lambda_hat)
+
+
+def test_word_cap_counts_the_basis_words_of_a_rank_one_string():
+    # L(k) of A1 holds k + 1 basis words, one per content, all of them built for
+    # the word (0,): the cap bounds that height even though each multiplicity is 1
+    a1 = cartan_matrix("A1")
+    cap = word_model.DEFAULT_WORD_CAP
+    assert twining_character(a1, (cap - 1,), (0,), (0,)).coefficient_sum() == cap
+    with pytest.raises(TooLarge):
+        twining_character(a1, (cap,), (0,), (0,))
+    assert twining_character(a1, (cap,), (0,), (0,), word_cap=cap + 1).coefficient_sum() \
+        == cap + 1
+
+
+def test_thin_module_taller_than_the_recursion_limit():
+    # the twist walks every content below the top; this one is 1200 letters high
+    height = 1200
+    assert height > sys.getrecursionlimit()
+    report = harness.verify({"gcm": "D4", "automorphism": [0, 1, 3, 2],
+                             "lambda_hat": [height, 0, 0], "w_hat": [0]}, word_cap=2 * height)
+    assert report.equal
+    assert report.lhs.coefficient_sum() == height + 1
+
+
+def test_a_basis_smaller_than_the_weyl_conjugate_is_reported():
+    # e_0 tampered to zero at content (1,) of L(2) of A1: content (2,) then finds no
+    # basis word, where its Weyl conjugate, content (0,), has one
+    tables = word_model._Tables(cartan_matrix("A1"), (2,))
+    tables.grow((1,), 10)
+    tables.raising[(1,), 0] = (((0,),), 1)
+    with pytest.raises(RankMismatch):
+        tables.grow((2,), 10)
+
+
+def test_a_line_is_spanned_as_the_elimination_would_span_it():
+    tables = word_model._tables(A2, RHO)
+    demazure_subspaces(A2, RHO, (0,))
+    assert tables.size((1, 0)) == 1
+    for vectors in ([[6], [-4]], [[0], [-2]], [[0]]):
+        line = word_model._span(tables, (1, 0), vectors)
+        rows, pivots, _ = word_model._echelon(vectors, 1)
+        assert [[row.coords.get(0, 0)] for row in line.rows] == rows
+        assert list(line.pivots) == pivots and line.scale == 1
