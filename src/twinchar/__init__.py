@@ -50,7 +50,6 @@ from .weyl import (
 from .word_model import (
     Subspace,
     demazure_subspaces,
-    extremal_vector,
     twining_character,
     twining_trace,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "demazure_op",
     "demazure_subspaces",
     "enumerate_weyl",
-    "extremal_vector",
     "fold",
     "fold_weight",
     "fold_word",

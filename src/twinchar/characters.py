@@ -66,29 +66,6 @@ class CharacterPolynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: "CharacterPolynomial") -> "CharacterPolynomial":
-        if self.n != other.n:
-            raise ValueError("cannot add characters over different ranks")
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            total = out.get(w, 0) + c
-            if total:
-                out[w] = total
-            elif w in out:
-                del out[w]
-        return CharacterPolynomial(self.n, out)
-
-    def __sub__(self, other: "CharacterPolynomial") -> "CharacterPolynomial":
-        return self + other.scaled(-1)
-
-    def scaled(self, c: int) -> "CharacterPolynomial":
-        if c == 0:
-            return CharacterPolynomial(self.n)
-        return CharacterPolynomial(self.n, {w: c * v for w, v in self._terms.items()})
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, CharacterPolynomial)
                 and self.n == other.n and self._terms == other._terms)

@@ -58,10 +58,6 @@ class NotInWTilde(InvalidInput):
     """Weyl element does not commute with the automorphism action."""
 
 
-class NotReduced(InvalidInput):
-    """Word is not a reduced expression where one is required."""
-
-
 class NotTauStable(InvalidInput):
     """Subspace is not stable under the twining map."""
 
@@ -75,7 +71,7 @@ class InexactDivision(InvariantViolation):
 
 
 class ExtremalVectorMismatch(InvariantViolation):
-    """The extremal vector vanished or has the wrong weight or content."""
+    """The extremal weight space is not one line or has the wrong weight."""
 
 
 class NotIntertwining(InvariantViolation):

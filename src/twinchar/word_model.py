@@ -19,13 +19,14 @@ and the raising table (each basis word's images one content lower).  Their
 sizes are weight multiplicities, never word counts.  The tables depend only
 on (gcm, lam) and are cached per highest weight.
 
-A Demazure module is grown from its extremal vector (the lowering table
-applied along the exponents of a reduced word) by raising images, and the
-diagram twist tau(f_i) = f_{tau(i)} acts on basis words through the
-lowering table.  Everything is integer arithmetic: each table is one
-integer matrix over one positive denominator, one fraction-free
-elimination serves every echelon, and the one division that the theory
-makes exact, the trace, is checked.
+A Demazure module is grown by raising images from its extremal line: w(lam)
+lies in the Weyl orbit of lam, so its weight space at content lam - w(lam)
+is one-dimensional and nothing needs computing to span it.  The diagram
+twist tau(f_i) = f_{tau(i)} acts on basis words through the lowering
+table.  Everything is integer arithmetic: each table is one integer matrix
+over one positive denominator, one fraction-free elimination serves every
+echelon, and the one division that the theory makes exact, the trace, is
+checked.
 
 This module deliberately does not import the folding machinery: the
 automorphism enters only as a plain index permutation.
@@ -44,7 +45,6 @@ from .characters import CharacterPolynomial
 from .errors import (
     ExtremalVectorMismatch,
     NotInWTilde,
-    NotReduced,
     NotSymmetricWeight,
     NotTauStable,
     RankMismatch,
@@ -364,55 +364,19 @@ def _span(tables: _Tables, content: RootVector, vectors) -> Subspace:
     return Subspace(tables.lam, content, scaled, tuple(p for p, _ in order), scale, tables)
 
 
-def _exponents(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> tuple[list[int], RootVector]:
-    """Exponent m_t = <s_{i_{t+1}} ... s_{i_k}(lam), alpha_{i_t}^vee> per letter.
+def _content(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> RootVector:
+    """lam - w(lam) in root coordinates, for any word of w.
 
-    Reflecting down the word gives lam - w(lam) = sum_t m_t alpha_{i_t},
-    returned as the content beta next to the exponents; any negative
-    exponent means the expression was not reduced.
+    Reflecting lam down the word telescopes: lam - w(lam) is the sum over t
+    of <s_{i_{t+1}} ... s_{i_k}(lam), alpha_{i_t}^vee> alpha_{i_t}.
     """
     roots = weyl._simple_roots(gcm)
-    exponents = [0] * len(word)
     beta = [0] * gcm.n
     mu = list(lam)
-    for t in range(len(word) - 1, -1, -1):
-        m = mu[word[t]]
-        if m < 0:
-            raise NotReduced(f"word {word} yields a negative exponent at position {t}")
-        exponents[t] = m
-        beta[word[t]] += m
-        weyl._reflect(roots, mu, word[t])
-    return exponents, tuple(beta)
-
-
-def extremal_vector(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> Vector:
-    """The prescribed lowering word along a reduced expression, in basis coordinates.
-
-    For word (i_1, ..., i_k), exponent m_t is the pairing of the partial
-    reflection s_{i_{t+1}} ... s_{i_k}(lam) with coroot i_t; any negative
-    exponent means the expression was not reduced.  The vector
-    f_{i_1}^{m_1} ... f_{i_k}^{m_k} v is returned up to a positive scale.
-    """
-    _require_finite(gcm)
-    lam = dominant_weight(gcm, lam)
-    word = weyl_word(gcm, word)
-    exponents, top = _exponents(gcm, lam, word)
-    tables = _tables(gcm, lam)
-    tables.grow(top, math.inf)
-    content, vec = (0,) * gcm.n, [1]
-    for i, m in zip(reversed(word), reversed(exponents)):
-        for _ in range(m):
-            f_rows, _ = tables.lower.get((content, i), ((), 1))
-            content = _shift(content, i, 1)
-            vec = _product([vec], f_rows, tables.size(content))[0]
-            g = math.gcd(*vec)
-            vec = [x // g for x in vec] if g > 1 else vec
-    coords = {k: x for k, x in enumerate(vec) if x}
-    if not coords:
-        raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam} vanished")
-    if weight_below(gcm, lam, content) != weyl.act(gcm, word, lam):
-        raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam} has the wrong weight")
-    return Vector(content, coords)
+    for i in reversed(word):
+        beta[i] += mu[i]
+        weyl._reflect(roots, mu, i)
+    return tuple(beta)
 
 
 def weight_below(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector) -> Weight:
@@ -423,9 +387,12 @@ def weight_below(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector) ->
 
 def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
                        word_cap: int = DEFAULT_WORD_CAP) -> dict[RootVector, Subspace]:
-    """All weight pieces of the module generated upward from the extremal vector.
+    """All weight pieces of the module generated upward from the extremal line.
 
-    The word cap bounds the basis words that the contents below the top
+    The word may be any word of w, reduced or not.  w(lam) lies in the
+    Weyl orbit of lam, so its weight space is one line, and that line is
+    the extremal vector up to scale: nothing is computed to find it.  The
+    word cap bounds the basis words that the contents below the top
     content hold (the sum of their multiplicities).  Dynamic programming
     down the content box, one height at a time: the top content carries
     the extremal line, and each lower content is the span of the raising
@@ -437,17 +404,18 @@ def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     _require_finite(gcm)
     lam = dominant_weight(gcm, lam)
     int_at_least(word_cap, 1, "word cap")
-    reduced = weyl.reduced_word(gcm, word)
-    _, beta_w = _exponents(gcm, lam, reduced)
+    word = weyl_word(gcm, word)
+    beta_w = _content(gcm, lam, word)
     tables = _tables(gcm, lam)
     tables.grow(beta_w, word_cap)
+    if tables.size(beta_w) != 1:
+        raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam}: content {beta_w} "
+                                     f"has {tables.size(beta_w)} basis words, not 1")
+    if weight_below(gcm, lam, beta_w) != weyl.act(gcm, word, lam):
+        raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam} has the wrong weight")
 
-    ext = extremal_vector(gcm, lam, reduced)
-    if ext.content != beta_w:
-        raise ExtremalVectorMismatch(f"extremal vector has content {ext.content}, not {beta_w}")
-    subspaces = {beta_w: _span(tables, beta_w,
-                               [[ext.coords.get(k, 0) for k in range(tables.size(beta_w))]])}
-    rows = {beta_w: _dense(subspaces[beta_w])}
+    subspaces = {beta_w: _span(tables, beta_w, [[1]])}
+    rows = {beta_w: [[1]]}
     layer = [beta_w]
     while layer:
         # only a content one simple root below a nonzero subspace can be nonzero

@@ -21,7 +21,7 @@ from twinchar.root_data import (
     validate_gcm,
     weyl_dimension,
 )
-from twinchar.word_model import demazure_subspaces, extremal_vector, twining_character
+from twinchar.word_model import demazure_subspaces, twining_character
 
 from oracles import weight_space
 
@@ -254,11 +254,10 @@ def test_catalog_frozen_matrices():
     lambda gcm, lam: demazure_character(gcm, lam, (0,)),
     lambda gcm, lam: freudenthal_character(gcm, lam),
     lambda gcm, lam: weight_space(gcm, lam, (1, 0)),
-    lambda gcm, lam: extremal_vector(gcm, lam, (0,)),
     lambda gcm, lam: demazure_subspaces(gcm, lam, (0,)),
     lambda gcm, lam: twining_character(gcm, lam, (0, 1, 0), (1, 0)),
 ], ids=["weyl_dimension", "demazure_character", "freudenthal_character", "weight_space",
-        "extremal_vector", "demazure_subspaces", "twining_character"])
+        "demazure_subspaces", "twining_character"])
 @pytest.mark.parametrize("lam", [(1, 1, 1), (1,)])
 def test_weight_of_wrong_size_is_rejected(call, lam):
     with pytest.raises(InvalidInput):
@@ -271,13 +270,12 @@ def test_weight_of_wrong_size_is_rejected(call, lam):
     lambda gcm, word: weyl.act(gcm, word, (1, 1)),
     lambda gcm, word: weyl.is_in_w_tilde(gcm, word, (1, 0)),
     lambda gcm, word: demazure_character(gcm, (1, 1), word),
-    lambda gcm, word: extremal_vector(gcm, (1, 1), word),
     lambda gcm, word: demazure_subspaces(gcm, (1, 1), word),
     lambda gcm, word: twining_character(gcm, (1, 1), word, (1, 0)),
     lambda gcm, word: unfold_word(fold(gcm, (1, 0)), word),
     lambda gcm, word: fold_word(fold(gcm, (1, 0)), word),
 ], ids=["reduced_word", "element_of", "act", "is_in_w_tilde",
-        "demazure_character", "extremal_vector", "demazure_subspaces", "twining_character",
+        "demazure_character", "demazure_subspaces", "twining_character",
         "unfold_word", "fold_word"])
 @pytest.mark.parametrize("word", [(True, 0), (1.0,), ("1",)], ids=["bool", "float", "str"])
 def test_word_of_non_integers_is_rejected(call, word):

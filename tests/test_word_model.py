@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from twinchar import harness, word_model
 from twinchar.characters import CharacterPolynomial, demazure_character, freudenthal_character
 from twinchar.errors import (
-    NotReduced,
     NotSymmetricWeight,
     NotTauStable,
     RankMismatch,
@@ -30,7 +29,6 @@ from twinchar.word_model import (
     Subspace,
     Vector,
     demazure_subspaces,
-    extremal_vector,
     twining_character,
     twining_trace,
     weight_below,
@@ -174,18 +172,6 @@ def test_weight_space_ranks_match_freudenthal():
             assert weight_space(gcm, lam, beta).dimension == mult, (label, lam, mu)
 
 
-def test_extremal_vector_examples():
-    v = extremal_vector(A2, RHO, (0, 1, 0))
-    assert v.content == (2, 2)
-    assert weight_below(A2, RHO, v.content) == (-1, -1)
-    assert extremal_vector(A2, RHO, ()).coords == {0: 1}
-    a1 = validate_gcm([[2]])
-    v3 = extremal_vector(a1, (3,), (0,))
-    assert v3.content == (3,)
-    with pytest.raises(NotReduced):
-        extremal_vector(A2, RHO, (0, 0, 1))
-
-
 def test_demazure_subspaces_examples():
     subs = demazure_subspaces(A2, RHO, (0,))
     assert {beta: s.dimension for beta, s in subs.items()} == {(0, 0): 1, (1, 0): 1}
@@ -193,6 +179,11 @@ def test_demazure_subspaces_examples():
     assert {beta: s.dimension for beta, s in subs0.items()} == {(0, 0): 1}
     full = demazure_subspaces(A2, RHO, (0, 1, 0))
     assert sum(s.dimension for s in full.values()) == 8
+    # the top content is the extremal weight w(lam), spanned by the line [1]
+    top = next(iter(full))
+    assert top == (2, 2) and weight_below(A2, RHO, top) == (-1, -1)
+    assert [r.coords for r in full[top].rows] == [{0: 1}] and full[top].scale == 1
+    assert list(demazure_subspaces(validate_gcm([[2]]), (3,), (0,))) == [(3,), (2,), (1,), (0,)]
     with pytest.raises(TooLarge):
         demazure_subspaces(A2, (3, 3), (0, 1, 0), word_cap=50)
 
@@ -413,8 +404,15 @@ def test_twining_character_matches_the_all_words_oracle(label, perm, lambda_hats
         lam = unfold_weight(data, lambda_hat)
         for w_hat, _ in enumerate_weyl(data.folded):
             word = unfold_word(data, w_hat)
-            assert twining_character(data.gcm, lam, word, perm) == \
-                all_words_twining_character(data.gcm, lam, word, perm), (lambda_hat, w_hat)
+            twined = twining_character(data.gcm, lam, word, perm)
+            assert twined == all_words_twining_character(data.gcm, lam, word, perm), \
+                (lambda_hat, w_hat)
+            # words of the same element that are not reduced give the same module
+            subs = demazure_subspaces(data.gcm, lam, word)
+            i = len(word) % data.gcm.n
+            for longer in (word + (i, i), (i, i) + word):
+                assert demazure_subspaces(data.gcm, lam, longer) == subs, (lambda_hat, longer)
+                assert twining_character(data.gcm, lam, longer, perm) == twined
 
 
 FORMER_SKIPS = [("A4", (3, 2, 1, 0), (0, 1), w_hat) for w_hat in [(1, 0, 1), (0, 1, 0, 1)]] + [
