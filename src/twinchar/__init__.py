@@ -7,11 +7,9 @@ side, with both sides computed by disjoint exact routes.
 """
 
 from .characters import (
-    CharacterPolynomial,
     canonical_serialize,
     demazure_character,
     demazure_op,
-    freudenthal_character,
     map_character,
 )
 from .errors import TwiningError
@@ -33,6 +31,7 @@ from .harness import (
     verify,
 )
 from .root_data import (
+    CharacterPolynomial,
     GeneralizedCartanMatrix,
     cartan_matrix,
     is_finite_type,
@@ -75,7 +74,6 @@ __all__ = [
     "fold",
     "fold_weight",
     "fold_word",
-    "freudenthal_character",
     "is_finite_type",
     "is_in_w_tilde",
     "is_symmetric_weight",

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import harness, weyl, word_model
-from .characters import canonical_serialize, demazure_character, freudenthal_character
+from .characters import canonical_serialize, demazure_character
 from .errors import TwiningError
 from .folding import fold
 from .root_data import weyl_dimension
@@ -64,10 +64,7 @@ def _cmd_fold(args) -> int:
 def _cmd_character(args) -> int:
     gcm = harness.build_gcm(args.gcm)
     lam = parse_word(args.lam)
-    if args.freudenthal:
-        poly = freudenthal_character(gcm, lam)
-    else:
-        poly = demazure_character(gcm, lam, weyl.longest_element(gcm))
+    poly = demazure_character(gcm, lam, weyl.longest_element(gcm))
     _print_poly(poly, args.json)
     if not args.json:
         print(f"# dim {poly.coefficient_sum()} (weyl {weyl_dimension(gcm, lam)})")
@@ -137,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("character", help="full irreducible character")
     p.add_argument("--gcm", required=True, help="catalog label, e.g. A2")
     p.add_argument("--lambda", dest="lam", required=True, help="weight CSV, e.g. 1,1")
-    p.add_argument("--freudenthal", action="store_true",
-                   help="use the Freudenthal recursion instead of Demazure operators")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_character)
 

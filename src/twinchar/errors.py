@@ -78,10 +78,6 @@ class NotIntertwining(InvariantViolation):
     """The weight lift fails to intertwine a folded reflection with its orbit word."""
 
 
-class NonPositiveDenominator(InvariantViolation):
-    """A Freudenthal denominator |lam+rho|^2 - |mu+rho|^2 was not positive."""
-
-
 class RankMismatch(InvariantViolation):
     """A weight space of the word model got a basis of another size than its Weyl conjugate."""
 

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import weyl, word_model
-from .characters import (
-    CharacterPolynomial,
-    canonical_serialize,
-    demazure_character,
-    map_character,
-)
+from .characters import canonical_serialize, demazure_character, map_character
 from .errors import InvalidInput, TooLarge
 from .folding import (
     DiagramAutomorphism,
@@ -42,6 +37,7 @@ from .folding import (
     unfold_word,
 )
 from .root_data import (
+    CharacterPolynomial,
     GeneralizedCartanMatrix,
     Weight,
     _sequence,
@@ -124,14 +120,20 @@ def load_instance(path: str) -> Instance:
 class PreparedInstance:
     """Instance with both the folded and unfolded data filled in."""
 
-    gcm: GeneralizedCartanMatrix
-    auto: DiagramAutomorphism
     folding: FoldingData
     lam: Weight
     lambda_hat: Weight
     w: Word
     w_hat: Word
     source: Instance
+
+    @property
+    def gcm(self) -> GeneralizedCartanMatrix:
+        return self.folding.gcm
+
+    @property
+    def auto(self) -> DiagramAutomorphism:
+        return self.folding.auto
 
 
 def build_gcm(source) -> GeneralizedCartanMatrix:
@@ -173,8 +175,8 @@ def prepare(instance: Instance) -> PreparedInstance:
     else:
         w_hat = instance.w_hat
         w = unfold_word(data, w_hat)
-    return PreparedInstance(data.gcm, data.auto, data, tuple(lam), tuple(lambda_hat),
-                            tuple(w), tuple(w_hat), instance)
+    return PreparedInstance(data, tuple(lam), tuple(lambda_hat), tuple(w), tuple(w_hat),
+                            instance)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ Weights are plain tuples of integers in fundamental-weight coordinates
 are tuples of integer coefficients over the simple roots.  Nodes are
 numbered ``0 .. n-1`` throughout, following the Bourbaki ordering shifted
 down by one for the catalog types.  All arithmetic is exact.
+
+The character ring lives here too: both verification routes produce a
+``CharacterPolynomial``, and neither may import the other's modules.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import (
     NotGCM,
     NotSymmetrizable,
 )
-from .linalg import determinant, exact_quotient, leading_principal_minors
+from .linalg import exact_quotient, leading_principal_minors
 
 Weight = tuple[int, ...]
 RootVector = tuple[int, ...]
@@ -59,20 +62,6 @@ class GeneralizedCartanMatrix:
     def weight_of_root(self, beta: RootVector) -> Weight:
         """Weight coordinates of sum_j beta_j alpha_j."""
         return tuple(sum(map(mul, row, beta)) for row in self.entries)
-
-    def root_coords(self, lam: Weight) -> RootVector:
-        """Inverse of weight_of_root by Cramer's rule; needs det != 0 and an integral result."""
-        det = determinant(self.entries)
-        if det == 0:
-            raise NotFiniteType("Cartan matrix is singular; root coordinates undefined")
-        coords = []
-        for j in range(self.n):
-            replaced = tuple(row[:j] + (c,) + row[j + 1:] for row, c in zip(self.entries, lam))
-            quotient, remainder = divmod(determinant(replaced), det)
-            if remainder:
-                raise InvalidInput(f"weight {lam} is not in the root lattice")
-            coords.append(quotient)
-        return tuple(coords)
 
 
 def validate_gcm(matrix) -> GeneralizedCartanMatrix:
@@ -259,20 +248,6 @@ def weyl_dimension(gcm: GeneralizedCartanMatrix, lam: Weight) -> int:
     return exact_quotient(num, den, "Weyl dimension product")
 
 
-def pairing_weight_root(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector) -> int:
-    """Invariant bilinear form (lam, beta) with (lam, alpha_j) = d_j lam_j."""
-    d = gcm.symmetrizer
-    return sum(d[j] * lam[j] * beta[j] for j in range(gcm.n))
-
-
-def pairing_root_root(gcm: GeneralizedCartanMatrix, beta: RootVector, gamma: RootVector) -> int:
-    """(beta, gamma) with (alpha_i, alpha_j) = d_i a_ij."""
-    a = gcm.entries
-    d = gcm.symmetrizer
-    n = gcm.n
-    return sum(beta[i] * d[i] * a[i][j] * gamma[j] for i in range(n) for j in range(n))
-
-
 _EXCEPTIONAL = {
     "G2": ((2, -1), (-3, 2)),
 }
@@ -329,3 +304,67 @@ def _catalog(label: str) -> GeneralizedCartanMatrix:
 def weight_box(n: int, lo: int, hi: int):
     """All integer weights with every coordinate in [lo, hi] (test sweeps)."""
     return (tuple(w) for w in product(range(lo, hi + 1), repeat=n))
+
+
+class CharacterPolynomial:
+    """Finitely supported integer linear combination of formal weight exponentials.
+
+    Terms with equal exponents are summed and zero coefficients dropped, so
+    equality is equality of characters.
+
+    >>> p = CharacterPolynomial(2, [((1, 1), 1), ((-1, -1), 1), ((1, 1), 1)])
+    >>> p.sorted_terms(), p.coefficient_sum()
+    ([((1, 1), 2), ((-1, -1), 1)], 3)
+    >>> CharacterPolynomial(2, [((0, 0), 1), ((0, 0), -1)]) == CharacterPolynomial(2)
+    True
+    """
+
+    __slots__ = ("n", "_terms")
+
+    def __init__(self, n: int, terms=()):
+        self.n = n
+        data: dict[Weight, int] = {}
+        items = terms.items() if isinstance(terms, dict) else terms
+        for weight, coeff in items:
+            weight = tuple(weight)
+            if len(weight) != n:
+                raise ValueError(f"exponent {weight} has size {len(weight)}, expected {n}")
+            total = data.get(weight, 0) + coeff
+            if total:
+                data[weight] = total
+            elif weight in data:
+                del data[weight]
+        self._terms = data
+
+    @classmethod
+    def monomial(cls, weight: Weight, coeff: int = 1) -> "CharacterPolynomial":
+        return cls(len(weight), [(tuple(weight), coeff)])
+
+    def coefficient(self, weight: Weight) -> int:
+        return self._terms.get(tuple(weight), 0)
+
+    def coefficient_sum(self) -> int:
+        return sum(self._terms.values())
+
+    def sorted_terms(self) -> list[tuple[Weight, int]]:
+        """Terms sorted by exponent in descending lexicographic order."""
+        return sorted(self._terms.items(), key=lambda t: t[0], reverse=True)
+
+    def support(self) -> set[Weight]:
+        return set(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CharacterPolynomial)
+                and self.n == other.n and self._terms == other._terms)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        if not self._terms:
+            return f"CharacterPolynomial({self.n}, 0 terms)"
+        head = ", ".join(f"{c}*e{list(w)}" for w, c in self.sorted_terms()[:4])
+        more = "" if len(self._terms) <= 4 else f", ... ({len(self._terms)} terms)"
+        return f"CharacterPolynomial({self.n}, {head}{more})"

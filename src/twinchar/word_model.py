@@ -41,7 +41,6 @@ from operator import getitem, mul, sub
 from typing import NamedTuple
 
 from . import weyl
-from .characters import CharacterPolynomial
 from .errors import (
     ExtremalVectorMismatch,
     NotInWTilde,
@@ -52,6 +51,7 @@ from .errors import (
 )
 from .linalg import exact_quotient
 from .root_data import (
+    CharacterPolynomial,
     GeneralizedCartanMatrix,
     RootVector,
     Weight,

@@ -8,17 +8,28 @@ are multinomial, so only small contents are practical.  The matrix model
 of a Weyl element, a product of simple-reflection matrices on weight
 coordinates that shares no code with the library's w^-1(rho) vectors.  The
 orbits of a permutation with the 0/1 weight-lift matrix they define,
-computed without the folding code.
+computed without the folding code.  The Freudenthal recursion for the
+weight multiplicities of L(lam), with the root coordinates of a weight and
+the invariant form on roots that it needs: a third route to the full
+character, sharing only the root data with the two routes under test.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
-from twinchar.characters import CharacterPolynomial
+from twinchar import weyl
 from twinchar.errors import InvalidInput, NotSymmetricWeight, TooLarge
-from twinchar.root_data import dominant_weight, int_at_least, is_symmetric_weight
+from twinchar.linalg import determinant
+from twinchar.root_data import (
+    CharacterPolynomial,
+    dominant_weight,
+    int_at_least,
+    is_symmetric_weight,
+    positive_roots,
+)
 
 ALL_WORDS_CAP = 100_000
 
@@ -343,3 +354,82 @@ def matrix_bfs(gcm, max_length=None):
                     fresh.append((word + (i,), m2))
         frontier = fresh
     return sorted(((w, m) for m, w in found.items()), key=lambda t: (len(t[0]), t[0]))
+
+
+def root_coords(gcm, lam):
+    """Inverse of weight_of_root by Cramer's rule; needs det != 0 and an integral result."""
+    det = determinant(gcm.entries)
+    if det == 0:
+        raise ValueError("Cartan matrix is singular; root coordinates undefined")
+    coords = []
+    for j in range(gcm.n):
+        replaced = tuple(row[:j] + (c,) + row[j + 1:] for row, c in zip(gcm.entries, lam))
+        quotient, remainder = divmod(determinant(replaced), det)
+        if remainder:
+            raise ValueError(f"weight {lam} is not in the root lattice")
+        coords.append(quotient)
+    return tuple(coords)
+
+
+def pairing_root_root(gcm, beta, gamma):
+    """(beta, gamma) with (alpha_i, alpha_j) = d_i a_ij."""
+    a = gcm.entries
+    d = gcm.symmetrizer
+    n = gcm.n
+    return sum(beta[i] * d[i] * a[i][j] * gamma[j] for i in range(n) for j in range(n))
+
+
+def freudenthal_character(gcm, lam):
+    """Weight multiplicities of L(lam) by the Freudenthal recursion (finite type).
+
+    The multiplicity of lam - beta comes from those of lam - beta + k alpha
+    for every positive root alpha, content by content in the box up to the
+    lowest weight.
+    """
+    lam = dominant_weight(gcm, lam)
+    n = gcm.n
+    d = gcm.symmetrizer
+    lowest = weyl.act(gcm, weyl.longest_element(gcm), lam)
+    beta_max = root_coords(gcm, tuple(l - w for l, w in zip(lam, lowest)))
+    positives = positive_roots(gcm)
+
+    # (lam, alpha) = sum_j d_j lam_j alpha_j and the rows (alpha_i, alpha), all integers
+    lam_dot = {alpha: sum(dj * lj * aj for dj, lj, aj in zip(d, lam, alpha))
+               for alpha in positives}
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    root_rows = {alpha: tuple(pairing_root_root(gcm, e, alpha) for e in units)
+                 for alpha in positives}
+
+    mult = {(0,) * n: 1}
+    box = sorted(product(*(range(b + 1) for b in beta_max)), key=lambda b: (sum(b), b))
+    for beta in box:
+        if sum(beta) == 0:
+            continue
+        rhs = 0
+        for alpha in positives:
+            row = root_rows[alpha]
+            k = 1
+            while True:
+                gamma = tuple(b - k * a for b, a in zip(beta, alpha))
+                if any(g < 0 for g in gamma):
+                    break
+                m = mult.get(gamma, 0)
+                if m:
+                    rhs += m * (lam_dot[alpha] - sum(g * r for g, r in zip(gamma, row)))
+                k += 1
+        if rhs == 0:
+            continue
+        rhs *= 2
+        # |lam+rho|^2 - |mu+rho|^2 for mu = lam - beta
+        denom = (2 * sum(d[j] * (lam[j] + 1) * beta[j] for j in range(n))
+                 - pairing_root_root(gcm, beta, beta))
+        if denom <= 0:
+            raise ValueError(f"Freudenthal denominator {denom} at {beta}")
+        quotient, remainder = divmod(rhs, denom)
+        if remainder:
+            raise ValueError(f"multiplicity {rhs}/{denom} at {beta} is not an integer")
+        mult[beta] = quotient
+
+    terms = [(tuple(l - c for l, c in zip(lam, gcm.weight_of_root(beta))), m)
+             for beta, m in mult.items()]
+    return CharacterPolynomial(n, terms)

@@ -1,4 +1,4 @@
-"""Character ring, Demazure operators, Freudenthal recursion, serialization."""
+"""Character ring, Demazure operators, the Freudenthal oracle, serialization."""
 
 from itertools import product
 
@@ -7,17 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinchar.characters import (
-    CharacterPolynomial,
     canonical_serialize,
     demazure_character,
     demazure_op,
-    freudenthal_character,
     map_character,
 )
 from twinchar.errors import NotDominant
 from twinchar.folding import fold
-from twinchar.root_data import cartan_matrix, validate_gcm, weyl_dimension
+from twinchar.root_data import CharacterPolynomial, cartan_matrix, validate_gcm, weyl_dimension
 from twinchar.weyl import element_of, enumerate_weyl, longest_element
+
+from oracles import freudenthal_character
 
 A2 = cartan_matrix("A2")
 B2 = cartan_matrix("B2")

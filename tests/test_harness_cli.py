@@ -24,7 +24,7 @@ from twinchar.root_data import cartan_matrix, validate_gcm
 from twinchar.weyl import enumerate_weyl
 from twinchar.word_model import demazure_subspaces, twining_character
 
-from oracles import weight_space
+from oracles import freudenthal_character, weight_space
 
 
 def test_instance_parsing_requires_exactly_one_side():
@@ -361,10 +361,15 @@ def test_cli_character_and_demazure(capsys):
     assert main(["character", "--gcm", "A2", "--lambda", "1,1"]) == 0
     out = capsys.readouterr().out
     assert "# dim 8" in out
-    assert main(["character", "--gcm", "A2", "--lambda", "1,1", "--freudenthal",
-                 "--json"]) == 0
+    assert main(["character", "--gcm", "A2", "--lambda", "1,1", "--json"]) == 0
     terms = json.loads(capsys.readouterr().out)
-    assert sum(c for c, _ in terms) == 8
+    oracle = freudenthal_character(cartan_matrix("A2"), (1, 1))
+    assert terms == [[c, list(w)] for w, c in oracle.sorted_terms()]
+    # the third route is a test oracle only: the CLI no longer offers it
+    with pytest.raises(SystemExit) as exit_info:
+        main(["character", "--gcm", "A2", "--lambda", "1,1", "--freudenthal"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --freudenthal" in capsys.readouterr().err
     assert main(["demazure", "--gcm", "A2", "--lambda", "1,1", "--word", "0"]) == 0
     assert capsys.readouterr().out.strip() == "1*e[1,1]\n1*e[-1,2]"
     assert main(["demazure", "--gcm", "A2", "--lambda", "1,1", "--word", ""]) == 0
@@ -524,7 +529,7 @@ def test_no_error_claims_the_falsification_exit_code():
                if isinstance(c, type) and issubclass(c, errors.TwiningError)]
     assert all(c.exit_code in (2, 3, 4) for c in classes)
     for name in ("NoDescentFound", "InexactDivision", "ExtremalVectorMismatch",
-                 "NotIntertwining", "NonPositiveDenominator"):
+                 "NotIntertwining"):
         assert getattr(errors, name).exit_code == 4
 
 

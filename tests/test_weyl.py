@@ -24,7 +24,7 @@ from twinchar.weyl import (
     reduced_word,
 )
 
-from oracles import identity_matrix, mat_mul, mat_vec, matrix_bfs, matrix_of
+from oracles import identity_matrix, mat_mul, mat_vec, matrix_bfs, matrix_of, root_coords
 
 WEYL_ORDERS = {"A2": 6, "A3": 24, "B2": 8, "G2": 12, "C3": 48, "A4": 120, "D4": 192}
 
@@ -108,7 +108,7 @@ def test_length_counts_positive_roots_sent_negative():
             m = matrix_of(gcm, word)
             negatives = 0
             for beta in positive_roots(gcm):
-                image = gcm.root_coords(mat_vec(m, gcm.weight_of_root(beta)))
+                image = root_coords(gcm, mat_vec(m, gcm.weight_of_root(beta)))
                 assert all(x <= 0 for x in image) or all(x >= 0 for x in image)
                 if any(x < 0 for x in image):
                     negatives += 1
