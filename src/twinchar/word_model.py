@@ -1,30 +1,30 @@
 """Exact word model of irreducible highest weight modules.
 
 The weight space of L(lam) at content beta (the weight lam minus
-sum_i beta_i alpha_i) gets a basis of lowering words, built content by
-content.  The candidates at beta are the words (i,) + t with t a basis word
-one letter lower; they span, since L(lam)_{lam-beta} = sum_i f_i
-L(lam)_{lam-beta+alpha_i} for beta != 0.  A candidate is kept when its
-raising images (e_j x)_j are independent of those of the words already
-kept.  That test is exact because for beta != 0 a vector of L(lam) is zero
-exactly when every e_j kills it (otherwise it would be a second highest
-weight vector), so no Gram matrix is formed.  The raising images follow
-from [e_j, f_i] = delta_ij h_i:
+sum_i beta_i alpha_i) is built content by content.  For beta != 0 it is
+spanned by the candidates f_i b, b in the basis one letter lower, and a
+vector x there is zero exactly when every e_j kills it (otherwise it would
+be a second highest weight vector).  So x is identified with its stacked
+raising images (e_j x)_j, no Gram matrix is formed, and one elimination
+per content serves three ends: the reduced echelon rows of the candidates'
+images are the basis, the coordinates of any vector are its images read at
+the pivot columns, and the blocks of the rows are the raising table.  The
+images follow from [e_j, f_i] = delta_ij h_i:
 
-    e_j f_i f_t v = f_i (e_j f_t v) + delta_ij <lam - content(t), alpha_i^vee> f_t v
+    e_j f_i b = f_i (e_j b) + delta_ij <lam - content(b), alpha_i^vee> b
 
-Each content therefore stores two tables in basis coordinates: the
-lowering table (every candidate, kept or not, in the basis of its content)
-and the raising table (each basis word's images one content lower).  Their
-sizes are weight multiplicities, never word counts.  The tables depend only
-on (gcm, lam) and are cached per highest weight.
+Each content therefore stores two tables: the lowering table (every
+candidate in the basis of its content) and the raising table (each basis
+vector's images one content lower).  Their sizes are weight
+multiplicities, never word counts.  The tables depend only on (gcm, lam)
+and are cached per highest weight.
 
 A Demazure module is grown by raising images from its extremal line: w(lam)
 lies in the Weyl orbit of lam, so its weight space at content lam - w(lam)
 is one-dimensional and nothing needs computing to span it.  The diagram
-twist tau(f_i) = f_{tau(i)} acts on basis words through the lowering
-table.  Everything is integer arithmetic: each table is one integer matrix
-over one positive denominator, one fraction-free elimination serves every
+twist tau, with tau(e_j) = e_{tau(j)}, is read off the raising tables.
+Everything is integer arithmetic: each table is one integer matrix over
+one positive denominator, one fraction-free elimination serves every
 echelon, and the one division that the theory makes exact, the trace, is
 checked.
 
@@ -113,16 +113,15 @@ def _reduced(rows, pivots, out: list[int]) -> list[int]:
 def _echelon(vectors, width: int, rank=None):
     """Fraction-free Gauss-Jordan elimination, pivots among the first width entries.
 
-    Returns (rows, pivots, kept).  Each row is divided by the gcd of its
-    entries, and its pivot is its first nonzero entry, positive and cleared
-    from every other row.  ``kept`` indexes the vectors that raised the
-    rank; the elimination stops once the rank reaches ``rank``.
+    Returns (rows, pivots), in the order the rows were found.  Each row is
+    divided by the gcd of its entries, and its pivot is its first nonzero
+    entry among the first width, positive and cleared from every other
+    row.  The elimination stops once the rank reaches ``rank``.
     """
     rows: list[list[int]] = []
     pivots: list[int] = []
-    kept: list[int] = []
-    for c, out in enumerate(vectors):
-        if len(kept) == rank:
+    for out in vectors:
+        if len(rows) == rank:
             break
         g = math.gcd(*out)
         if g > 1:
@@ -135,36 +134,40 @@ def _echelon(vectors, width: int, rank=None):
             rows = [_eliminate(row, out, pivot) if row[pivot] else row for row in rows]
             rows.append(out)
             pivots.append(pivot)
-            kept.append(c)
-    return rows, pivots, kept
+    return rows, pivots
 
 
 class _Tables:
-    """The basis words of one L(lam) and the lowering and raising tables between them.
+    """The lowering and raising tables of one L(lam), in one echelon basis per content.
 
-    ``basis[beta]`` lists the basis words of content beta as pairs (i, t),
-    the word (i,) + (basis word t of beta - e_i).  ``lower[gamma, i]`` is
-    f_i on the basis of gamma in the basis of gamma + e_i, ``raising[beta,
-    j]`` is e_j on the basis of beta in the basis of beta - e_j.  Contents
-    are built one height at a time from 0, only above nonempty ones, so a
-    content missing from ``basis`` after growing is empty.  ``held`` counts,
-    per top content, the basis words of the contents below it.
+    ``sizes[beta]`` is the dimension of content beta.  Below the top, a
+    vector x stands for its stacked raising images (e_j x)_j, and basis
+    vector r is the vector whose images are echelon row r over its pivot
+    entry; ``pivots[beta]`` locates each pivot as (j, k), entry k of e_j x
+    in the basis of beta - e_j, and the coordinates of x are its images
+    read there.  ``lower[gamma, i]`` is f_i on the basis of gamma in the
+    basis of gamma + e_i, ``raising[beta, j]`` is e_j on the basis of beta
+    in the basis of beta - e_j.  Contents are built one height at a time
+    from 0, only above nonempty ones, so a content missing from ``sizes``
+    after growing is empty.  ``held`` counts, per top content, the basis
+    vectors of the contents below it.
     """
 
     def __init__(self, gcm: GeneralizedCartanMatrix, lam: Weight):
         self.gcm = gcm
         self.lam = lam
-        self.basis = {(0,) * gcm.n: ((),)}
+        self.sizes = {(0,) * gcm.n: 1}
+        self.pivots = {}
         self.lower = {}
         self.raising = {}
         self.held = {}
         self.twists = {}   # perm -> {beta: tau on the basis of beta}
 
     def size(self, beta: RootVector) -> int:
-        return len(self.basis.get(beta, ()))
+        return self.sizes.get(beta, 0)
 
     def grow(self, beta: RootVector, word_cap) -> None:
-        """Build every content below beta; raise TooLarge if they hold over word_cap words.
+        """Build every content below beta; raise TooLarge if they hold over word_cap vectors.
 
         The count is checked while the contents are built and again when
         they were built before, so the verdict does not depend on what the
@@ -176,10 +179,10 @@ class _Tables:
             while layer and held <= word_cap:
                 above = set()
                 for gamma in layer:
-                    if gamma not in self.basis:
+                    if gamma not in self.sizes:
                         self._build(gamma)
-                    if self.basis[gamma]:
-                        held += len(self.basis[gamma])
+                    if self.sizes[gamma]:
+                        held += self.sizes[gamma]
                         if held > word_cap:
                             break
                         above.update(_shift(gamma, i, 1)
@@ -191,15 +194,17 @@ class _Tables:
             raise TooLarge(f"the contents below {beta} hold more than {word_cap} basis words")
 
     def _build(self, beta: RootVector) -> None:
-        """Choose the basis words of beta and record the tables that reach it.
+        """Choose the basis of beta by one elimination and record the tables that reach it.
 
-        Let mu = lam - beta.  When <mu, alpha_j^vee> = -k < 0, sl2 theory
-        makes e_j injective on the weight space and f_j onto it, and its
-        dimension is that of the Weyl conjugate s_j(mu), the content
-        beta - k e_j (none when beta_j < k): so the images under e_j alone
-        decide independence, the candidates of letter j come first, and the
-        choice stops at that dimension.  Only a dominant mu needs the images
-        under every letter and a test of every candidate.
+        The candidates f_i b, for b in the basis of beta - e_i, span the
+        weight space; the reduced echelon rows of their stacked raising
+        images are the basis.  Let mu = lam - beta.  When <mu, alpha_j^vee>
+        = -k < 0, sl2 theory makes e_j injective on the weight space and
+        f_j onto it, and its dimension is that of the Weyl conjugate
+        s_j(mu), the content beta - k e_j (none when beta_j < k): so the
+        images under e_j alone decide independence, the block of letter j
+        comes first and holds every pivot, and the elimination stops at
+        that dimension.  Only a dominant mu takes pivots in every block.
         """
         entries = self.gcm.entries
         pairing = [l - sum(map(mul, row, beta)) for l, row in zip(self.lam, entries)]
@@ -209,79 +214,67 @@ class _Tables:
             j = negative[0]
             rank = self.size(_shift(beta, j, pairing[j])) if beta[j] + pairing[j] >= 0 else 0
             if not rank:
-                self.basis[beta] = ()
+                self.sizes[beta] = 0
                 return
         letters = [i for i, b in enumerate(beta) if b]
         down = {j: _shift(beta, j, -1) for j in letters}
         size = {j: self.size(down[j]) for j in letters}
-        tests = letters
         if negative:
             j = min(negative, key=size.get)
-            tests, letters = [j], [j] + [i for i in letters if i != j]
+            letters = [j] + [i for i in letters if i != j]
+            width = size[j]
+        else:
+            width = sum(size.values())
 
-        def raised(i: int, j: int, ts):
-            """e_j f_i f_t v for the basis words t of beta - e_i: integer rows over one den."""
+        def raised(i: int, j: int):
+            """e_j f_i on the basis of beta - e_i, in that of beta - e_j: rows over one den."""
             gamma = down[i]
-            h = pairing[i] + entries[i][i] if i == j else 0   # <lam - content(t), alpha_i^vee>
-            if not (gamma[j] and size[j] and ts):
-                return [[h * (k == t) for k in range(size[j])] for t in ts], 1
+            h = pairing[i] + entries[i][i] if i == j else 0   # <lam - gamma, alpha_i^vee>
+            if not (gamma[j] and size[j]):
+                return [[h * (k == t) for k in range(size[j])] for t in range(size[i])], 1
             e_rows, e_den = self.raising[gamma, j]
             f_rows, f_den = self.lower[_shift(gamma, j, -1), i]
-            out = _product((e_rows[t] for t in ts), f_rows, size[j])
-            for t, row in zip(ts, out) if h else ():
+            out = _product(e_rows, f_rows, size[j])
+            for t, row in enumerate(out) if h else ():
                 row[t] += h * e_den * f_den
             return out, e_den * f_den
 
-        # candidate (i, t) is f_i on basis word t of beta - e_i, with its raising
-        # images under the test letters times den, one den per letter
+        # candidate f_i b with its raising images under every letter times den
         candidates = []
-        images = {}
-        for i in letters:
-            parts = [raised(i, j, range(size[i])) for j in tests]
-            images.update(((i, j), part) for j, part in zip(tests, parts))
+        for i in filter(size.get, letters):
+            parts = [raised(i, j) for j in letters]
             den = math.lcm(*(d for _, d in parts))
-            candidates += [(i, t, [x * (den // d) for rows, d in parts for x in rows[t]], den)
+            candidates += [(i, [x * (den // d) for rows, d in parts for x in rows[t]], den)
                            for t in range(size[i])]
-        vectors = [vec for _, _, vec, _ in candidates]
-        _, pivots, kept = _echelon(vectors, sum(size[j] for j in tests), rank)
-        if rank is not None and len(kept) != rank:
-            raise RankMismatch(f"content {beta} has {len(kept)} basis words, "
+        rows, pivots = _echelon((vec for _, vec, _ in candidates), width, rank)
+        if rank is not None and len(rows) != rank:
+            raise RankMismatch(f"content {beta} has dimension {len(rows)}, "
                                f"its Weyl conjugate {rank}")
-
-        # the kept vectors at the pivot columns form an invertible A; the echelon of
-        # [A | I] has rows [d e_r | B_r] with A^-1 = B_r / d, and candidate c has
-        # coordinates (vec_c at the pivots) A^-1 diag(den of kept) / den_c
-        m = len(kept)
-        square = [[vectors[c][p] for p in pivots] + [int(k == r) for k in range(m)]
-                  for r, c in enumerate(kept)]
-        inverse, order, _ = _echelon(square, m)
-        scale = math.lcm(*map(getitem, inverse, order))
-        solve = [[]] * m
-        for row, p in zip(inverse, order):
-            solve[p] = [x * (scale // row[p]) * candidates[c][3] for x, c in zip(row[m:], kept)]
-        coords = _product(([vec[p] for p in pivots] for vec in vectors), solve, m)
         for i in letters:
             self.lower[down[i], i] = _table(
-                (coords[c], scale * den) for c, (k, _, _, den) in enumerate(candidates) if k == i)
-        basis = tuple(candidates[c][:2] for c in kept)
+                ([vec[p] for p in pivots], den) for k, vec, den in candidates if k == i)
+        start = 0
         for j in letters:
-            rows = []
-            for i, t in basis:
-                if (i, j) not in images:
-                    images[i, j] = raised(i, j, range(size[i]))
-                part, den = images[i, j]
-                rows.append((part[t], den))
-            self.raising[beta, j] = _table(rows)
-        self.basis[beta] = basis
+            self.raising[beta, j] = _table(
+                (row[start:start + size[j]], row[p]) for row, p in zip(rows, pivots))
+            start += size[j]
+        locations = [(j, k) for j in letters for k in range(size[j])]
+        self.pivots[beta] = tuple(locations[p] for p in pivots)
+        self.sizes[beta] = len(rows)
 
     def twist(self, perm: tuple[int, ...], beta: RootVector) -> Table:
-        """tau on the basis words of beta, in the basis of tau(beta).
+        """tau on the basis of beta, in the basis of tau(beta).
 
-        tau(f_i f_t v) = f_{perm[i]} tau(f_t v): the lowering table at
-        tau(beta - e_i), letter perm[i], applied to the twist at beta - e_i.
+        tau e_l = e_{perm[l]} tau, so the coordinate of tau(x) on the basis
+        vector of tau(beta) whose pivot is (perm[l], k) is entry k of the
+        twist at beta - e_l applied to e_l x: only raising tables are read.
         The contents below are twisted first from an explicit stack, since
-        the height of a content can exceed the interpreter's recursion limit.
+        the height of a content can exceed the interpreter's recursion
+        limit.  A permutation is checked to be a diagram automorphism when
+        it is first seen.
         """
+        if perm not in self.twists:
+            diagram_permutation(self.gcm, perm)
         twists = self.twists.setdefault(perm, {(0,) * len(beta): (((1,),), 1)})
         pending = [beta]
         while pending:
@@ -289,18 +282,20 @@ class _Tables:
             if gamma in twists:
                 pending.pop()
                 continue
-            below = {i: _shift(gamma, i, -1) for i, _ in self.basis[gamma]}
+            targets = [(perm.index(l), k) for l, k in self.pivots[_permuted(gamma, perm)]]
+            below = {l: _shift(gamma, l, -1) for l, _ in targets}
             missing = [b for b in below.values() if b not in twists]
             if missing:
                 pending += missing
                 continue
-            rows = []
-            for i, t in self.basis[gamma]:
-                t_rows, t_den = twists[below[i]]
-                f_rows, f_den = self.lower[_permuted(below[i], perm), perm[i]]
-                rows += [(row, t_den * f_den)
-                         for row in _product([t_rows[t]], f_rows, self.size(gamma))]
-            twists[gamma] = _table(rows)
+            columns = []
+            for l, k in targets:
+                e_rows, e_den = self.raising[gamma, l]
+                t_rows, t_den = twists[below[l]]
+                column = [row[k] for row in t_rows]
+                columns.append(([sum(map(mul, row, column)) for row in e_rows], e_den * t_den))
+            columns, den = _table(columns)
+            twists[gamma] = tuple(zip(*columns)), den
         return twists[beta]
 
 
@@ -321,7 +316,7 @@ class Vector(NamedTuple):
 class Subspace:
     """A subspace of one weight space, integer rows in scaled reduced echelon form.
 
-    Row coordinates are in the basis words of the content.  Pivots are the
+    Row coordinates are in the echelon basis of the content.  Pivots are the
     smallest basis index of each row and are strictly increasing; every
     pivot entry equals the positive ``scale`` and is cleared from every
     other row, so ``rows / scale`` is the reduced row echelon basis and
@@ -356,7 +351,7 @@ def _span(tables: _Tables, content: RootVector, vectors) -> Subspace:
     if tables.size(content) == 1:
         rows, pivots = ([[1]], [0]) if any(v[0] for v in vectors) else ([], [])
     else:
-        rows, pivots, _ = _echelon(vectors, tables.size(content))
+        rows, pivots = _echelon(vectors, tables.size(content))
     scale = math.lcm(*map(getitem, rows, pivots))
     order = sorted(zip(pivots, rows))
     scaled = tuple(Vector(content, {k: x * (scale // row[p]) for k, x in enumerate(row) if x})
@@ -392,7 +387,7 @@ def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     The word may be any word of w, reduced or not.  w(lam) lies in the
     Weyl orbit of lam, so its weight space is one line, and that line is
     the extremal vector up to scale: nothing is computed to find it.  The
-    word cap bounds the basis words that the contents below the top
+    word cap bounds the basis vectors that the contents below the top
     content hold (the sum of their multiplicities).  Dynamic programming
     down the content box, one height at a time: the top content carries
     the extremal line, and each lower content is the span of the raising
@@ -410,7 +405,7 @@ def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     tables.grow(beta_w, word_cap)
     if tables.size(beta_w) != 1:
         raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam}: content {beta_w} "
-                                     f"has {tables.size(beta_w)} basis words, not 1")
+                                     f"has dimension {tables.size(beta_w)}, not 1")
     if weight_below(gcm, lam, beta_w) != weyl.act(gcm, word, lam):
         raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam} has the wrong weight")
 

@@ -546,13 +546,13 @@ def test_broken_invariants_exit_4(tmp_path, monkeypatch, capsys):
         patched.setattr(word_model, "weight_below", lambda gcm, lam, beta: lam)
         assert main(["verify", "-i", inst]) == 4
     assert "extremal vector" in capsys.readouterr().err
-    # the weight space of w(lam) must be one line: report a second basis word there
+    # the weight space of w(lam) must be one line: report a second basis vector there
     prep = harness.prepare(harness.parse_instance(payload))
     top = word_model._content(prep.gcm, prep.lam, prep.w)
     tables = word_model._tables(prep.gcm, prep.lam)
     tables.grow(top, word_model.DEFAULT_WORD_CAP)
     with monkeypatch.context() as patched:
-        patched.setitem(tables.basis, top, tables.basis[top] * 2)
+        patched.setitem(tables.sizes, top, 2)
         assert main(["verify", "-i", inst]) == 4
     assert "extremal vector" in capsys.readouterr().err
     with monkeypatch.context() as patched:
