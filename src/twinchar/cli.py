@@ -115,6 +115,12 @@ def _cmd_battery(args) -> int:
     return summary.exit_code
 
 
+def _word_cap_argument(p) -> None:
+    p.add_argument("--word-cap", type=int, default=word_model.DEFAULT_WORD_CAP,
+                   help="most basis vectors, dim V_w(lambda), of a Demazure module to build; "
+                        "a larger one exits 3, or is skipped by battery (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twinchar",
@@ -149,20 +155,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--auto", required=True, help="automorphism image CSV, e.g. 1,0")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--word-cap", type=int, default=word_model.DEFAULT_WORD_CAP)
+    _word_cap_argument(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_twining)
 
     p = sub.add_parser("verify", help="verify one instance file by both routes")
     p.add_argument("-i", "--instance", required=True)
-    p.add_argument("--word-cap", type=int, default=word_model.DEFAULT_WORD_CAP)
+    _word_cap_argument(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("battery", help="run the verification battery")
     p.add_argument("--max-word-len", type=int, default=None)
     p.add_argument("--lambda-box", type=int, default=None)
-    p.add_argument("--word-cap", type=int, default=word_model.DEFAULT_WORD_CAP)
+    _word_cap_argument(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_battery)
 

@@ -79,8 +79,8 @@ class NotIntertwining(InvariantViolation):
 
 
 class RankMismatch(InvariantViolation):
-    """A weight space of the word model got a basis of another size than its Weyl conjugate."""
+    """A Demazure module got a weight space of another size than its s_i-conjugate."""
 
 
 class TooLarge(Unsupported):
-    """The word model's tables for an instance would hold more basis words than the cap."""
+    """The Demazure module of an instance has more basis vectors than the word cap."""

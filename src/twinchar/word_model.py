@@ -1,32 +1,29 @@
-"""Exact word model of irreducible highest weight modules.
+"""Exact word model of Demazure modules, built by Demazure's recursion.
 
-The weight space of L(lam) at content beta (the weight lam minus
-sum_i beta_i alpha_i) is built content by content.  For beta != 0 it is
-spanned by the candidates f_i b, b in the basis one letter lower, and a
-vector x there is zero exactly when every e_j kills it (otherwise it would
-be a second highest weight vector).  So x is identified with its stacked
-raising images (e_j x)_j, no Gram matrix is formed, and one elimination
-per content serves three ends: the reduced echelon rows of the candidates'
-images are the basis, the coordinates of any vector are its images read at
-the pivot columns, and the blocks of the rows are the raising table.  The
-images follow from [e_j, f_i] = delta_ij h_i:
+V_w(lam) is built content by content (the weight lam minus sum_i beta_i
+alpha_i has content beta): V_w = sum_k f_i^k V_{s_i w} for a left descent
+i of w, from the line V_e = C v_lam.  Below the top content a vector x of
+L(lam) is zero exactly when every e_j kills it (else it would be a second
+highest weight vector), and e_j maps V_w into itself, so x stands for its
+stacked raising images (e_j x)_j in V_w and no Gram matrix is formed.  At
+content beta the basis of V_{s_i w} comes first, and a candidate f_i^k y,
+y in the basis of V_{s_i w} at beta - k e_i, joins it when its images are
+independent; a dependent candidate's relation gives its coordinates.  The
+images follow from [e_j, f_i^k] = delta_ij k f_i^(k-1) (h_i - k + 1):
 
-    e_j f_i b = f_i (e_j b) + delta_ij <lam - content(b), alpha_i^vee> b
+    e_j f_i^k y = f_i^k (e_j y) + delta_ij k (<lam - content(y), alpha_i^vee> - k + 1) f_i^(k-1) y
 
-Each content therefore stores two tables: the lowering table (every
-candidate in the basis of its content) and the raising table (each basis
-vector's images one content lower).  Their sizes are weight
-multiplicities, never word counts.  The tables depend only on (gcm, lam)
-and are cached per highest weight.
+with both vectors on the right already placed one content higher.  So
+every table stays inside V_w, and its sizes are multiplicities of V_w.
 
-A Demazure module is grown by raising images from its extremal line: w(lam)
-lies in the Weyl orbit of lam, so its weight space at content lam - w(lam)
-is one-dimensional and nothing needs computing to span it.  The diagram
-twist tau, with tau(e_j) = e_{tau(j)}, is read off the raising tables.
-Everything is integer arithmetic: each table is one integer matrix over
-one positive denominator, one fraction-free elimination serves every
-echelon, and the one division that the theory makes exact, the trace, is
-checked.
+The recursion follows the element, not the letters: a module is built
+along a reduced word of its element, and modules live in one bounded cache
+keyed on (gcm, lam, weyl.element_of vector).  The diagram twist tau, with
+tau(e_j) = e_{tau(j)}, is read off the raising tables and kept with the
+module, once per permutation.  Everything is integer arithmetic: each
+table is one integer matrix over one positive denominator, one
+fraction-free elimination serves every solve, and the one division that
+the theory makes exact, the trace, is checked.
 
 This module deliberately does not import the folding machinery: the
 automorphism enters only as a plain index permutation.
@@ -35,10 +32,9 @@ automorphism enters only as a plain index permutation.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import getitem, mul, sub
-from typing import NamedTuple
+from operator import mul, sub
 
 from . import weyl
 from .errors import (
@@ -65,7 +61,10 @@ from .root_data import (
 
 Table = tuple[tuple[tuple[int, ...], ...], int]   # integer rows over one positive denominator
 
+# the most basis vectors, dim V_w(lam), that one Demazure module may have
 DEFAULT_WORD_CAP = 650
+# the most basis vectors the module cache holds before it drops the oldest modules
+CACHE_VECTORS = 1 << 15
 
 
 def _shift(beta: RootVector, i: int, step: int) -> RootVector:
@@ -80,9 +79,9 @@ def _permuted(beta: RootVector, perm: tuple[int, ...]) -> RootVector:
     return tuple(out)
 
 
-def _product(rows, matrix, width: int) -> list[list[int]]:
-    """Each row vector times the matrix, whose rows have the given width."""
-    columns = list(zip(*matrix)) if matrix else [()] * width
+def _product(rows, matrix) -> list[list[int]]:
+    """Each row vector times the matrix; a row shorter than the matrix is padded with zeros."""
+    columns = list(zip(*matrix))
     return [[sum(map(mul, row, column)) for column in columns] for row in rows]
 
 
@@ -102,261 +101,287 @@ def _eliminate(out: list[int], row: list[int], pivot: int) -> list[int]:
     return [x // g for x in out] if g > 1 else out
 
 
-def _reduced(rows, pivots, out: list[int]) -> list[int]:
-    """out with the pivot entries of echelon rows cleared: zero exactly on their span."""
-    for pivot, row in zip(pivots, rows):
-        if out[pivot]:
-            out = _eliminate(out, row, pivot)
-    return out
+def _relations(vectors, width: int, rank: int):
+    """Yield, for each integer vector in turn, None when it is independent of
+    the vectors before it, else its coordinates on the independent ones
+    before it, as (numerators, positive denominator).
 
-
-def _echelon(vectors, width: int, rank=None):
-    """Fraction-free Gauss-Jordan elimination, pivots among the first width entries.
-
-    Returns (rows, pivots), in the order the rows were found.  Each row is
-    divided by the gcd of its entries, and its pivot is its first nonzero
-    entry among the first width, positive and cleared from every other
-    row.  The elimination stops once the rank reaches ``rank``.
+    Fraction-free elimination on the first width entries, each row divided
+    by the gcd of its entries.  Every vector carries a tail that records
+    its combination of the independent vectors (one slot each, at most
+    ``rank`` of them) and of itself (the last entry), so a vector that
+    reduces to zero states its relation to them.  An independent vector
+    beyond ``rank`` ends the iteration.
     """
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    for out in vectors:
-        if len(rows) == rank:
-            break
-        g = math.gcd(*out)
-        if g > 1:
-            out = [x // g for x in out]
-        out = _reduced(rows, pivots, out)
+    rows, pivots = [], []
+    for vec in vectors:
+        out = list(vec) + [0] * rank + [1]
+        for pivot, row in zip(pivots, rows):
+            if out[pivot]:
+                out = _eliminate(out, row, pivot)
         pivot = next(filter(out.__getitem__, range(width)), None)
-        if pivot is not None:
-            if out[pivot] < 0:
-                out = [-x for x in out]
-            rows = [_eliminate(row, out, pivot) if row[pivot] else row for row in rows]
-            rows.append(out)
-            pivots.append(pivot)
-    return rows, pivots
+        if pivot is None:
+            a = out[-1]   # nonzero: only rows of independent vectors were subtracted
+            sign = -1 if a > 0 else 1
+            yield [sign * x for x in out[width:width + len(rows)]], abs(a)
+            continue
+        yield None
+        if len(rows) == rank:
+            return
+        out[width + len(rows)], out[-1] = out[-1], 0
+        rows.append(out)
+        pivots.append(pivot)
 
 
-class _Tables:
-    """The lowering and raising tables of one L(lam), in one echelon basis per content.
+def _stacked(module: "_Module", beta: RootVector, letters) -> tuple[list[list[int]], int]:
+    """The raising images of the basis of beta, letter blocks side by side, over one denominator."""
+    size = module.sizes.get(beta, 0)
+    tables = [module.raising.get((beta, j), (((),) * size, 1)) for j, _ in letters]
+    den = math.lcm(*(d for _, d in tables))
+    out = [[] for _ in range(size)]
+    for (rows, d), (_, width) in zip(tables, letters):
+        for vec, row in zip(out, rows):
+            vec += [x * (den // d) for x in row] + [0] * (width - len(row))
+    return out, den
 
-    ``sizes[beta]`` is the dimension of content beta.  Below the top, a
-    vector x stands for its stacked raising images (e_j x)_j, and basis
-    vector r is the vector whose images are echelon row r over its pivot
-    entry; ``pivots[beta]`` locates each pivot as (j, k), entry k of e_j x
-    in the basis of beta - e_j, and the coordinates of x are its images
-    read there.  ``lower[gamma, i]`` is f_i on the basis of gamma in the
-    basis of gamma + e_i, ``raising[beta, j]`` is e_j on the basis of beta
-    in the basis of beta - e_j.  Contents are built one height at a time
-    from 0, only above nonempty ones, so a content missing from ``sizes``
-    after growing is empty.  ``held`` counts, per top content, the basis
-    vectors of the contents below it.
+
+class _Module:
+    """One Demazure module V_w(lam): a basis per content and its raising tables.
+
+    ``sizes`` maps each nonempty content to its dimension.  Below the top, a
+    vector x stands for its stacked raising images (e_j x)_j, and
+    ``raising[beta, j]`` is e_j on the basis of beta in the basis of
+    beta - e_j, absent when it is zero.  The basis of V_w at beta begins
+    with that of V_{s_i w}, so a row of a table may be shorter than the
+    basis it is written in: the missing entries are zero, and a table of
+    V_{s_i w} serves V_w unchanged.  ``twists[perm]`` is the diagram twist
+    of every content, computed once per permutation.
     """
 
-    def __init__(self, gcm: GeneralizedCartanMatrix, lam: Weight):
+    __slots__ = ("gcm", "sizes", "raising", "twists", "dimension")
+
+    def __init__(self, gcm: GeneralizedCartanMatrix, below: "_Module | None" = None):
         self.gcm = gcm
-        self.lam = lam
-        self.sizes = {(0,) * gcm.n: 1}
-        self.pivots = {}
-        self.lower = {}
-        self.raising = {}
-        self.held = {}
-        self.twists = {}   # perm -> {beta: tau on the basis of beta}
+        self.sizes = dict(below.sizes) if below else {(0,) * gcm.n: 1}
+        self.raising = dict(below.raising) if below else {}
+        self.twists = {}
+        self.dimension = below.dimension if below else 1
 
-    def size(self, beta: RootVector) -> int:
-        return self.sizes.get(beta, 0)
+    def letters(self, beta: RootVector) -> list[tuple[int, int]]:
+        """(j, dim of beta - e_j) for each letter that can raise beta into the module."""
+        return [(j, self.sizes[down]) for j in range(len(beta))
+                if beta[j] and (down := _shift(beta, j, -1)) in self.sizes]
 
-    def grow(self, beta: RootVector, word_cap) -> None:
-        """Build every content below beta; raise TooLarge if they hold over word_cap vectors.
+    def twist(self, perm: tuple[int, ...]) -> dict:
+        """tau on the basis of every content beta, in the basis of tau(beta).
 
-        The count is checked while the contents are built and again when
-        they were built before, so the verdict does not depend on what the
-        cache already holds.
+        tau e_l = e_{perm[l]} tau, so the images of tau(x) are the twists of
+        the images of x, one height at a time: only raising tables are
+        read.  Each tau(x) is solved on the basis of tau(beta) from its
+        images; when that fails, tau(x) left V_w and NotTauStable is raised,
+        so a w outside the commuting subgroup is refused.  A permutation is
+        checked to be a diagram automorphism when it is first seen.
         """
-        held = self.held.get(beta)
-        if held is None:
-            held, layer = 0, [(0,) * len(beta)]
-            while layer and held <= word_cap:
-                above = set()
-                for gamma in layer:
-                    if gamma not in self.sizes:
-                        self._build(gamma)
-                    if self.sizes[gamma]:
-                        held += self.sizes[gamma]
-                        if held > word_cap:
-                            break
-                        above.update(_shift(gamma, i, 1)
-                                     for i, b in enumerate(beta) if gamma[i] < b)
-                layer = sorted(above)
-            if held <= word_cap:
-                self.held[beta] = held
-        if held > word_cap:
-            raise TooLarge(f"the contents below {beta} hold more than {word_cap} basis words")
+        if perm in self.twists:
+            return self.twists[perm]
+        diagram_permutation(self.gcm, perm)
+        contents = sorted(self.sizes, key=sum)
+        twists = {contents[0]: (((1,),), 1)}
+        for beta in contents[1:]:
+            size = self.sizes[beta]
+            image = _permuted(beta, perm)
+            if self.sizes.get(image) != size:
+                raise NotTauStable(f"twist maps content {beta} of dimension {size} "
+                                   f"to {image} of dimension {self.sizes.get(image, 0)}")
+            letters = self.letters(image)
+            basis, basis_den = _stacked(self, image, letters)
+            blocks, den = [], 1
+            for j, width in letters:   # e_j tau(x) = tau(e_l x), j = perm[l]
+                l = perm.index(j)
+                if (beta, l) in self.raising:
+                    e_rows, e_den = self.raising[beta, l]
+                    t_rows, t_den = twists[_shift(beta, l, -1)]
+                    blocks.append((_product(e_rows, t_rows), e_den * t_den))
+                    den = math.lcm(den, e_den * t_den)
+                else:
+                    blocks.append(([[0] * width] * size, 1))
+            twisted = [[x * (den // d) for rows, d in blocks for x in rows[r]]
+                       for r in range(size)]
+            found = list(_relations(basis + twisted, len(twisted[0]), size))
+            if None in found[size:]:
+                raise NotTauStable(f"twisted basis of content {beta} left the module")
+            twists[beta] = _table(([x * basis_den for x in coords], a * den)
+                                  for coords, a in found[size:])
+        self.twists[perm] = twists
+        return twists
 
-    def _build(self, beta: RootVector) -> None:
-        """Choose the basis of beta by one elimination and record the tables that reach it.
 
-        The candidates f_i b, for b in the basis of beta - e_i, span the
-        weight space; the reduced echelon rows of their stacked raising
-        images are the basis.  Let mu = lam - beta.  When <mu, alpha_j^vee>
-        = -k < 0, sl2 theory makes e_j injective on the weight space and
-        f_j onto it, and its dimension is that of the Weyl conjugate
-        s_j(mu), the content beta - k e_j (none when beta_j < k): so the
-        images under e_j alone decide independence, the block of letter j
-        comes first and holds every pivot, and the elimination stops at
-        that dimension.  Only a dominant mu takes pivots in every block.
-        """
-        entries = self.gcm.entries
-        pairing = [l - sum(map(mul, row, beta)) for l, row in zip(self.lam, entries)]
-        negative = [j for j, p in enumerate(pairing) if p < 0]
-        rank = None
-        if negative:
-            j = negative[0]
-            rank = self.size(_shift(beta, j, pairing[j])) if beta[j] + pairing[j] >= 0 else 0
-            if not rank:
-                self.sizes[beta] = 0
-                return
-        letters = [i for i, b in enumerate(beta) if b]
-        down = {j: _shift(beta, j, -1) for j in letters}
-        size = {j: self.size(down[j]) for j in letters}
-        if negative:
-            j = min(negative, key=size.get)
-            letters = [j] + [i for i in letters if i != j]
-            width = size[j]
-        else:
-            width = sum(size.values())
+def _extended(lam: Weight, i: int, below: _Module, module: _Module, lower: dict,
+              beta: RootVector) -> int:
+    """Add to content beta of V_w the candidates f_i^k y, k >= 1; return how many joined.
 
-        def raised(i: int, j: int):
-            """e_j f_i on the basis of beta - e_i, in that of beta - e_j: rows over one den."""
-            gamma = down[i]
-            h = pairing[i] + entries[i][i] if i == j else 0   # <lam - gamma, alpha_i^vee>
-            if not (gamma[j] and size[j]):
-                return [[h * (k == t) for k in range(size[j])] for t in range(size[i])], 1
-            e_rows, e_den = self.raising[gamma, j]
-            f_rows, f_den = self.lower[_shift(gamma, j, -1), i]
-            out = _product(e_rows, f_rows, size[j])
-            for t, row in enumerate(out) if h else ():
-                row[t] += h * e_den * f_den
-            return out, e_den * f_den
+    The basis of V_{s_i w} at beta comes first, with its images as they
+    were.  A candidate f_i^k y, y in the basis of V_{s_i w} at gamma =
+    beta - k e_i, joins the basis when its stacked raising images are
+    independent of those before it; otherwise the relation gives its
+    coordinates.  Its images follow from the commutator relation:
+    f_i^k (e_j y) and f_i^(k-1) y lie one content higher, read from
+    ``lower`` (f_i^0 is the inclusion).
+    """
+    letters = module.letters(beta)
+    width = sum(w for _, w in letters)
+    vectors, scales = _stacked(module, beta, letters)
+    old = len(vectors)
+    scales = [scales] * old
+    groups = []
+    pairing_i = lam[i] - sum(map(mul, module.gcm.entries[i], beta))
+    for k in range(1, beta[i] + 1):
+        gamma = _shift(beta, i, -k)
+        size = below.sizes.get(gamma)
+        if not size or (k > 1 and (gamma, k - 1) not in lower):
+            continue
+        # <lam - gamma, alpha_i^vee> = pairing_i + 2k
+        h = k * (pairing_i + k + 1)
+        blocks, den = [], 1
+        for j, w in letters:
+            rows, d = None, 1
+            f_key = (_shift(gamma, j, -1), k)
+            if (gamma, j) in below.raising and f_key in lower:
+                e_rows, d = below.raising[gamma, j]
+                f_rows, f_den = lower[f_key]
+                rows, d = _product(e_rows, f_rows), d * f_den
+            if j == i and h:
+                rows = rows or [[0] * w for _ in range(size)]
+                if k == 1:   # f_i^0 y is basis vector t of V_w at gamma
+                    for t, row in enumerate(rows):
+                        row[t] += h * d
+                else:
+                    g_rows, g_den = lower[gamma, k - 1]
+                    d, scale = math.lcm(d, g_den), d
+                    rows = [[x * (d // scale) + h * y * (d // g_den)
+                             for x, y in zip(row, g_row)] for row, g_row in zip(rows, g_rows)]
+            blocks.append((rows or [[0] * w] * size, d))
+            den = math.lcm(den, d)
+        vectors += [[x * (den // d) for rows, d in blocks for x in rows[t]]
+                    for t in range(size)]
+        scales += [den] * size
+        groups.append((gamma, k, size))
+    found = list(_relations(vectors, width, min(len(vectors), width)))
+    if any(found[:old]):
+        raise RankMismatch(f"the basis of V_(s_{i} w) at content {beta} is dependent in V_w")
+    basis = [t for t, f in enumerate(found) if f is None]
+    size = len(basis)
+    start = old
+    for gamma, k, count in groups:
+        rows = []
+        for t in range(start, start + count):
+            if found[t] is None:
+                rows.append(([int(b == t) for b in basis], 1))
+            else:
+                coords, a = found[t]
+                coords = [c * scales[b] for c, b in zip(coords, basis)]
+                rows.append((coords + [0] * (size - len(coords)), a * scales[t]))
+        if any(any(row) for row, _ in rows):
+            lower[gamma, k] = _table(rows)
+        start += count
+    if size == old:
+        return 0
+    start = 0
+    for j, w in letters:
+        table = module.raising.get((beta, j), (((),) * old, 1))
+        rows = [(row, table[1]) for row in table[0]]
+        rows += [(vectors[t][start:start + w], scales[t]) for t in basis[old:]]
+        if any(any(row) for row, _ in rows):
+            module.raising[beta, j] = _table(rows)
+        start += w
+    module.sizes[beta] = size
+    return size - old
 
-        # candidate f_i b with its raising images under every letter times den
-        candidates = []
-        for i in filter(size.get, letters):
-            parts = [raised(i, j) for j in letters]
-            den = math.lcm(*(d for _, d in parts))
-            candidates += [(i, [x * (den // d) for rows, d in parts for x in rows[t]], den)
-                           for t in range(size[i])]
-        rows, pivots = _echelon((vec for _, vec, _ in candidates), width, rank)
-        if rank is not None and len(rows) != rank:
-            raise RankMismatch(f"content {beta} has dimension {len(rows)}, "
-                               f"its Weyl conjugate {rank}")
-        for i in letters:
-            self.lower[down[i], i] = _table(
-                ([vec[p] for p in pivots], den) for k, vec, den in candidates if k == i)
-        start = 0
-        for j in letters:
-            self.raising[beta, j] = _table(
-                (row[start:start + size[j]], row[p]) for row, p in zip(rows, pivots))
-            start += size[j]
-        locations = [(j, k) for j in letters for k in range(size[j])]
-        self.pivots[beta] = tuple(locations[p] for p in pivots)
-        self.sizes[beta] = len(rows)
 
-    def twist(self, perm: tuple[int, ...], beta: RootVector) -> Table:
-        """tau on the basis of beta, in the basis of tau(beta).
+def _grown(gcm: GeneralizedCartanMatrix, lam: Weight, below: _Module, i: int,
+           word_cap: int, word) -> _Module:
+    """V_w = sum_k f_i^k V_{s_i w} for a left descent i of w, from below = V_{s_i w}.
 
-        tau e_l = e_{perm[l]} tau, so the coordinate of tau(x) on the basis
-        vector of tau(beta) whose pivot is (perm[l], k) is entry k of the
-        twist at beta - e_l applied to e_l x: only raising tables are read.
-        The contents below are twisted first from an explicit stack, since
-        the height of a content can exceed the interpreter's recursion
-        limit.  A permutation is checked to be a diagram automorphism when
-        it is first seen.
-        """
-        if perm not in self.twists:
-            diagram_permutation(self.gcm, perm)
-        twists = self.twists.setdefault(perm, {(0,) * len(beta): (((1,),), 1)})
-        pending = [beta]
-        while pending:
-            gamma = pending[-1]
-            if gamma in twists:
-                pending.pop()
+    V_w starts as a copy of V_{s_i w}: same contents, same bases, the same
+    table objects.  Candidates with k >= 1 reach only the contents one step
+    along i from a nonempty content of V_w, so those are visited one height
+    at a time.  ``lower[gamma, k]`` (k >= 1) is f_i^k on the basis of
+    V_{s_i w} at gamma in the basis of V_w at gamma + k e_i; it is needed
+    only while building and is absent where it is zero.  New basis vectors
+    are counted as they are found, and TooLarge is raised past word_cap.
+    V_w is stable under the sl2 of i, so each content must have the
+    dimension of its s_i-conjugate (RankMismatch otherwise); the same fact
+    skips a content whose conjugate is empty.
+    """
+    row_i = gcm.entries[i]
+    module = _Module(gcm, below)
+    sizes = module.sizes
+    lower: dict = {}
+    changed: list[RootVector] = []
+    levels: dict[int, list[RootVector]] = {}
+    for beta in sizes:
+        levels.setdefault(sum(beta), []).append(beta)
+    height = 1
+    while height - 1 in levels:
+        for beta in sorted({_shift(b, i, 1) for b in levels[height - 1]}):
+            pairing = lam[i] - sum(map(mul, row_i, beta))
+            if pairing < 0 and _shift(beta, i, pairing) not in sizes:
                 continue
-            targets = [(perm.index(l), k) for l, k in self.pivots[_permuted(gamma, perm)]]
-            below = {l: _shift(gamma, l, -1) for l, _ in targets}
-            missing = [b for b in below.values() if b not in twists]
-            if missing:
-                pending += missing
-                continue
-            columns = []
-            for l, k in targets:
-                e_rows, e_den = self.raising[gamma, l]
-                t_rows, t_den = twists[below[l]]
-                column = [row[k] for row in t_rows]
-                columns.append(([sum(map(mul, row, column)) for row in e_rows], e_den * t_den))
-            columns, den = _table(columns)
-            twists[gamma] = tuple(zip(*columns)), den
-        return twists[beta]
+            fresh = beta not in sizes
+            added = _extended(lam, i, below, module, lower, beta)
+            if added:
+                changed.append(beta)
+                if fresh:
+                    levels.setdefault(height, []).append(beta)
+            module.dimension += added
+            if module.dimension > word_cap:
+                raise TooLarge(f"the Demazure module of {word} at {lam} has more than "
+                               f"{word_cap} basis vectors")
+        height += 1
+    for beta in changed:
+        size = sizes[beta]
+        conjugate = _shift(beta, i, lam[i] - sum(map(mul, row_i, beta)))
+        if sizes.get(conjugate, 0) != size:
+            raise RankMismatch(f"content {beta} has dimension {size}, its s_{i}-conjugate "
+                               f"{conjugate} {sizes.get(conjugate, 0)}")
+    return module
 
 
-@lru_cache(maxsize=64)
-def _tables(gcm: GeneralizedCartanMatrix, lam: Weight) -> _Tables:
-    # keyed on a validated matrix and a weight already through dominant_weight
-    return _Tables(gcm, lam)
+class _Modules(dict):
+    """The module cache: (gcm, lam, element_of vector) -> V_w(lam), oldest dropped first.
+
+    Past CACHE_VECTORS basis vectors held, the oldest modules are dropped
+    (never the newest); a dropped module is rebuilt when it is next needed.
+    Storing and dropping hold a lock, so threads may share the cache.
+    """
+
+    held = 0
+    lock = threading.Lock()
+
+    def add(self, key: tuple, module: _Module) -> None:
+        with self.lock:
+            self.held += module.dimension - (self[key].dimension if key in self else 0)
+            self[key] = module
+            while self.held > CACHE_VECTORS and len(self) > 1:
+                self.held -= self.pop(next(iter(self))).dimension
+
+    def cache_clear(self) -> None:
+        with self.lock:
+            self.clear()
+            self.held = 0
 
 
-class Vector(NamedTuple):
-    """A module vector at one content, by its nonzero coordinates (basis index -> int)."""
-
-    content: RootVector
-    coords: dict
+_modules = _Modules()
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of one weight space, integer rows in scaled reduced echelon form.
-
-    Row coordinates are in the echelon basis of the content.  Pivots are the
-    smallest basis index of each row and are strictly increasing; every
-    pivot entry equals the positive ``scale`` and is cleared from every
-    other row, so ``rows / scale`` is the reduced row echelon basis and
-    coordinates in the span can be read off directly.
-    """
+    """The weight space of a Demazure module V_w(lam) at one content."""
 
     lam: Weight
     content: RootVector
-    rows: tuple[Vector, ...]
-    pivots: tuple[int, ...]
-    scale: int
-    tables: _Tables = field(compare=False, repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-
-def _dense(subspace: Subspace) -> list[list[int]]:
-    """The rows of a subspace as full coordinate lists."""
-    width = subspace.tables.size(subspace.content)
-    return [[row.coords.get(k, 0) for k in range(width)] for row in subspace.rows]
-
-
-def _span(tables: _Tables, content: RootVector, vectors) -> Subspace:
-    """The span of coordinate lists, rows scaled to one common pivot value.
-
-    A line is spanned by [1] as soon as one vector is nonzero, which is what
-    the elimination would return after dividing by the gcd; most contents
-    of a Demazure module are lines, so the elimination is skipped there.
-    """
-    if tables.size(content) == 1:
-        rows, pivots = ([[1]], [0]) if any(v[0] for v in vectors) else ([], [])
-    else:
-        rows, pivots = _echelon(vectors, tables.size(content))
-    scale = math.lcm(*map(getitem, rows, pivots))
-    order = sorted(zip(pivots, rows))
-    scaled = tuple(Vector(content, {k: x * (scale // row[p]) for k, x in enumerate(row) if x})
-                   for p, row in order)
-    return Subspace(tables.lam, content, scaled, tuple(p for p, _ in order), scale, tables)
+    dimension: int
+    module: _Module = field(compare=False, repr=False)
 
 
 def _content(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> RootVector:
@@ -380,89 +405,88 @@ def weight_below(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector) ->
     return tuple(l - d for l, d in zip(lam, drop))
 
 
-def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
-                       word_cap: int = DEFAULT_WORD_CAP) -> dict[RootVector, Subspace]:
-    """All weight pieces of the module generated upward from the extremal line.
+def _module(gcm: GeneralizedCartanMatrix, lam, word, word_cap: int) -> _Module:
+    """The checked V_w(lam), from the cache or built along a reduced word of w.
 
-    The word may be any word of w, reduced or not.  w(lam) lies in the
-    Weyl orbit of lam, so its weight space is one line, and that line is
-    the extremal vector up to scale: nothing is computed to find it.  The
-    word cap bounds the basis vectors that the contents below the top
-    content hold (the sum of their multiplicities).  Dynamic programming
-    down the content box, one height at a time: the top content carries
-    the extremal line, and each lower content is the span of the raising
-    images of the contents one simple root above.  Only the contents just
-    below a nonzero subspace are visited, in ascending order within a
-    height.  Only nonzero subspaces are returned, highest first; their
-    dimensions sum to the submodule dimension.
+    A miss walks the suffixes of the canonical reduced word of w, whose
+    first letters are left descents, down to the first cached module (or
+    V_e), then builds back up in an explicit loop.  The cap is checked
+    while each module is built and again on every call, and so is the
+    extremal line: w(lam) lies in the Weyl orbit of lam, so the weight
+    space of V_w at lam - w(lam) is one line with the weight w(lam).
     """
     _require_finite(gcm)
     lam = dominant_weight(gcm, lam)
     int_at_least(word_cap, 1, "word cap")
     word = weyl_word(gcm, word)
+    key = (gcm, lam, weyl.element_of(gcm, word))
+    module = _modules.get(key)
+    if module is None:
+        reduced = weyl.word_of_rho_vector(gcm, key[2])
+        keys = [key] + [(gcm, lam, weyl.element_of(gcm, reduced[t:]))
+                        for t in range(1, len(reduced) + 1)]
+        found = ((t, _modules.get(k)) for t, k in enumerate(keys))
+        t, module = next(((t, m) for t, m in found if m), (len(reduced), None))
+        if module is None:
+            module = _Module(gcm)
+            _modules.add(keys[t], module)
+        for t in range(t - 1, -1, -1):
+            module = _grown(gcm, lam, module, reduced[t], word_cap, word)
+            _modules.add(keys[t], module)
+    if module.dimension > word_cap:
+        raise TooLarge(f"the Demazure module of {word} at {lam} has more than "
+                       f"{word_cap} basis vectors")
     beta_w = _content(gcm, lam, word)
-    tables = _tables(gcm, lam)
-    tables.grow(beta_w, word_cap)
-    if tables.size(beta_w) != 1:
+    if module.sizes.get(beta_w) != 1:
         raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam}: content {beta_w} "
-                                     f"has dimension {tables.size(beta_w)}, not 1")
+                                     f"has dimension {module.sizes.get(beta_w, 0)}, not 1")
     if weight_below(gcm, lam, beta_w) != weyl.act(gcm, word, lam):
         raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam} has the wrong weight")
+    return module
 
-    subspaces = {beta_w: _span(tables, beta_w, [[1]])}
-    rows = {beta_w: [[1]]}
-    layer = [beta_w]
-    while layer:
-        # only a content one simple root below a nonzero subspace can be nonzero
-        below = sorted({_shift(up, i, -1) for up in layer for i in range(gcm.n) if up[i]})
-        layer = []
-        for beta in below:
-            width = tables.size(beta)
-            images = []
-            for i in range(gcm.n):
-                up = _shift(beta, i, 1)
-                if up in rows:
-                    images += filter(any, _product(rows[up], tables.raising[up, i][0], width))
-            if images:
-                subspaces[beta] = _span(tables, beta, images)
-                rows[beta] = _dense(subspaces[beta])
-                layer.append(beta)
-    return subspaces
+
+def _trace(table: Table) -> int:
+    rows, den = table
+    return exact_quotient(sum(row[k] for k, row in enumerate(rows)), den, "twining trace")
+
+
+def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
+                       word_cap: int = DEFAULT_WORD_CAP) -> dict[RootVector, Subspace]:
+    """The nonzero weight spaces of the Demazure module V_w(lam), highest content first.
+
+    The word may be any word of w, reduced or not: the module is that of
+    its element.  The word cap bounds dim V_w(lam), the basis vectors of
+    the module (the sum of its multiplicities); over it, TooLarge is
+    raised.  Contents are ordered by height, largest first, and ascending
+    within a height; the dimensions sum to dim V_w(lam).
+    """
+    module = _module(gcm, lam, word, word_cap)
+    lam = tuple(lam)
+    return {beta: Subspace(lam, beta, module.sizes[beta], module)
+            for beta in sorted(module.sizes, key=lambda b: (-sum(b), b))}
 
 
 def twining_trace(subspace: Subspace, perm: tuple[int, ...]) -> int:
-    """Trace of the twining map on one subspace, by echelon substitution.
+    """Trace of the twining map on one weight space of a Demazure module.
 
-    In the basis rows / scale, the diagonal coefficient of row j is
-    tau(R_j)[p_j] / scale, and the twist table carries one denominator, so
-    the trace is one exact integer division.  Raises NotTauStable when any
-    twisted row leaves the row space, which is the signature of a word
-    outside the commuting subgroup (or of a content that is not fixed by
-    the permutation).
+    The twist table carries one denominator, so the trace is one exact
+    integer division.  Raises NotTauStable when the content is not fixed
+    by the permutation or the twist leaves the module, which is the
+    signature of a word outside the commuting subgroup.
     """
-    if not subspace.rows:
-        return 0
     if not is_symmetric_weight(subspace.lam, perm):
         raise NotSymmetricWeight(f"weight {subspace.lam} is not fixed by {perm}")
     content = subspace.content
     image = _permuted(content, perm)
     if image != content:
         raise NotTauStable(f"twist maps content {content} to {image}")
-    t_rows, t_den = subspace.tables.twist(tuple(perm), content)
-    rows = _dense(subspace)
-    trace = 0
-    for j, (twisted, pivot) in enumerate(zip(_product(rows, t_rows, len(t_rows)),
-                                             subspace.pivots)):
-        if any(_reduced(rows, subspace.pivots, twisted)):
-            raise NotTauStable(f"twisted basis row {j} at content {content} left the subspace")
-        trace += twisted[pivot]
-    return exact_quotient(trace, subspace.scale * t_den, "twining trace")
+    return _trace(subspace.module.twist(tuple(perm))[content])
 
 
 def twining_character(gcm: GeneralizedCartanMatrix, lam: Weight, word,
                       perm: tuple[int, ...],
                       word_cap: int = DEFAULT_WORD_CAP) -> CharacterPolynomial:
-    """Sum of twining traces over the symmetric weights of a Demazure submodule.
+    """Sum of twining traces over the symmetric weights of a Demazure module.
 
     Contents not fixed by the permutation are skipped: their weight spaces
     are permuted among each other and contribute nothing diagonal.
@@ -474,12 +498,7 @@ def twining_character(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     word = weyl_word(gcm, word)
     if not weyl.is_in_w_tilde(gcm, word, perm):
         raise NotInWTilde(f"word {word} does not commute with {perm}")
-    subspaces = demazure_subspaces(gcm, lam, word, word_cap)
-    terms = []
-    for beta, subspace in subspaces.items():
-        if not is_symmetric_weight(beta, perm):
-            continue
-        trace = twining_trace(subspace, perm)
-        if trace:
-            terms.append((weight_below(gcm, lam, beta), trace))
+    terms = [(weight_below(gcm, lam, beta), _trace(table))
+             for beta, table in _module(gcm, lam, word, word_cap).twist(perm).items()
+             if is_symmetric_weight(beta, perm)]
     return CharacterPolynomial(gcm.n, terms)

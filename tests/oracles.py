@@ -12,6 +12,9 @@ computed without the folding code.  The Freudenthal recursion for the
 weight multiplicities of L(lam), with the root coordinates of a weight and
 the invariant form on roots that it needs: a third route to the full
 character, sharing only the root data with the two routes under test.
+The definition of a Demazure module, U(n+) applied to the extremal line of
+w(lam) inside L(lam), as an upward dynamic programming over Fraction
+tables of L(lam): the reference for the library's Demazure recursion.
 """
 
 import math
@@ -433,3 +436,168 @@ def freudenthal_character(gcm, lam):
     terms = [(tuple(l - c for l, c in zip(lam, gcm.weight_of_root(beta))), m)
              for beta, m in mult.items()]
     return CharacterPolynomial(n, terms)
+
+
+class LTables:
+    """L(lam) content by content in Fraction arithmetic, every content below a top.
+
+    Below the top, a vector is its stacked raising images {(j, k): c}, entry k
+    of e_j x in the basis of the content minus e_j.  The basis of a content
+    is the reduced echelon form of the images of its candidates f_i b (b in
+    the basis one letter lower), so the coordinates of any vector of the
+    content are its images read at the pivots.  ``images[beta][r]`` are
+    the images of basis vector r, ``lower[gamma, i][t]`` the coordinates of
+    f_i b_t in the basis of gamma + e_i.
+    """
+
+    def __init__(self, gcm, lam):
+        self.gcm, self.lam = gcm, tuple(lam)
+        top = (0,) * gcm.n
+        self.images = {top: [{}]}
+        self.pivots = {top: [None]}
+        self.lower = {}
+        self.twists = {}
+
+    def size(self, beta):
+        return len(self.images.get(beta, ()))
+
+    def build(self, top):
+        """Build every content componentwise below top, one height at a time."""
+        box = sorted(product(*(range(b + 1) for b in top)), key=lambda b: (sum(b), b))
+        for beta in box:
+            if beta not in self.images:
+                self._build(beta)
+
+    def _build(self, beta):
+        entries, n = self.gcm.entries, self.gcm.n
+        candidates = []   # (i, t, images)
+        for i in (i for i in range(n) if beta[i]):
+            gamma = _down(beta, i)
+            h = self.lam[i] - sum(a * g for a, g in zip(entries[i], gamma))
+            for t, b in enumerate(self.images[gamma]):
+                image = {}
+                for (j, k), c in b.items():   # f_i (e_j b)
+                    for m, x in enumerate(self.lower[_down(gamma, j), i][k]):
+                        image[j, m] = image.get((j, m), 0) + c * x
+                if h:
+                    image[i, t] = image.get((i, t), 0) + h
+                candidates.append((i, t, {key: x for key, x in image.items() if x}))
+        rows = fraction_echelon(image for _, _, image in candidates)
+        self.images[beta] = list(rows.values())
+        self.pivots[beta] = list(rows)
+        for i in (i for i in range(n) if beta[i]):
+            self.lower[_down(beta, i), i] = [[image.get(p, 0) for p in rows]
+                                             for k, _, image in candidates if k == i]
+
+    def coordinates(self, beta, j, vector):
+        """e_j of a coordinate vector at beta, as coordinates at beta - e_j."""
+        out = [Fraction(0)] * self.size(_down(beta, j))
+        for c, images in zip(vector, self.images[beta]):
+            for (l, k), x in images.items():
+                if l == j:
+                    out[k] += c * x
+        return out
+
+    def twist(self, perm, beta):
+        """tau on the basis of beta in the basis of tau(beta), tau e_l = e_{perm[l]} tau.
+
+        The coordinate of tau(x) at the pivot (j, k) of tau(beta) is entry k
+        of tau(e_l x), j = perm[l]; memoized per (perm, content).
+        """
+        key = (tuple(perm), beta)
+        if key not in self.twists:
+            if not any(beta):
+                self.twists[key] = [[Fraction(1)]]
+            else:
+                columns = []
+                for j, k in self.pivots[_permuted_content(beta, perm)]:
+                    l = perm.index(j)
+                    below = self.twist(perm, _down(beta, l))
+                    columns.append([sum((x * row[k] for x, row in
+                                         zip(self.coordinates(beta, l, unit), below)),
+                                        Fraction(0))
+                                    for unit in _units(self.size(beta))])
+                self.twists[key] = [list(row) for row in zip(*columns)]
+        return self.twists[key]
+
+
+def _down(beta, j):
+    return beta[:j] + (beta[j] - 1,) + beta[j + 1:]
+
+
+def _units(size):
+    return [[Fraction(int(r == c)) for c in range(size)] for r in range(size)]
+
+
+def _permuted_content(beta, perm):
+    out = [0] * len(beta)
+    for letter, b in enumerate(beta):
+        out[perm[letter]] = b
+    return tuple(out)
+
+
+@lru_cache(maxsize=16)
+def l_tables(gcm, lam):
+    return LTables(gcm, tuple(lam))
+
+
+def upward_subspaces(gcm, lam, word):
+    """The Demazure module U(n+) v_{w(lam)} inside L(lam): {content: echelon rows}.
+
+    The extremal content lam - w(lam) is one line of L(lam); each content
+    below it is the span of the raising images of the contents one simple
+    root above.  Rows are Fraction coordinate lists in the basis of
+    ``l_tables(gcm, lam)``, reduced with pivots 1 (``fraction_echelon``).
+    """
+    lam = dominant_weight(gcm, lam)
+    lowest = mat_vec(matrix_of(gcm, word), lam)
+    top = root_coords(gcm, tuple(l - m for l, m in zip(lam, lowest)))
+    tables = l_tables(gcm, lam)
+    tables.build(top)
+    if tables.size(top) != 1:
+        raise AssertionError(f"extremal content {top} has dimension {tables.size(top)}")
+    spaces = {top: {0: {0: Fraction(1)}}}
+    layer = [top]
+    while layer:
+        below = sorted({_down(up, j) for up in layer for j in range(gcm.n) if up[j]})
+        layer = []
+        for beta in below:
+            images = []
+            for j in range(gcm.n):
+                up = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+                for row in spaces.get(up, {}).values():
+                    vector = [row.get(k, 0) for k in range(tables.size(up))]
+                    images.append(dict(enumerate(tables.coordinates(up, j, vector))))
+            rows = fraction_echelon(images)
+            if rows:
+                spaces[beta] = rows
+                layer.append(beta)
+    return spaces
+
+
+def upward_traces(gcm, lam, word, perm):
+    """{content: trace of the L(lam) twist on the upward Demazure module} over fixed contents."""
+    tables = l_tables(gcm, dominant_weight(gcm, lam))
+    traces = {}
+    for beta, rows in upward_subspaces(gcm, lam, word).items():
+        if _permuted_content(beta, perm) != beta:
+            continue
+        twist = tables.twist(perm, beta)
+        trace = Fraction(0)
+        for pivot, row in rows.items():
+            twisted = {k: sum((row.get(r, 0) * twist[r][k] for r in range(len(twist))),
+                              Fraction(0)) for k in range(len(twist))}
+            trace += twisted[pivot]
+            if fraction_reduce(rows, twisted):
+                raise AssertionError(f"twisted row at {beta} left the subspace")
+        if trace.denominator != 1:
+            raise AssertionError(f"trace {trace} at {beta} is not an integer")
+        traces[beta] = int(trace)
+    return traces
+
+
+def upward_twining_character(gcm, lam, word, perm):
+    """The twining character of the upward Demazure module, from ``upward_traces``."""
+    return CharacterPolynomial(gcm.n, [
+        (tuple(l - c for l, c in zip(lam, gcm.weight_of_root(beta))), trace)
+        for beta, trace in upward_traces(gcm, lam, word, perm).items()])

@@ -542,17 +542,19 @@ def test_inexact_division_raises():
 def test_broken_invariants_exit_4(tmp_path, monkeypatch, capsys):
     payload = {"gcm": "A3", "automorphism": [2, 1, 0], "lambda_hat": [1, 1], "w_hat": [0]}
     inst = write_instance(tmp_path, payload)
+    word_model._modules.cache_clear()
     with monkeypatch.context() as patched:
         patched.setattr(word_model, "weight_below", lambda gcm, lam, beta: lam)
         assert main(["verify", "-i", inst]) == 4
     assert "extremal vector" in capsys.readouterr().err
-    # the weight space of w(lam) must be one line: report a second basis vector there
+    # the weight space of w(lam) must be one line: report a second basis vector there,
+    # in the module that the cache then serves
+    word_model._modules.cache_clear()
     prep = harness.prepare(harness.parse_instance(payload))
     top = word_model._content(prep.gcm, prep.lam, prep.w)
-    tables = word_model._tables(prep.gcm, prep.lam)
-    tables.grow(top, word_model.DEFAULT_WORD_CAP)
+    module = word_model._module(prep.gcm, prep.lam, prep.w, word_model.DEFAULT_WORD_CAP)
     with monkeypatch.context() as patched:
-        patched.setitem(tables.sizes, top, 2)
+        patched.setitem(module.sizes, top, 2)
         assert main(["verify", "-i", inst]) == 4
     assert "extremal vector" in capsys.readouterr().err
     with monkeypatch.context() as patched:
