@@ -18,12 +18,12 @@ every table stays inside V_w, and its sizes are multiplicities of V_w.
 
 The recursion follows the element, not the letters: a module is built
 along a reduced word of its element, and modules live in one bounded cache
-keyed on (gcm, lam, weyl.element_of vector).  The diagram twist tau, with
-tau(e_j) = e_{tau(j)}, is read off the raising tables and kept with the
-module, once per permutation.  Everything is integer arithmetic: each
-table is one integer matrix over one positive denominator, one
-fraction-free elimination serves every solve, and the one division that
-the theory makes exact, the trace, is checked.
+keyed on (gcm, lam, w(lam)), since V_w depends only on the coset w W_lam.
+The diagram twist tau, with tau(e_j) = e_{tau(j)}, is read off the raising
+tables and kept with the module, once per permutation.  Everything is
+integer arithmetic: each table is one integer matrix over one positive
+denominator, one fraction-free elimination serves every solve, and the one
+division that the theory makes exact, the trace, is checked.
 
 This module deliberately does not import the folding machinery: the
 automorphism enters only as a plain index permutation.
@@ -63,8 +63,10 @@ Table = tuple[tuple[tuple[int, ...], ...], int]   # integer rows over one positi
 
 # the most basis vectors, dim V_w(lam), that one Demazure module may have
 DEFAULT_WORD_CAP = 650
-# the most basis vectors the module cache holds before it drops the oldest modules
-CACHE_VECTORS = 1 << 15
+# the most basis vectors the module cache holds before it drops the oldest modules:
+# twice the largest benchmark pool's working set (7,967 vectors), about 9 MB at the
+# 560 bytes per held vector that tracemalloc shows on CPython 3.11
+CACHE_VECTORS = 1 << 14
 
 
 def _shift(beta: RootVector, i: int, step: int) -> RootVector:
@@ -88,8 +90,9 @@ def _product(rows, matrix) -> list[list[int]]:
 def _table(rows) -> Table:
     """One integer matrix over the least common denominator of (numerators, denominator) rows."""
     rows = list(rows)
-    den = math.lcm(*(d // math.gcd(d, *num) for num, d in rows))
-    return tuple(tuple(x * den // d for x in num) for num, d in rows), den
+    den = math.lcm(*(d if d == 1 else d // math.gcd(d, *num) for num, d in rows))
+    return tuple(tuple(num) if d == den else tuple(x * den // d for x in num)
+                 for num, d in rows), den
 
 
 def _eliminate(out: list[int], row: list[int], pivot: int) -> list[int]:
@@ -101,10 +104,11 @@ def _eliminate(out: list[int], row: list[int], pivot: int) -> list[int]:
     return [x // g for x in out] if g > 1 else out
 
 
-def _relations(vectors, width: int, rank: int):
-    """Yield, for each integer vector in turn, None when it is independent of
-    the vectors before it, else its coordinates on the independent ones
-    before it, as (numerators, positive denominator).
+def _relations(vectors, scales, width: int, rank: int):
+    """Yield, for each vector vectors[t] / scales[t] in turn (integer entries,
+    positive scale), None when it is independent of the vectors before it,
+    else its coordinates on the independent ones before it, as
+    (numerators, positive denominator).
 
     Fraction-free elimination on the first width entries, each row divided
     by the gcd of its entries.  Every vector carries a tail that records
@@ -113,8 +117,8 @@ def _relations(vectors, width: int, rank: int):
     reduces to zero states its relation to them.  An independent vector
     beyond ``rank`` ends the iteration.
     """
-    rows, pivots = [], []
-    for vec in vectors:
+    rows, pivots, kept = [], [], []
+    for vec, scale in zip(vectors, scales):
         out = list(vec) + [0] * rank + [1]
         for pivot, row in zip(pivots, rows):
             if out[pivot]:
@@ -123,7 +127,7 @@ def _relations(vectors, width: int, rank: int):
         if pivot is None:
             a = out[-1]   # nonzero: only rows of independent vectors were subtracted
             sign = -1 if a > 0 else 1
-            yield [sign * x for x in out[width:width + len(rows)]], abs(a)
+            yield [sign * x * s for x, s in zip(out[width:], kept)], abs(a) * scale
             continue
         yield None
         if len(rows) == rank:
@@ -131,18 +135,30 @@ def _relations(vectors, width: int, rank: int):
         out[width + len(rows)], out[-1] = out[-1], 0
         rows.append(out)
         pivots.append(pivot)
+        kept.append(scale)
+
+
+def _joined(blocks, widths, count: int) -> tuple[list[list[int]], int]:
+    """count rows of the (rows, denominator) blocks side by side, over one denominator.
+
+    A block row shorter than its width is padded with zeros.
+    """
+    den = math.lcm(*(d for _, d in blocks))
+    out = [[] for _ in range(count)]
+    for (rows, d), width in zip(blocks, widths):
+        factor = den // d
+        for vec, row in zip(out, rows):
+            vec += row if factor == 1 else [x * factor for x in row]
+            if len(row) < width:
+                vec += [0] * (width - len(row))
+    return out, den
 
 
 def _stacked(module: "_Module", beta: RootVector, letters) -> tuple[list[list[int]], int]:
     """The raising images of the basis of beta, letter blocks side by side, over one denominator."""
     size = module.sizes.get(beta, 0)
-    tables = [module.raising.get((beta, j), (((),) * size, 1)) for j, _ in letters]
-    den = math.lcm(*(d for _, d in tables))
-    out = [[] for _ in range(size)]
-    for (rows, d), (_, width) in zip(tables, letters):
-        for vec, row in zip(out, rows):
-            vec += [x * (den // d) for x in row] + [0] * (width - len(row))
-    return out, den
+    return _joined([module.raising.get((beta, j), (((),) * size, 1)) for j, _ in letters],
+                   [w for _, w in letters], size)
 
 
 class _Module:
@@ -154,14 +170,16 @@ class _Module:
     beta - e_j, absent when it is zero.  The basis of V_w at beta begins
     with that of V_{s_i w}, so a row of a table may be shorter than the
     basis it is written in: the missing entries are zero, and a table of
-    V_{s_i w} serves V_w unchanged.  ``twists[perm]`` is the diagram twist
-    of every content, computed once per permutation.
+    V_{s_i w} serves V_w unchanged.  ``below`` is V_{s_i w} (None for V_e),
+    and ``twists[perm]`` is the diagram twist of every content, computed
+    once per permutation.
     """
 
-    __slots__ = ("gcm", "sizes", "raising", "twists", "dimension")
+    __slots__ = ("gcm", "below", "sizes", "raising", "twists", "dimension")
 
     def __init__(self, gcm: GeneralizedCartanMatrix, below: "_Module | None" = None):
         self.gcm = gcm
+        self.below = below
         self.sizes = dict(below.sizes) if below else {(0,) * gcm.n: 1}
         self.raising = dict(below.raising) if below else {}
         self.twists = {}
@@ -179,39 +197,46 @@ class _Module:
         the images of x, one height at a time: only raising tables are
         read.  Each tau(x) is solved on the basis of tau(beta) from its
         images; when that fails, tau(x) left V_w and NotTauStable is raised,
-        so a w outside the commuting subgroup is refused.  A permutation is
-        checked to be a diagram automorphism when it is first seen.
+        so a w outside the commuting subgroup is refused.  The nearest
+        module below with a twist for perm is tau-stable and its basis
+        begins this one, so its twist gives the first rows of each content
+        and only the rest are solved.  A permutation is checked to be a
+        diagram automorphism when it is first seen.
         """
         if perm in self.twists:
             return self.twists[perm]
         diagram_permutation(self.gcm, perm)
-        contents = sorted(self.sizes, key=sum)
-        twists = {contents[0]: (((1,),), 1)}
-        for beta in contents[1:]:
+        base = self.below
+        while base is not None and perm not in base.twists:
+            base = base.below
+        known = base.twists[perm] if base else {(0,) * self.gcm.n: (((1,),), 1)}
+        twists = {}
+        for beta in sorted(self.sizes, key=sum):
             size = self.sizes[beta]
             image = _permuted(beta, perm)
             if self.sizes.get(image) != size:
                 raise NotTauStable(f"twist maps content {beta} of dimension {size} "
                                    f"to {image} of dimension {self.sizes.get(image, 0)}")
+            table = known.get(beta, ((), 1))
+            first = len(table[0])
+            if first == size:
+                twists[beta] = table
+                continue
             letters = self.letters(image)
             basis, basis_den = _stacked(self, image, letters)
-            blocks, den = [], 1
-            for j, width in letters:   # e_j tau(x) = tau(e_l x), j = perm[l]
+            blocks = []
+            for j, _ in letters:   # e_j tau(x) = tau(e_l x), j = perm[l]
                 l = perm.index(j)
-                if (beta, l) in self.raising:
-                    e_rows, e_den = self.raising[beta, l]
-                    t_rows, t_den = twists[_shift(beta, l, -1)]
-                    blocks.append((_product(e_rows, t_rows), e_den * t_den))
-                    den = math.lcm(den, e_den * t_den)
-                else:
-                    blocks.append(([[0] * width] * size, 1))
-            twisted = [[x * (den // d) for rows, d in blocks for x in rows[r]]
-                       for r in range(size)]
-            found = list(_relations(basis + twisted, len(twisted[0]), size))
+                e_rows, e_den = self.raising.get((beta, l), (((),) * size, 1))
+                t_rows, t_den = twists.get(_shift(beta, l, -1), ((), 1))
+                blocks.append((_product(e_rows[first:], t_rows), e_den * t_den))
+            twisted, den = _joined(blocks, [w for _, w in letters], size - first)
+            found = list(_relations(basis + twisted, [basis_den] * size + [den] * len(twisted),
+                                    sum(w for _, w in letters), size))
             if None in found[size:]:
                 raise NotTauStable(f"twisted basis of content {beta} left the module")
-            twists[beta] = _table(([x * basis_den for x in coords], a * den)
-                                  for coords, a in found[size:])
+            twists[beta] = _table([(row + (0,) * (size - first), table[1]) for row in table[0]]
+                                  + found[size:])
         self.twists[perm] = twists
         return twists
 
@@ -229,10 +254,10 @@ def _extended(lam: Weight, i: int, below: _Module, module: _Module, lower: dict,
     ``lower`` (f_i^0 is the inclusion).
     """
     letters = module.letters(beta)
-    width = sum(w for _, w in letters)
-    vectors, scales = _stacked(module, beta, letters)
+    widths = [w for _, w in letters]
+    vectors, scale = _stacked(module, beta, letters)
     old = len(vectors)
-    scales = [scales] * old
+    scales = [scale] * old
     groups = []
     pairing_i = lam[i] - sum(map(mul, module.gcm.entries[i], beta))
     for k in range(1, beta[i] + 1):
@@ -242,7 +267,7 @@ def _extended(lam: Weight, i: int, below: _Module, module: _Module, lower: dict,
             continue
         # <lam - gamma, alpha_i^vee> = pairing_i + 2k
         h = k * (pairing_i + k + 1)
-        blocks, den = [], 1
+        blocks = []
         for j, w in letters:
             rows, d = None, 1
             f_key = (_shift(gamma, j, -1), k)
@@ -250,37 +275,28 @@ def _extended(lam: Weight, i: int, below: _Module, module: _Module, lower: dict,
                 e_rows, d = below.raising[gamma, j]
                 f_rows, f_den = lower[f_key]
                 rows, d = _product(e_rows, f_rows), d * f_den
-            if j == i and h:
-                rows = rows or [[0] * w for _ in range(size)]
-                if k == 1:   # f_i^0 y is basis vector t of V_w at gamma
-                    for t, row in enumerate(rows):
-                        row[t] += h * d
-                else:
-                    g_rows, g_den = lower[gamma, k - 1]
-                    d, scale = math.lcm(d, g_den), d
-                    rows = [[x * (d // scale) + h * y * (d // g_den)
-                             for x, y in zip(row, g_row)] for row, g_row in zip(rows, g_rows)]
-            blocks.append((rows or [[0] * w] * size, d))
-            den = math.lcm(den, d)
-        vectors += [[x * (den // d) for rows, d in blocks for x in rows[t]]
-                    for t in range(size)]
+            if j == i and h:   # f_i^0 y is basis vector t of V_w at gamma
+                g_rows, g_den = lower.get((gamma, k - 1)) or (
+                    [[int(b == t) for b in range(w)] for t in range(size)], 1)
+                d, scale = math.lcm(d, g_den), d
+                rows = [[x * (d // scale) + h * y * (d // g_den) for x, y in zip(row, g_row)]
+                        for row, g_row in zip(rows or [[0] * w] * size, g_rows)]
+            blocks.append((rows or ((),) * size, d))
+        stacked, den = _joined(blocks, widths, size)
+        vectors += stacked
         scales += [den] * size
         groups.append((gamma, k, size))
-    found = list(_relations(vectors, width, min(len(vectors), width)))
+    width = sum(widths)
+    found = list(_relations(vectors, scales, width, min(len(vectors), width)))
     if any(found[:old]):
         raise RankMismatch(f"the basis of V_(s_{i} w) at content {beta} is dependent in V_w")
     basis = [t for t, f in enumerate(found) if f is None]
     size = len(basis)
     start = old
     for gamma, k, count in groups:
-        rows = []
-        for t in range(start, start + count):
-            if found[t] is None:
-                rows.append(([int(b == t) for b in basis], 1))
-            else:
-                coords, a = found[t]
-                coords = [c * scales[b] for c, b in zip(coords, basis)]
-                rows.append((coords + [0] * (size - len(coords)), a * scales[t]))
+        rows = [([int(b == t) for b in basis], 1) if found[t] is None
+                else (found[t][0] + [0] * (size - len(found[t][0])), found[t][1])
+                for t in range(start, start + count)]
         if any(any(row) for row, _ in rows):
             lower[gamma, k] = _table(rows)
         start += count
@@ -348,11 +364,12 @@ def _grown(gcm: GeneralizedCartanMatrix, lam: Weight, below: _Module, i: int,
 
 
 class _Modules(dict):
-    """The module cache: (gcm, lam, element_of vector) -> V_w(lam), oldest dropped first.
+    """The module cache: (gcm, lam, w(lam)) -> V_w(lam), oldest dropped first.
 
     Past CACHE_VECTORS basis vectors held, the oldest modules are dropped
-    (never the newest); a dropped module is rebuilt when it is next needed.
-    Storing and dropping hold a lock, so threads may share the cache.
+    (never the newest); a dropped module is rebuilt when it is next needed,
+    and stays alive while a module built on it is cached.  Storing and
+    dropping hold a lock, so threads may share the cache.
     """
 
     held = 0
@@ -408,22 +425,28 @@ def weight_below(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector) ->
 def _module(gcm: GeneralizedCartanMatrix, lam, word, word_cap: int) -> _Module:
     """The checked V_w(lam), from the cache or built along a reduced word of w.
 
-    A miss walks the suffixes of the canonical reduced word of w, whose
-    first letters are left descents, down to the first cached module (or
-    V_e), then builds back up in an explicit loop.  The cap is checked
-    while each module is built and again on every call, and so is the
-    extremal line: w(lam) lies in the Weyl orbit of lam, so the weight
-    space of V_w at lam - w(lam) is one line with the weight w(lam).
+    V_w(lam) depends only on the coset w W_lam, that is on the extremal
+    weight w(lam), which keys the cache.  A miss walks the suffixes of a
+    reduced word of w (their first letters are left descents) down to the
+    first cached module or V_e, then builds back up in an explicit loop,
+    skipping each letter that fixes the extremal weight.  A reduced word
+    is walked as given: the suffixes of an unfolded word include the
+    tau-stable elements of its folded suffixes, whose twists the module
+    reuses.  The cap is checked while building and on every call, and so
+    is the extremal line: the weight space of V_w at lam - w(lam) is one
+    line with the weight w(lam).
     """
     _require_finite(gcm)
     lam = dominant_weight(gcm, lam)
     int_at_least(word_cap, 1, "word cap")
     word = weyl_word(gcm, word)
-    key = (gcm, lam, weyl.element_of(gcm, word))
+    key = (gcm, lam, weyl.act(gcm, word, lam))
     module = _modules.get(key)
     if module is None:
-        reduced = weyl.word_of_rho_vector(gcm, key[2])
-        keys = [key] + [(gcm, lam, weyl.element_of(gcm, reduced[t:]))
+        reduced = weyl.reduced_word(gcm, word)
+        if len(word) == len(reduced):
+            reduced = word
+        keys = [key] + [(gcm, lam, weyl.act(gcm, reduced[t:], lam))
                         for t in range(1, len(reduced) + 1)]
         found = ((t, _modules.get(k)) for t, k in enumerate(keys))
         t, module = next(((t, m) for t, m in found if m), (len(reduced), None))
@@ -431,8 +454,9 @@ def _module(gcm: GeneralizedCartanMatrix, lam, word, word_cap: int) -> _Module:
             module = _Module(gcm)
             _modules.add(keys[t], module)
         for t in range(t - 1, -1, -1):
-            module = _grown(gcm, lam, module, reduced[t], word_cap, word)
-            _modules.add(keys[t], module)
+            if keys[t] != keys[t + 1]:
+                module = _grown(gcm, lam, module, reduced[t], word_cap, word)
+                _modules.add(keys[t], module)
     if module.dimension > word_cap:
         raise TooLarge(f"the Demazure module of {word} at {lam} has more than "
                        f"{word_cap} basis vectors")
@@ -440,7 +464,7 @@ def _module(gcm: GeneralizedCartanMatrix, lam, word, word_cap: int) -> _Module:
     if module.sizes.get(beta_w) != 1:
         raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam}: content {beta_w} "
                                      f"has dimension {module.sizes.get(beta_w, 0)}, not 1")
-    if weight_below(gcm, lam, beta_w) != weyl.act(gcm, word, lam):
+    if weight_below(gcm, lam, beta_w) != key[2]:
         raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam} has the wrong weight")
     return module
 

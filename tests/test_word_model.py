@@ -29,7 +29,7 @@ from twinchar.root_data import (
     weight_box,
     weyl_dimension,
 )
-from twinchar.weyl import element_of, enumerate_weyl, is_in_w_tilde, longest_element
+from twinchar.weyl import act, enumerate_weyl, is_in_w_tilde, longest_element
 from twinchar.word_model import (
     demazure_subspaces,
     twining_character,
@@ -197,7 +197,7 @@ def test_demazure_subspaces_examples():
 
 
 def _module(gcm, lam, word):
-    return word_model._modules[gcm, lam, element_of(gcm, word)]
+    return word_model._modules[gcm, lam, act(gcm, word, lam)]
 
 
 def _stacked_rows(module, beta):
@@ -291,10 +291,10 @@ def _checked_relations(log):
     """Wrap word_model._relations so that each answer is checked exactly against Fractions."""
     original = word_model._relations
 
-    def relations(vectors, width, rank):
+    def relations(vectors, scales, width, rank):
         independent = []
-        for vec, found in zip(vectors, original(vectors, width, rank)):
-            head = [Fraction(x) for x in vec[:width]]
+        for vec, scale, found in zip(vectors, scales, original(vectors, scales, width, rank)):
+            head = [Fraction(x, scale) for x in vec[:width]]
             if found is None:
                 rank = len(fraction_echelon(dict(enumerate(v)) for v in independent + [head]))
                 assert rank == len(independent) + 1
@@ -341,10 +341,12 @@ def test_integer_echelon_matches_fraction_reference(monkeypatch, label, perm, bo
 
 def test_echelon_entries_stay_small():
     # each elimination divides its rows by their gcd and each table is reduced to
-    # its least denominator, so over the Weyl words of B2 (2, 2) the table entries
-    # stay at most 90 and those of the D4 adjoint module at most 2
-    for label, lam, bound in [("B2", (2, 2), 100), ("D4", (0, 1, 0, 0), 3)]:
+    # its least denominator, so over the Weyl words of B2 (2, 2), built from an
+    # empty cache, the table entries and denominators stay at most 48, and those
+    # of the D4 adjoint module at most 2
+    for label, lam, bound in [("B2", (2, 2), 48), ("D4", (0, 1, 0, 0), 2)]:
         gcm = cartan_matrix(label)
+        word_model._modules.cache_clear()
         for word, _ in enumerate_weyl(gcm):
             demazure_subspaces(gcm, lam, word)
             tables = _module(gcm, lam, word).raising.values()
@@ -408,9 +410,11 @@ def _word_map(module, beta, letters):
                          ids=[f"{label}-{''.join(map(str, lam))}"
                               for label, lam, _ in ORACLE_MODULES])
 def test_tables_satisfy_the_commutator_relation(label, lam, every_word):
-    # the raising tables represent n+ in any basis: [e_j, e_k] = 0 when a_jk = 0, and
-    # in general the Serre relation sum_r (-1)^r C(m, r) e_j^(m-r) e_k e_j^r = 0 with
-    # m = 1 - a_jk, on every content of the module of the longest element, L(lam)
+    # the raising tables represent n+ in any basis: they satisfy the iterated
+    # commutator relations (ad e_j)^m (e_k) = 0 with m = 1 - a_jk (the Serre
+    # relations; [e_j, e_k] = 0 when a_jk = 0), expanded as
+    # sum_r (-1)^r C(m, r) e_j^(m-r) e_k e_j^r = 0, on every content of the
+    # module of the longest element, L(lam)
     gcm = cartan_matrix(label)
     demazure_subspaces(gcm, lam, longest_element(gcm))
     module = _module(gcm, lam, longest_element(gcm))
@@ -447,6 +451,46 @@ def test_the_twist_reads_only_raising_tables(monkeypatch):
         patched.setattr(module, "twists", {})
         assert twining_character(a3, lam, word, perm) == expected
         assert tuple(perm) in module.twists
+
+
+def test_a_twist_starts_from_the_twist_of_a_stable_module_below():
+    # A3-flip at (1, 0, 1): V_w for the unfolded word (0, 2, 1, 0, 2) is built on
+    # V_(1, 0, 2), which commutes with the flip; once that twist is known, the
+    # twist of V_w begins with its rows, zero-padded, solves only the rest (the
+    # content (1, 1, 1) grows), and equals the twist solved with nothing known below
+    a3 = cartan_matrix("A3")
+    perm, lam, short, word = (2, 1, 0), (1, 0, 1), (1, 0, 2), (0, 2, 1, 0, 2)
+    word_model._modules.cache_clear()
+    twining_character(a3, lam, short, perm)
+    below = _module(a3, lam, short).twists[perm]
+    twining_character(a3, lam, word, perm)
+    reused = _module(a3, lam, word).twists[perm]
+    for beta, (rows, den) in below.items():
+        mine, my_den = reused[beta]
+        assert [[Fraction(x, my_den) for x in row[:len(rows[0])]] for row in mine[:len(rows)]] \
+            == [[Fraction(x, den) for x in row] for row in rows]
+        assert all(x == 0 for row in mine[:len(rows)] for x in row[len(rows[0]):])
+    assert len(reused[1, 1, 1][0]) > len(below[1, 1, 1][0])
+    word_model._modules.cache_clear()
+    twining_character(a3, lam, word, perm)
+    assert perm not in _module(a3, lam, short).twists
+    assert _module(a3, lam, word).twists[perm] == reused
+    word_model._modules.cache_clear()
+
+
+def test_words_of_one_coset_share_one_module():
+    # V_w(lam) depends only on w W_lam: at lam = (1, 0) of A2, s_1 fixes lam, so
+    # the six elements give the three modules of the orbit of lam, and a letter
+    # that fixes the extremal weight builds nothing
+    lam = (1, 0)
+    word_model._modules.cache_clear()
+    for word, _ in enumerate_weyl(A2):
+        demazure_subspaces(A2, lam, word)
+    assert len(word_model._modules) == 3
+    assert _module(A2, lam, (1,)) is _module(A2, lam, ())
+    assert _module(A2, lam, (0, 1)) is _module(A2, lam, (0,))
+    assert _module(A2, lam, (1, 0, 1)) is _module(A2, lam, (1, 0))
+    word_model._modules.cache_clear()
 
 
 def test_twining_trace_refuses_a_permutation_that_is_not_an_automorphism():
