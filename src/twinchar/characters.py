@@ -1,21 +1,31 @@
 """The folded route: Demazure characters and the weight lift.
 
 The Demazure operator is applied monomial by monomial through its closed
-form, so no power-series division appears anywhere.  ``map_character``
-pushes a character of the folded side through the weight lift, exponent by
-exponent.  Nothing here reaches the word model: the two routes meet only
-in the root layer (``root_data``, ``linalg``, ``errors``, ``weyl``).
+form, so no power-series division appears anywhere.  Demazure characters
+follow Demazure's recursion chi_w = D_i chi_{s_i w} on the extremal weight
+w(lam), which keys their bounded cache; no reduced word is formed.
+``map_character`` pushes a character of the folded side through the weight
+lift, exponent by exponent.  Nothing here reaches the word model: the two
+routes meet only in the root layer (``root_data``, ``linalg``, ``errors``,
+``weyl``).
 """
 
 from __future__ import annotations
 
 from . import weyl
+from .errors import NoDescentFound
 from .root_data import (
+    BoundedCache,
     CharacterPolynomial,
     GeneralizedCartanMatrix,
     Weight,
     dominant_weight,
 )
+
+# the most characters the cache (gcm, lam, w(lam)) -> chi_w(lam) holds before it drops
+# the oldest: about three times the largest benchmark pool's 355 extremal weights
+CACHE_CHARACTERS = 1024
+_characters = BoundedCache(CACHE_CHARACTERS)
 
 
 def canonical_serialize(poly: CharacterPolynomial) -> str:
@@ -51,16 +61,29 @@ def demazure_op(gcm: GeneralizedCartanMatrix, poly: CharacterPolynomial,
 
 def demazure_character(gcm: GeneralizedCartanMatrix, lam: Weight,
                        word) -> CharacterPolynomial:
-    """Demazure character: D_{i1} ... D_{ik} e(lam) along a reduced word.
+    """Demazure character of the element of any word, reduced or not, at lam.
 
-    The input word is canonicalized to the reduced word of its element, so
-    non-reduced input is accepted.
+    chi_w(lam) depends only on mu = w(lam).  A miss peels the smallest i
+    with mu_i < 0, a left descent of the shortest element of w W_lam, so
+    chi_w = D_i chi_{s_i w}; it peels down to the first cached weight or
+    to mu = lam, where the character is e(lam), then applies one Demazure
+    operator per step back up, caching each character it passes.
     """
     lam = dominant_weight(gcm, lam)
-    reduced = weyl.reduced_word(gcm, word)
-    poly = CharacterPolynomial.monomial(lam)
-    for i in reversed(reduced):
+    key = (gcm, lam, weyl.act(gcm, word, lam))
+    peeled = []
+    while (poly := _characters.get(key)) is None and key[2] != lam:
+        mu = key[2]
+        i = next((k for k, m in enumerate(mu) if m < 0), None)
+        if i is None:
+            raise NoDescentFound(f"the weight {mu} is dominant but not {lam}")
+        peeled.append((key, i))
+        key = (gcm, lam, tuple(x - mu[i] * a for x, a in zip(mu, gcm.simple_root(i))))
+    if poly is None:
+        poly = CharacterPolynomial.monomial(lam)
+    for key, i in reversed(peeled):
         poly = demazure_op(gcm, poly, i)
+        _characters.add(key, poly)
     return poly
 
 

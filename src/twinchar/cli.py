@@ -106,7 +106,7 @@ def _cmd_battery(args) -> int:
         print(json.dumps(summary.to_dict()))
     else:
         for record in summary.records:
-            extra = f" ({record['ms']} ms)" if "ms" in record else ""
+            extra = f" ({record['ms']:.3f} ms)" if "ms" in record else ""
             reason = f" [{record['reason']}]" if record["status"] == "skipped" else ""
             print(f"{record['status']:8s} {record['key']}{extra}{reason}")
         counts = summary.counts

@@ -7,12 +7,14 @@ numbered ``0 .. n-1`` throughout, following the Bourbaki ordering shifted
 down by one for the catalog types.  All arithmetic is exact.
 
 The character ring lives here too: both verification routes produce a
-``CharacterPolynomial``, and neither may import the other's modules.
+``CharacterPolynomial``, and neither may import the other's modules.  So
+does ``BoundedCache``, the one kind of cache that both routes keep.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -368,3 +370,30 @@ class CharacterPolynomial:
         head = ", ".join(f"{c}*e{list(w)}" for w, c in self.sorted_terms()[:4])
         more = "" if len(self._terms) <= 4 else f", ... ({len(self._terms)} terms)"
         return f"CharacterPolynomial({self.n}, {head}{more})"
+
+
+class BoundedCache(dict):
+    """A dict that drops its oldest entries while they weigh more than ``limit``.
+
+    ``weight`` weighs a value (1 each by default) and ``held`` is the weight
+    of the values held; the newest entry is never dropped.  Values are
+    stored only through ``add``, once complete, and storing and dropping
+    hold a lock, so threads may share the cache.
+    """
+
+    def __init__(self, limit: int, weight=lambda value: 1):
+        super().__init__()
+        self.limit, self.weight, self.held = limit, weight, 0
+        self.lock = threading.Lock()
+
+    def add(self, key, value) -> None:
+        with self.lock:
+            self.held += self.weight(value) - (self.weight(self[key]) if key in self else 0)
+            self[key] = value
+            while self.held > self.limit and len(self) > 1:
+                self.held -= self.weight(self.pop(next(iter(self))))
+
+    def cache_clear(self) -> None:
+        with self.lock:
+            self.clear()
+            self.held = 0

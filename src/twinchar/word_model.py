@@ -20,7 +20,8 @@ The recursion follows the element, not the letters: a module is built
 along a reduced word of its element, and modules live in one bounded cache
 keyed on (gcm, lam, w(lam)), since V_w depends only on the coset w W_lam.
 The diagram twist tau, with tau(e_j) = e_{tau(j)}, is read off the raising
-tables and kept with the module, once per permutation.  Everything is
+tables and kept with the module, once per permutation, and so is the
+twining character that its traces assemble.  Everything is
 integer arithmetic: each table is one integer matrix over one positive
 denominator, one fraction-free elimination serves every solve, and the one
 division that the theory makes exact, the trace, is checked.
@@ -32,7 +33,6 @@ automorphism enters only as a plain index permutation.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from operator import mul, sub
 
@@ -47,6 +47,7 @@ from .errors import (
 )
 from .linalg import exact_quotient
 from .root_data import (
+    BoundedCache,
     CharacterPolynomial,
     GeneralizedCartanMatrix,
     RootVector,
@@ -171,11 +172,12 @@ class _Module:
     with that of V_{s_i w}, so a row of a table may be shorter than the
     basis it is written in: the missing entries are zero, and a table of
     V_{s_i w} serves V_w unchanged.  ``below`` is V_{s_i w} (None for V_e),
-    and ``twists[perm]`` is the diagram twist of every content, computed
-    once per permutation.
+    ``twists[perm]`` is the diagram twist of every content, computed once
+    per permutation, and ``characters[perm]`` the twining character of
+    V_w(lam) that it gives.
     """
 
-    __slots__ = ("gcm", "below", "sizes", "raising", "twists", "dimension")
+    __slots__ = ("gcm", "below", "sizes", "raising", "twists", "characters", "dimension")
 
     def __init__(self, gcm: GeneralizedCartanMatrix, below: "_Module | None" = None):
         self.gcm = gcm
@@ -183,6 +185,7 @@ class _Module:
         self.sizes = dict(below.sizes) if below else {(0,) * gcm.n: 1}
         self.raising = dict(below.raising) if below else {}
         self.twists = {}
+        self.characters = {}
         self.dimension = below.dimension if below else 1
 
     def letters(self, beta: RootVector) -> list[tuple[int, int]]:
@@ -200,12 +203,11 @@ class _Module:
         so a w outside the commuting subgroup is refused.  The nearest
         module below with a twist for perm is tau-stable and its basis
         begins this one, so its twist gives the first rows of each content
-        and only the rest are solved.  A permutation is checked to be a
-        diagram automorphism when it is first seen.
+        and only the rest are solved.  The permutation must be a diagram
+        automorphism, as the public entries check.
         """
         if perm in self.twists:
             return self.twists[perm]
-        diagram_permutation(self.gcm, perm)
         base = self.below
         while base is not None and perm not in base.twists:
             base = base.below
@@ -363,32 +365,9 @@ def _grown(gcm: GeneralizedCartanMatrix, lam: Weight, below: _Module, i: int,
     return module
 
 
-class _Modules(dict):
-    """The module cache: (gcm, lam, w(lam)) -> V_w(lam), oldest dropped first.
-
-    Past CACHE_VECTORS basis vectors held, the oldest modules are dropped
-    (never the newest); a dropped module is rebuilt when it is next needed,
-    and stays alive while a module built on it is cached.  Storing and
-    dropping hold a lock, so threads may share the cache.
-    """
-
-    held = 0
-    lock = threading.Lock()
-
-    def add(self, key: tuple, module: _Module) -> None:
-        with self.lock:
-            self.held += module.dimension - (self[key].dimension if key in self else 0)
-            self[key] = module
-            while self.held > CACHE_VECTORS and len(self) > 1:
-                self.held -= self.pop(next(iter(self))).dimension
-
-    def cache_clear(self) -> None:
-        with self.lock:
-            self.clear()
-            self.held = 0
-
-
-_modules = _Modules()
+# the module cache: (gcm, lam, w(lam)) -> V_w(lam), weighed by dim V_w; a dropped module
+# is rebuilt when it is next needed, and stays alive while a module built on it is cached
+_modules = BoundedCache(CACHE_VECTORS, lambda module: module.dimension)
 
 
 @dataclass(frozen=True)
@@ -401,8 +380,8 @@ class Subspace:
     module: _Module = field(compare=False, repr=False)
 
 
-def _content(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> RootVector:
-    """lam - w(lam) in root coordinates, for any word of w.
+def _content(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> tuple[RootVector, Weight]:
+    """lam - w(lam) in root coordinates, and w(lam), for any word of w.
 
     Reflecting lam down the word telescopes: lam - w(lam) is the sum over t
     of <s_{i_{t+1}} ... s_{i_k}(lam), alpha_{i_t}^vee> alpha_{i_t}.
@@ -413,7 +392,7 @@ def _content(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> RootVector:
     for i in reversed(word):
         beta[i] += mu[i]
         weyl._reflect(roots, mu, i)
-    return tuple(beta)
+    return tuple(beta), tuple(mu)
 
 
 def weight_below(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector) -> Weight:
@@ -422,25 +401,24 @@ def weight_below(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector) ->
     return tuple(l - d for l, d in zip(lam, drop))
 
 
-def _module(gcm: GeneralizedCartanMatrix, lam, word, word_cap: int) -> _Module:
+def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...],
+            word_cap: int) -> _Module:
     """The checked V_w(lam), from the cache or built along a reduced word of w.
 
-    V_w(lam) depends only on the coset w W_lam, that is on the extremal
-    weight w(lam), which keys the cache.  A miss walks the suffixes of a
-    reduced word of w (their first letters are left descents) down to the
-    first cached module or V_e, then builds back up in an explicit loop,
-    skipping each letter that fixes the extremal weight.  A reduced word
-    is walked as given: the suffixes of an unfolded word include the
-    tau-stable elements of its folded suffixes, whose twists the module
-    reuses.  The cap is checked while building and on every call, and so
-    is the extremal line: the weight space of V_w at lam - w(lam) is one
-    line with the weight w(lam).
+    The arguments are those that ``demazure_subspaces`` and
+    ``twining_character`` have validated.  V_w(lam) depends only on the
+    coset w W_lam, that is on the extremal weight w(lam), which keys the
+    cache.  A miss walks the suffixes of a reduced word of w (their first
+    letters are left descents) down to the first cached module or V_e,
+    then builds back up in an explicit loop, skipping each letter that
+    fixes the extremal weight.  A reduced word is walked as given: the
+    suffixes of an unfolded word include the tau-stable elements of its
+    folded suffixes, whose twists the module reuses.  The cap is checked
+    while building and on every call, and so is the extremal line: the
+    weight space of V_w at lam - w(lam) is one line with the weight w(lam).
     """
-    _require_finite(gcm)
-    lam = dominant_weight(gcm, lam)
-    int_at_least(word_cap, 1, "word cap")
-    word = weyl_word(gcm, word)
-    key = (gcm, lam, weyl.act(gcm, word, lam))
+    beta_w, mu = _content(gcm, lam, word)
+    key = (gcm, lam, mu)
     module = _modules.get(key)
     if module is None:
         reduced = weyl.reduced_word(gcm, word)
@@ -460,11 +438,10 @@ def _module(gcm: GeneralizedCartanMatrix, lam, word, word_cap: int) -> _Module:
     if module.dimension > word_cap:
         raise TooLarge(f"the Demazure module of {word} at {lam} has more than "
                        f"{word_cap} basis vectors")
-    beta_w = _content(gcm, lam, word)
     if module.sizes.get(beta_w) != 1:
         raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam}: content {beta_w} "
                                      f"has dimension {module.sizes.get(beta_w, 0)}, not 1")
-    if weight_below(gcm, lam, beta_w) != key[2]:
+    if weight_below(gcm, lam, beta_w) != mu:
         raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam} has the wrong weight")
     return module
 
@@ -484,8 +461,10 @@ def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     raised.  Contents are ordered by height, largest first, and ascending
     within a height; the dimensions sum to dim V_w(lam).
     """
-    module = _module(gcm, lam, word, word_cap)
-    lam = tuple(lam)
+    _require_finite(gcm)
+    lam = dominant_weight(gcm, lam)
+    int_at_least(word_cap, 1, "word cap")
+    module = _module(gcm, lam, weyl_word(gcm, word), word_cap)
     return {beta: Subspace(lam, beta, module.sizes[beta], module)
             for beta in sorted(module.sizes, key=lambda b: (-sum(b), b))}
 
@@ -498,13 +477,14 @@ def twining_trace(subspace: Subspace, perm: tuple[int, ...]) -> int:
     by the permutation or the twist leaves the module, which is the
     signature of a word outside the commuting subgroup.
     """
+    perm = diagram_permutation(subspace.module.gcm, perm)
     if not is_symmetric_weight(subspace.lam, perm):
         raise NotSymmetricWeight(f"weight {subspace.lam} is not fixed by {perm}")
     content = subspace.content
     image = _permuted(content, perm)
     if image != content:
         raise NotTauStable(f"twist maps content {content} to {image}")
-    return _trace(subspace.module.twist(tuple(perm))[content])
+    return _trace(subspace.module.twist(perm)[content])
 
 
 def twining_character(gcm: GeneralizedCartanMatrix, lam: Weight, word,
@@ -513,7 +493,8 @@ def twining_character(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     """Sum of twining traces over the symmetric weights of a Demazure module.
 
     Contents not fixed by the permutation are skipped: their weight spaces
-    are permuted among each other and contribute nothing diagonal.
+    are permuted among each other and contribute nothing diagonal.  The
+    character is kept with the module, once per permutation.
     """
     lam = dominant_weight(gcm, lam)
     perm = diagram_permutation(gcm, perm)
@@ -522,7 +503,13 @@ def twining_character(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     word = weyl_word(gcm, word)
     if not weyl.is_in_w_tilde(gcm, word, perm):
         raise NotInWTilde(f"word {word} does not commute with {perm}")
-    terms = [(weight_below(gcm, lam, beta), _trace(table))
-             for beta, table in _module(gcm, lam, word, word_cap).twist(perm).items()
-             if is_symmetric_weight(beta, perm)]
-    return CharacterPolynomial(gcm.n, terms)
+    _require_finite(gcm)
+    int_at_least(word_cap, 1, "word cap")
+    module = _module(gcm, lam, word, word_cap)
+    poly = module.characters.get(perm)
+    if poly is None:
+        poly = CharacterPolynomial(gcm.n, [
+            (weight_below(gcm, lam, beta), _trace(table))
+            for beta, table in module.twist(perm).items() if is_symmetric_weight(beta, perm)])
+        module.characters[perm] = poly
+    return poly

@@ -15,6 +15,9 @@ character, sharing only the root data with the two routes under test.
 The definition of a Demazure module, U(n+) applied to the extremal line of
 w(lam) inside L(lam), as an upward dynamic programming over Fraction
 tables of L(lam): the reference for the library's Demazure recursion.
+The Demazure character by operators applied along the canonical reduced
+word of the element: the reference for the folded route's recursion on
+the extremal weight.
 """
 
 import math
@@ -24,6 +27,7 @@ from functools import lru_cache
 from itertools import product
 
 from twinchar import weyl
+from twinchar.characters import demazure_op
 from twinchar.errors import InvalidInput, NotSymmetricWeight, TooLarge
 from twinchar.linalg import determinant
 from twinchar.root_data import (
@@ -357,6 +361,15 @@ def matrix_bfs(gcm, max_length=None):
                     fresh.append((word + (i,), m2))
         frontier = fresh
     return sorted(((w, m) for m, w in found.items()), key=lambda t: (len(t[0]), t[0]))
+
+
+def reduced_word_demazure_character(gcm, lam, word):
+    """D_{i1} ... D_{ik} e(lam) along the canonical reduced word i1 ... ik of the element."""
+    lam = dominant_weight(gcm, lam)
+    poly = CharacterPolynomial.monomial(lam)
+    for i in reversed(weyl.reduced_word(gcm, word)):
+        poly = demazure_op(gcm, poly, i)
+    return poly
 
 
 def root_coords(gcm, lam):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinchar import characters, weyl
 from twinchar.characters import (
     canonical_serialize,
     demazure_character,
@@ -17,7 +18,7 @@ from twinchar.folding import fold
 from twinchar.root_data import CharacterPolynomial, cartan_matrix, validate_gcm, weyl_dimension
 from twinchar.weyl import element_of, enumerate_weyl, longest_element
 
-from oracles import freudenthal_character
+from oracles import freudenthal_character, reduced_word_demazure_character
 
 A2 = cartan_matrix("A2")
 B2 = cartan_matrix("B2")
@@ -120,6 +121,55 @@ def test_reduced_word_independence_small_lengths():
             for candidate in product(range(gcm.n), repeat=len(word)):
                 if element_of(gcm, candidate) == m:
                     assert demazure_character(gcm, lam, candidate) == expected
+
+
+def _no_reduced_word(gcm, word):
+    raise AssertionError(f"the folded route formed a reduced word of {word}")
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "C3"])
+def test_recursion_on_the_extremal_weight_matches_the_reduced_word_reference(
+        label, monkeypatch):
+    # every element and every word of length <= 4, reduced or not, at each weight in
+    # {0,1,2}^n: cold (each element after a cache clear) and then warm; the folded
+    # route forms no reduced word
+    gcm = cartan_matrix(label)
+    elements = [word for word, _ in enumerate_weyl(gcm)]
+    words = [w for k in range(5) for w in product(range(gcm.n), repeat=k)]
+    for lam in product(range(3), repeat=gcm.n):
+        expected = {w: reduced_word_demazure_character(gcm, lam, w) for w in elements + words}
+        with monkeypatch.context() as patched:
+            patched.setattr(weyl, "reduced_word", _no_reduced_word)
+            for word in elements:
+                characters._characters.cache_clear()
+                assert demazure_character(gcm, lam, word) == expected[word], (lam, word)
+            for word in elements + words:
+                assert demazure_character(gcm, lam, word) == expected[word], (lam, word)
+    characters._characters.cache_clear()
+
+
+def test_the_recursion_needs_no_finite_type():
+    # affine A1: every alternating word is reduced, and peeling the extremal weight
+    # applies the same operators as the word
+    affine = validate_gcm([[2, -2], [-2, 2]])
+    for word in [(0,), (1, 0), (0, 1, 0), (1, 0, 1, 0), (0, 1, 0, 1, 0)]:
+        expected = CharacterPolynomial.monomial((1, 2))
+        for i in reversed(word):
+            expected = demazure_op(affine, expected, i)
+        assert demazure_character(affine, (1, 2), word) == expected, word
+
+
+def test_the_character_cache_is_bounded(monkeypatch):
+    # the oldest characters are dropped first, and a dropped one is rebuilt equal
+    monkeypatch.setattr(characters._characters, "limit", 3)
+    characters._characters.cache_clear()
+    word = longest_element(B2)
+    full = demazure_character(B2, (1, 1), word)
+    assert len(characters._characters) == 3
+    assert (B2, (1, 1), weyl.act(B2, word, (1, 1))) in characters._characters
+    assert demazure_character(B2, (1, 1), (0,)) == reduced_word_demazure_character(B2, (1, 1), (0,))
+    assert demazure_character(B2, (1, 1), word) == full
+    characters._characters.cache_clear()
 
 
 def test_freudenthal_small_modules():

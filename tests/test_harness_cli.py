@@ -89,6 +89,15 @@ def test_report_round_trip_is_deterministic():
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
+def test_report_time_is_float_milliseconds():
+    # a warm instance takes well under 1 ms and must still read above 0
+    instance = {"gcm": "A3", "automorphism": [2, 1, 0], "lambda_hat": [1, 1], "w_hat": [0]}
+    harness.verify(instance)
+    report = harness.verify(instance)
+    assert type(report.ms) is float and 0 < report.ms == round(report.ms, 3)
+    assert f"elapsed: {report.ms:.3f} ms" in harness.format_report(report)
+
+
 def test_battery_small_config_runs_clean():
     config = harness.BatteryConfig(
         families=(harness.BatteryFamily("A2-flip", "A2", (1, 0), ((0,), (1,), (2,))),))
@@ -551,7 +560,7 @@ def test_broken_invariants_exit_4(tmp_path, monkeypatch, capsys):
     # in the module that the cache then serves
     word_model._modules.cache_clear()
     prep = harness.prepare(harness.parse_instance(payload))
-    top = word_model._content(prep.gcm, prep.lam, prep.w)
+    top, _ = word_model._content(prep.gcm, prep.lam, prep.w)
     module = word_model._module(prep.gcm, prep.lam, prep.w, word_model.DEFAULT_WORD_CAP)
     with monkeypatch.context() as patched:
         patched.setitem(module.sizes, top, 2)

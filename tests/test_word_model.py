@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinchar import harness, word_model
+from twinchar import characters, harness, word_model
 from twinchar.characters import demazure_character
 from twinchar.errors import (
     InvalidInput,
@@ -440,6 +440,7 @@ def test_tables_satisfy_the_commutator_relation(label, lam, every_word):
 
 def test_the_twist_reads_only_raising_tables(monkeypatch):
     # a module keeps no lowering table; its twist is rebuilt from raising tables alone
+    # (the twining character kept with the module is dropped too, or it would be served)
     a3 = cartan_matrix("A3")
     perm = (2, 1, 0)
     lam = unfold_weight(fold(a3, perm), (1, 1))
@@ -449,6 +450,7 @@ def test_the_twist_reads_only_raising_tables(monkeypatch):
     assert not hasattr(module, "lower")
     with monkeypatch.context() as patched:
         patched.setattr(module, "twists", {})
+        patched.setattr(module, "characters", {})
         assert twining_character(a3, lam, word, perm) == expected
         assert tuple(perm) in module.twists
 
@@ -608,7 +610,7 @@ def test_demazure_recursion_matches_the_upward_reference(label, perm, weights):
 
 def test_cache_state_never_changes_a_verdict():
     # A4-flip lambda_hat=[0,1], w_hat=[1,0,1]: with the cap one below dim V_w it is
-    # skipped and at dim V_w it is decided, whatever the module cache holds
+    # skipped and at dim V_w it is decided, whatever the module and character caches hold
     instance = {"gcm": "A4", "automorphism": [3, 2, 1, 0], "lambda_hat": [0, 1],
                 "w_hat": [1, 0, 1]}
     prep = harness.prepare(harness.parse_instance(instance))
@@ -624,34 +626,42 @@ def test_cache_state_never_changes_a_verdict():
 
     seen = {dim - 1: set(), dim: set()}
     for order in [(dim - 1, dim), (dim, dim - 1)]:
-        word_model._modules.cache_clear()
-        for cap in order:
-            seen[cap] |= {outcome(cap), outcome(cap)}   # cold, then warm
-        word_model._modules.cache_clear()
-        for cap in order:
-            seen[cap].add(outcome(cap))
+        for clear in [(word_model._modules,), (characters._characters,),
+                      (word_model._modules, characters._characters)]:
+            for cache in clear:
+                cache.cache_clear()
+            for cap in order:
+                seen[cap] |= {outcome(cap), outcome(cap)}   # cold, then warm
+            for cache in clear:
+                cache.cache_clear()
+            for cap in order:
+                seen[cap].add(outcome(cap))
     assert len(seen[dim - 1]) == len(seen[dim]) == 1
     assert seen[dim - 1].pop().startswith("skipped: ")
     assert json.loads(seen[dim].pop())["equal"]
 
 
 def test_threads_share_the_module_cache(monkeypatch):
-    # a cache so small that modules are dropped while other threads build and read
-    # them: every thread gets the sequential results, and the count of vectors held
-    # matches the modules held
-    monkeypatch.setattr(word_model, "CACHE_VECTORS", 40)
+    # caches so small that modules and folded characters are dropped while other
+    # threads build and read them: every thread gets the sequential results of both
+    # routes, and the count of vectors held matches the modules held
+    monkeypatch.setattr(word_model._modules, "limit", 40)
+    monkeypatch.setattr(characters._characters, "limit", 3)
     family = harness.BatteryFamily("A3-flip", "A3", (2, 1, 0), ((1, 1), (1, 0)))
     instances = [inst for _, inst in harness.battery_instances(
         harness.BatteryConfig(families=(family,)))]
-    expected = [harness.verify(inst).lhs for inst in instances]
+    expected = [(report.lhs, report.rhs, report.equal)
+                for report in map(harness.verify, instances)]
     word_model._modules.cache_clear()
+    characters._characters.cache_clear()
     results, failures = [], []
 
     def work(offset):
         try:
             for k in range(5 * len(instances)):
                 j = (k + offset) % len(instances)
-                results.append(harness.verify(instances[j]).lhs == expected[j])
+                report = harness.verify(instances[j])
+                results.append((report.lhs, report.rhs, report.equal) == expected[j])
         except Exception as exc:  # reported by the assertion below
             failures.append(exc)
 
@@ -670,4 +680,6 @@ def test_threads_share_the_module_cache(monkeypatch):
     cache = word_model._modules
     assert cache.held == sum(module.dimension for module in cache.values())
     assert cache.held <= 40 or len(cache) == 1
+    assert len(characters._characters) <= 3
     word_model._modules.cache_clear()
+    characters._characters.cache_clear()
