@@ -20,6 +20,7 @@ from .root_data import (
     GeneralizedCartanMatrix,
     Weight,
     dominant_weight,
+    weyl_word,
 )
 
 # the most characters the cache (gcm, lam, w(lam)) -> chi_w(lam) holds before it drops
@@ -61,16 +62,21 @@ def demazure_op(gcm: GeneralizedCartanMatrix, poly: CharacterPolynomial,
 
 def demazure_character(gcm: GeneralizedCartanMatrix, lam: Weight,
                        word) -> CharacterPolynomial:
-    """Demazure character of the element of any word, reduced or not, at lam.
+    """Demazure character of the element of any word, reduced or not, at lam; checked."""
+    return demazure_core(gcm, dominant_weight(gcm, lam), weyl_word(gcm, word))
 
-    chi_w(lam) depends only on mu = w(lam).  A miss peels the smallest i
-    with mu_i < 0, a left descent of the shortest element of w W_lam, so
-    chi_w = D_i chi_{s_i w}; it peels down to the first cached weight or
-    to mu = lam, where the character is e(lam), then applies one Demazure
-    operator per step back up, caching each character it passes.
+
+def demazure_core(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> CharacterPolynomial:
+    """``demazure_character`` on a dominant weight tuple and a checked word.
+
+    chi_w(lam) depends only on mu = w(lam), one unchecked walk of the word.
+    A miss peels the smallest i with mu_i < 0, a left descent of the
+    shortest element of w W_lam, so chi_w = D_i chi_{s_i w}; it peels down
+    to the first cached weight or to mu = lam, where the character is
+    e(lam), then applies one Demazure operator per step back up, caching
+    each character it passes.
     """
-    lam = dominant_weight(gcm, lam)
-    key = (gcm, lam, weyl.act(gcm, word, lam))
+    key = (gcm, lam, tuple(weyl._walk(gcm, reversed(word), list(lam))))
     peeled = []
     while (poly := _characters.get(key)) is None and key[2] != lam:
         mu = key[2]

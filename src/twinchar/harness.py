@@ -7,13 +7,14 @@ side) and the folded Demazure character pushed through the weight lift
 (right side) and compares them exactly; a mismatch is a report, not a
 crash, so the harness doubles as a falsification tool.
 
-Each (matrix, automorphism) family is folded once per process: ``prepare``
-and ``battery_instances`` share a bounded cache keyed on the validated
-matrix and the validated permutation, never on the raw instance fields,
-so every instance still passes the full input checks and the first call
-of a family still runs every construction check of ``fold``.  A matrix
-given by its rows is validated once per process the same way: the cache
-key is the rows after the strict integer check, never the raw rows.
+``parse_instance`` checks the types of an instance and ``prepare`` checks
+the rest, once; ``verify_prepared`` then runs the route cores, which keep
+every mathematical check.  Each (matrix, automorphism) family is folded
+once per process, in a bounded cache keyed on the validated matrix and the
+strict-int permutation, never on raw fields: ``fold`` checks the
+permutation on a miss, and a failed fold is not cached.  A matrix given by
+its rows is validated once per process the same way: the cache key is the
+rows after the strict integer check, never the raw rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import weyl, word_model
-from .characters import canonical_serialize, demazure_character, map_character
+from .characters import canonical_serialize, demazure_core, map_character
 from .errors import InvalidInput, TooLarge
 from .folding import (
     DiagramAutomorphism,
@@ -42,7 +43,7 @@ from .root_data import (
     Weight,
     _sequence,
     cartan_matrix,
-    diagram_permutation,
+    dominant_weight,
     int_at_least,
     int_tuple,
     validate_gcm,
@@ -150,18 +151,20 @@ def _matrix(rows: tuple[tuple[int, ...], ...]) -> GeneralizedCartanMatrix:
 
 @lru_cache(maxsize=64)
 def _family(gcm: GeneralizedCartanMatrix, perm: tuple[int, ...]) -> FoldingData:
-    # keyed on validated data only: (True, False) == (1, 0) and both hash alike
+    # strict ints only, as (True, False) == (1, 0) hashes alike; fold checks perm on a miss
     return fold(gcm, perm)
 
 
 def _folding(gcm_source, automorphism) -> FoldingData:
-    """The folding data of a family, validated on every call and folded once."""
-    gcm = build_gcm(gcm_source)
-    return _family(gcm, diagram_permutation(gcm, automorphism))
+    """The folding data of a family, folded and checked once."""
+    return _family(build_gcm(gcm_source), int_tuple(automorphism, "automorphism"))
 
 
 def prepare(instance: Instance) -> PreparedInstance:
-    """Validate an instance and convert everything to both sides."""
+    """Check an instance once (the one check layer of ``verify``) and convert it to both sides.
+
+    Dominance comes last, so the first error of an instance with two faults stays the same.
+    """
     data = _folding(instance.gcm, instance.automorphism)
     if instance.lam is not None:
         lam = instance.lam
@@ -175,8 +178,8 @@ def prepare(instance: Instance) -> PreparedInstance:
     else:
         w_hat = instance.w_hat
         w = unfold_word(data, w_hat)
-    return PreparedInstance(data, tuple(lam), tuple(lambda_hat), tuple(w), tuple(w_hat),
-                            instance)
+    return PreparedInstance(data, dominant_weight(data.gcm, lam), tuple(lambda_hat), tuple(w),
+                            tuple(w_hat), instance)
 
 
 @dataclass(frozen=True)
@@ -210,13 +213,13 @@ def verify_prepared(prep: PreparedInstance,
                     word_cap: int = word_model.DEFAULT_WORD_CAP) -> VerificationReport:
     """Run both routes on prepared data; shared code stops at the root layer.
 
-    The left side never touches the folding data, the right side never
-    touches the word model.
+    Trusts a ``PreparedInstance`` made by ``prepare`` and runs the route
+    cores, which keep every mathematical check.  The left side never
+    touches the folding data, the right side never touches the word model.
     """
     start = time.perf_counter_ns()
-    lhs = word_model.twining_character(prep.gcm, prep.lam, prep.w,
-                                       prep.auto.perm, word_cap=word_cap)
-    folded_char = demazure_character(prep.folding.folded, prep.lambda_hat, prep.w_hat)
+    lhs = word_model.twining_core(prep.gcm, prep.lam, prep.w, prep.auto.perm, word_cap)
+    folded_char = demazure_core(prep.folding.folded, prep.lambda_hat, prep.w_hat)
     rhs = map_character(prep.folding, folded_char)
     ms = round((time.perf_counter_ns() - start) / 1e6, 3)
     dims = {

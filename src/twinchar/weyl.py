@@ -51,16 +51,20 @@ def _reflect(roots, x: list[int], i: int) -> None:
             x[k] -= c * a
 
 
+def _walk(gcm: GeneralizedCartanMatrix, letters, x: list[int]) -> list[int]:
+    """x reflected in place by each letter in turn, unchecked: the caller validates."""
+    roots = _simple_roots(gcm)
+    for i in letters:
+        _reflect(roots, x, i)
+    return x
+
+
 def _apply(gcm: GeneralizedCartanMatrix, word, lam: Weight, inverse: bool = False) -> list[int]:
     """w(lam) as a list; w^-1(lam) when inverse (the letters then act first to last)."""
     word = weyl_word(gcm, word)
     if len(lam) != gcm.n:
         raise InvalidInput(f"weight {tuple(lam)} has size {len(lam)}, expected {gcm.n}")
-    roots = _simple_roots(gcm)
-    x = list(lam)
-    for i in (word if inverse else reversed(word)):
-        _reflect(roots, x, i)
-    return x
+    return _walk(gcm, word if inverse else reversed(word), list(lam))
 
 
 def act(gcm: GeneralizedCartanMatrix, word: Word, lam: Weight) -> Weight:

@@ -406,7 +406,7 @@ def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...],
     """The checked V_w(lam), from the cache or built along a reduced word of w.
 
     The arguments are those that ``demazure_subspaces`` and
-    ``twining_character`` have validated.  V_w(lam) depends only on the
+    ``twining_core`` receive validated.  V_w(lam) depends only on the
     coset w W_lam, that is on the extremal weight w(lam), which keys the
     cache.  A miss walks the suffixes of a reduced word of w (their first
     letters are left descents) down to the first cached module or V_e,
@@ -493,15 +493,23 @@ def twining_character(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     """Sum of twining traces over the symmetric weights of a Demazure module.
 
     Contents not fixed by the permutation are skipped: their weight spaces
-    are permuted among each other and contribute nothing diagonal.  The
-    character is kept with the module, once per permutation.
+    are permuted among each other and contribute nothing diagonal.
     """
-    lam = dominant_weight(gcm, lam)
-    perm = diagram_permutation(gcm, perm)
+    return twining_core(gcm, dominant_weight(gcm, lam), weyl_word(gcm, word),
+                        diagram_permutation(gcm, perm), word_cap)
+
+
+def twining_core(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...],
+                 perm: tuple[int, ...], word_cap: int) -> CharacterPolynomial:
+    """``twining_character`` on checked arguments, as ``harness.prepare`` makes them.
+
+    Keeps the mathematical checks: a symmetric weight, a commuting word
+    (one unchecked walk of w(rho)), finite type, the cap and the extremal
+    line.  The character is kept with the module, once per permutation.
+    """
     if not is_symmetric_weight(lam, perm):
         raise NotSymmetricWeight(f"weight {lam} is not fixed by {perm}")
-    word = weyl_word(gcm, word)
-    if not weyl.is_in_w_tilde(gcm, word, perm):
+    if not is_symmetric_weight(weyl._walk(gcm, reversed(word), list(gcm.rho())), perm):
         raise NotInWTilde(f"word {word} does not commute with {perm}")
     _require_finite(gcm)
     int_at_least(word_cap, 1, "word cap")

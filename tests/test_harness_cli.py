@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -14,10 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinchar
-from twinchar import errors, harness, weyl, word_model
-from twinchar.characters import canonical_serialize
+from twinchar import characters, errors, harness, weyl, word_model
+from twinchar.characters import canonical_serialize, demazure_character, map_character
 from twinchar.cli import main
-from twinchar.errors import InvalidInput, NotDiagramAutomorphism, NotSymmetricWeight
+from twinchar.errors import (
+    InvalidInput,
+    NotDiagramAutomorphism,
+    NotDominant,
+    NotFiniteType,
+    NotInWTilde,
+    NotSymmetricWeight,
+)
 from twinchar.folding import fold
 from twinchar.linalg import exact_quotient
 from twinchar.root_data import cartan_matrix, validate_gcm
@@ -213,6 +221,75 @@ def test_matrix_cache_keeps_validating(rows):
                                         lambda_hat=(1,), w_hat=()))
 
 
+BOX_1 = harness.BatteryConfig(lambda_box=1, max_word_len=3)
+
+
+def _through_verify(instance):
+    report = harness.verify(instance)
+    return report.lhs, report.rhs
+
+
+def _through_public_entries(instance):
+    prep = harness.prepare(instance)
+    lhs = twining_character(prep.gcm, prep.lam, prep.w, prep.auto.perm)
+    folded = demazure_character(prep.folding.folded, prep.lambda_hat, prep.w_hat)
+    return lhs, map_character(prep.folding, folded)
+
+
+@pytest.mark.parametrize("config", [harness.BatteryConfig(), BOX_1], ids=["default", "box-1"])
+def test_harness_path_equals_public_path(config):
+    # verify runs the route cores on prepared data, the public entries check their
+    # arguments first: both paths give the same characters, each run cold and warm
+    instances = [instance for _, instance in harness.battery_instances(config)]
+    for cold, warm in ((_through_verify, _through_public_entries),
+                       (_through_public_entries, _through_verify)):
+        word_model._modules.cache_clear()
+        characters._characters.cache_clear()
+        first = [cold(instance) for instance in instances]
+        assert [warm(instance) for instance in instances] == first
+
+
+A2_FLIP = {"gcm": "A2", "automorphism": [1, 0], "lambda_hat": [1], "w_hat": [0]}
+
+
+@pytest.mark.parametrize("changes, word_cap, error", [
+    ({"lambda_hat": [-1]}, 650, NotDominant),
+    ({"lambda_hat": None, "lambda": [1, 1, 1]}, 650, InvalidInput),
+    ({"w_hat": None, "w": [2]}, 650, InvalidInput),
+    ({"w_hat": [1]}, 650, InvalidInput),
+    ({"w_hat": None, "w": [0]}, 650, NotInWTilde),
+    ({"automorphism": [0, 0]}, 650, NotDiagramAutomorphism),
+    ({"gcm": [[2, -2], [-2, 2]], "automorphism": [0, 1], "lambda_hat": [1, 0]}, 650,
+     NotFiniteType),
+    ({}, 0, InvalidInput),
+    ({}, True, InvalidInput),
+    ({"lambda_hat": [-1], "w_hat": [1]}, 650, InvalidInput),
+], ids=["not-dominant", "lambda-size", "w-letter", "w_hat-letter", "not-commuting",
+        "not-an-automorphism", "affine", "word-cap-0", "word-cap-True",
+        "not-dominant-and-w_hat-letter"])
+def test_harness_path_keeps_every_error_class(changes, word_cap, error):
+    # the exact class: NotDominant is an InvalidInput too, and of two faults the
+    # word is reported first
+    payload = {k: v for k, v in {**A2_FLIP, **changes}.items() if v is not None}
+    with pytest.raises(error) as raised:
+        harness.verify(payload, word_cap=word_cap)
+    assert raised.type is error
+
+
+@pytest.mark.parametrize("config, digest", [
+    (harness.BatteryConfig(),
+     "d317415ceef8324cbc91764e18e6365b5b4888f7f54b7fdc22c8dfb3e806f881"),
+    (BOX_1, "2a56ac3c6748b493f19761efabaeacb1f4abe0874ef4c63fa2de696dcc1654a0"),
+], ids=["default", "box-1"])
+def test_battery_output_is_frozen(config, digest):
+    # the battery JSON as twinchar battery --json prints it, without the timings
+    data = harness.run_battery(config).to_dict()
+    for record in data["records"]:
+        record.pop("ms", None)
+        record.get("report", {}).pop("ms", None)
+    assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == digest
+
+
 def test_family_cache_does_not_hide_construction_checks(tmp_path, monkeypatch, capsys):
     inst = write_instance(tmp_path, {"gcm": "A3", "automorphism": [2, 1, 0],
                                      "lambda_hat": [1, 1], "w_hat": [0]})
@@ -278,6 +355,23 @@ def test_cli_validate_linking_failure_is_unsupported(tmp_path, capsys):
         "gcm": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
         "automorphism": [1, 2, 0], "lambda_hat": [0], "w_hat": []})
     assert main(["validate", "-i", bad]) == 3
+    capsys.readouterr()
+
+
+def test_cli_validate_agrees_with_verify(tmp_path, capsys):
+    # validate runs prepare, the one check layer of verify, so it refuses a weight that
+    # is not dominant; finite type is a check of the word model, not of the input
+    bad = write_instance(tmp_path, {"gcm": "A2", "automorphism": [1, 0],
+                                    "lambda_hat": [-1], "w_hat": [0]})
+    for command in ("validate", "verify"):
+        assert main([command, "-i", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "weight (-1, -1) is not dominant" in captured.err
+    affine = write_instance(tmp_path, {"gcm": [[2, -2], [-2, 2]], "automorphism": [0, 1],
+                                       "lambda_hat": [1, 0], "w_hat": [0, 1]})
+    assert main(["validate", "-i", affine]) == 0
+    assert main(["fold", "-i", affine]) == 0
+    assert main(["verify", "-i", affine]) == 3
     capsys.readouterr()
 
 
