@@ -98,11 +98,13 @@ def map_character(folding, poly: CharacterPolynomial) -> CharacterPolynomial:
 
     ``folding`` only needs ``n_folded`` and ``node_orbit`` (node -> orbit);
     the lift of a folded weight reads entry ``node_orbit[i]`` at node i, as
-    ``folding.unfold_weight`` does.  Coefficients are untouched and the map
-    is injective on supports.
+    ``folding.unfold_weight`` does.  Coefficients are untouched, and the
+    term dict is built directly: every orbit has a node, so the lift is
+    injective on supports, and poly holds no zero coefficient.
     """
     if poly.n != folding.n_folded:
         raise ValueError(f"character rank {poly.n} does not match folded rank {folding.n_folded}")
     node_orbit = folding.node_orbit
-    terms = [(tuple(w[k] for k in node_orbit), c) for w, c in poly._terms.items()]
-    return CharacterPolynomial(len(node_orbit), terms)
+    lifted = CharacterPolynomial(len(node_orbit))
+    lifted._terms = {tuple(map(w.__getitem__, node_orbit)): c for w, c in poly._terms.items()}
+    return lifted

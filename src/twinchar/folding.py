@@ -127,7 +127,7 @@ def unfold_weight(data: FoldingData, mu_hat: Weight) -> Weight:
     """Lift a folded weight to the symmetric weight constant on each orbit."""
     if len(mu_hat) != data.n_folded:
         raise InvalidInput(f"folded weight {mu_hat} has wrong size {len(mu_hat)}")
-    return tuple(mu_hat[data.node_orbit[i]] for i in range(data.gcm.n))
+    return tuple(map(mu_hat.__getitem__, data.node_orbit))
 
 
 def fold_weight(data: FoldingData, lam: Weight) -> Weight:

@@ -184,12 +184,16 @@ def prepare(instance: Instance) -> PreparedInstance:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    instance: dict
+    source: Instance
     lhs: CharacterPolynomial
     rhs: CharacterPolynomial
     equal: bool
     ms: float                        # wall time of both routes, ms to 3 decimals
     dims: dict
+
+    @property
+    def instance(self) -> dict:
+        return self.source.to_dict()
 
     @property
     def differing_terms(self) -> list:
@@ -227,7 +231,7 @@ def verify_prepared(prep: PreparedInstance,
         "lhs_terms": len(lhs),
         "rhs_terms": len(rhs),
     }
-    return VerificationReport(prep.source.to_dict(), lhs, rhs, lhs == rhs, ms, dims)
+    return VerificationReport(prep.source, lhs, rhs, lhs == rhs, ms, dims)
 
 
 def verify(instance: Instance | dict,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from operator import mul
@@ -37,14 +37,32 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class GeneralizedCartanMatrix:
-    """A validated GCM together with its minimal positive symmetrizer."""
+    """A validated GCM together with its minimal positive symmetrizer.
+
+    The data derived from the entries is computed once, at construction,
+    and takes no part in equality: the rank ``n``, ``finite`` (every
+    leading principal minor is positive), ``roots`` (per node i the nonzero
+    (k, a_ki): alpha_i in weight coordinates) and the hash, which is that
+    of (entries, symmetrizer).
+    """
 
     entries: IntMatrix
     symmetrizer: tuple[int, ...]
+    n: int = field(init=False, compare=False, repr=False)
+    finite: bool = field(init=False, compare=False, repr=False)
+    roots: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
+    def __post_init__(self):
+        entries, n = self.entries, len(self.entries)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "finite", all(m > 0 for m in leading_principal_minors(entries)))
+        object.__setattr__(self, "roots", tuple(
+            tuple((k, row[i]) for k, row in enumerate(entries) if row[i]) for i in range(n)))
+        object.__setattr__(self, "_hash", hash((entries, self.symmetrizer)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def simple_root(self, j: int) -> Weight:
         """Fundamental-weight coordinates of the j-th simple root (column j).
@@ -56,7 +74,7 @@ class GeneralizedCartanMatrix:
         return tuple(row[j] for row in self.entries)
 
     def is_dominant(self, lam: Weight) -> bool:
-        return all(c >= 0 for c in lam)
+        return min(lam, default=0) >= 0
 
     def rho(self) -> Weight:
         return (1,) * self.n
@@ -133,14 +151,13 @@ def _symmetrizer(entries: IntMatrix) -> tuple[int, ...]:
     return tuple(d)
 
 
-@lru_cache(maxsize=64)
 def is_finite_type(gcm: GeneralizedCartanMatrix) -> bool:
     """True iff every leading principal minor is positive."""
-    return all(m > 0 for m in leading_principal_minors(gcm.entries))
+    return gcm.finite
 
 
 def _require_finite(gcm: GeneralizedCartanMatrix) -> None:
-    if not is_finite_type(gcm):
+    if not gcm.finite:
         raise NotFiniteType("operation requires a finite-type Cartan matrix")
 
 
@@ -148,8 +165,10 @@ def _sequence(values, what: str) -> tuple:
     """The values as a tuple; a non-iterable, a dict or a set raises InvalidInput.
 
     A dict or a set would pass as its keys or members, in an order that is
-    not the caller's.
+    not the caller's.  A tuple is returned as it is.
     """
+    if type(values) is tuple:
+        return values
     if isinstance(values, (dict, set, frozenset)):
         raise InvalidInput(f"{what} {values!r} is unordered, not a list")
     try:
@@ -161,7 +180,7 @@ def _sequence(values, what: str) -> tuple:
 def int_tuple(values, what: str) -> tuple[int, ...]:
     """The values (a list, see ``_sequence``) as a tuple of ints; bool, float and str raise."""
     out = _sequence(values, what)
-    if any(type(x) is not int for x in out):
+    if {int, *map(type, out)} != {int}:
         raise InvalidInput(f"{what} {list(out)} has a non-integer entry")
     return out
 
@@ -208,7 +227,7 @@ def diagram_permutation(gcm: GeneralizedCartanMatrix, perm) -> tuple[int, ...]:
 
 def is_symmetric_weight(lam: Weight, perm: tuple[int, ...]) -> bool:
     """True iff the weight (or root vector) is fixed by the coordinate permutation."""
-    return len(lam) == len(perm) and all(lam[perm[i]] == lam[i] for i in range(len(perm)))
+    return len(lam) == len(perm) and tuple(map(lam.__getitem__, perm)) == tuple(lam)
 
 
 def _reflect_root(entries: IntMatrix, beta: RootVector, i: int) -> RootVector:
@@ -251,16 +270,19 @@ def weyl_dimension(gcm: GeneralizedCartanMatrix, lam: Weight) -> int:
 
 
 _EXCEPTIONAL = {
+    "E6": ((2, 0, -1, 0, 0, 0), (0, 2, 0, -1, 0, 0), (-1, 0, 2, -1, 0, 0),
+           (0, -1, -1, 2, -1, 0), (0, 0, 0, -1, 2, -1), (0, 0, 0, 0, -1, 2)),
     "G2": ((2, -1), (-3, 2)),
 }
 
 
 def cartan_matrix(label: str) -> GeneralizedCartanMatrix:
-    """Catalog constructor by type label: "A2", "A3", "A4", "B2", "C3", "D4", "G2", ...
+    """Catalog constructor by type label: "A2", "A3", "A4", "B2", "C3", "D4", "E6", "G2", ...
 
     Bourbaki node numbering shifted to 0-based: type A/B/C is the chain
     0-1-...-(n-1) with the short/long end at node n-1; type D attaches both
-    n-2 and n-1 to node n-3.
+    n-2 and n-1 to node n-3; E6 is the chain 0-2-3-4-5 with node 1 on
+    node 3.
     """
     if not isinstance(label, str):
         raise InvalidInput(f"Cartan type label {label!r} is not a string")

@@ -20,15 +20,12 @@ independent reference.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import InvalidInput, NoDescentFound, NotFiniteType
 from .root_data import (
     GeneralizedCartanMatrix,
     Weight,
     _require_finite,
     int_at_least,
-    is_finite_type,
     is_symmetric_weight,
     weyl_word,
 )
@@ -36,15 +33,8 @@ from .root_data import (
 Word = tuple[int, ...]
 
 
-@lru_cache(maxsize=64)
-def _simple_roots(gcm: GeneralizedCartanMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # per letter i, the nonzero (k, a_ki): alpha_i in weight coordinates
-    return tuple(tuple((k, row[i]) for k, row in enumerate(gcm.entries) if row[i])
-                 for i in range(gcm.n))
-
-
 def _reflect(roots, x: list[int], i: int) -> None:
-    """x <- s_i(x) in place: subtract <x, alpha_i^vee> alpha_i."""
+    """x <- s_i(x) in place: subtract <x, alpha_i^vee> alpha_i, with roots = gcm.roots."""
     c = x[i]
     if c:
         for k, a in roots[i]:
@@ -53,9 +43,12 @@ def _reflect(roots, x: list[int], i: int) -> None:
 
 def _walk(gcm: GeneralizedCartanMatrix, letters, x: list[int]) -> list[int]:
     """x reflected in place by each letter in turn, unchecked: the caller validates."""
-    roots = _simple_roots(gcm)
-    for i in letters:
-        _reflect(roots, x, i)
+    roots = gcm.roots
+    for i in letters:   # _reflect, inlined
+        c = x[i]
+        if c:
+            for k, a in roots[i]:
+                x[k] -= c * a
     return x
 
 
@@ -99,7 +92,7 @@ def word_of_rho_vector(gcm: GeneralizedCartanMatrix, x: Weight) -> Word:
     x is dominant.  Raises NoDescentFound when x is not in the orbit of rho.
     """
     _require_finite(gcm)
-    roots = _simple_roots(gcm)
+    roots = gcm.roots
     x = list(x)
     letters = []
     while True:
@@ -138,7 +131,7 @@ def longest_element(gcm: GeneralizedCartanMatrix) -> Word:
     (0, 1, 0)
     """
     _require_finite(gcm)
-    roots = _simple_roots(gcm)
+    roots = gcm.roots
     x = list(gcm.rho())
     letters = []
     while True:
@@ -175,9 +168,9 @@ def enumerate_weyl(gcm: GeneralizedCartanMatrix,
     """
     if max_length is not None:
         int_at_least(max_length, 0, "length cap")
-    if max_length is None and not is_finite_type(gcm):
+    if max_length is None and not gcm.finite:
         raise NotFiniteType("cannot enumerate an infinite Weyl group without a length cap")
-    roots = _simple_roots(gcm)
+    roots = gcm.roots
     rho = gcm.rho()
     found: dict[Weight, Word] = {rho: ()}
     frontier: list[tuple[Word, Weight]] = [((), rho)]

@@ -386,19 +386,21 @@ def _content(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> tuple[RootVecto
     Reflecting lam down the word telescopes: lam - w(lam) is the sum over t
     of <s_{i_{t+1}} ... s_{i_k}(lam), alpha_{i_t}^vee> alpha_{i_t}.
     """
-    roots = weyl._simple_roots(gcm)
+    roots = gcm.roots
     beta = [0] * gcm.n
     mu = list(lam)
     for i in reversed(word):
-        beta[i] += mu[i]
-        weyl._reflect(roots, mu, i)
+        c = mu[i]
+        if c:   # weyl._reflect, inlined
+            beta[i] += c
+            for k, a in roots[i]:
+                mu[k] -= c * a
     return tuple(beta), tuple(mu)
 
 
 def weight_below(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector) -> Weight:
     """The weight lam minus the root combination beta, in weight coordinates."""
-    drop = gcm.weight_of_root(beta)
-    return tuple(l - d for l, d in zip(lam, drop))
+    return tuple(map(sub, lam, gcm.weight_of_root(beta)))
 
 
 def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...],

@@ -1,12 +1,15 @@
 """Orbit data, the folded matrix, the weight lift and the word expansion."""
 
 import os
+import pickle
 import subprocess
 import sys
 from itertools import permutations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinchar.errors import (
     LinkingConditionFailed,
@@ -24,7 +27,14 @@ from twinchar.folding import (
     unfold_weight,
     unfold_word,
 )
-from twinchar.root_data import cartan_matrix, diagram_permutation, validate_gcm, weight_box
+from twinchar.linalg import leading_principal_minors
+from twinchar.root_data import (
+    GeneralizedCartanMatrix,
+    cartan_matrix,
+    diagram_permutation,
+    validate_gcm,
+    weight_box,
+)
 from twinchar.weyl import (
     element_of,
     enumerate_weyl,
@@ -79,6 +89,9 @@ def test_folded_matrices_frozen():
     assert folded("D4", (2, 1, 3, 0)).folded.entries == ((2, -1), (-3, 2))
     assert folded("D4", (0, 1, 3, 2)).folded.entries == (
         (2, -1, 0), (-1, 2, -2), (0, -1, 2))
+    # E6 folds to F4
+    assert folded("E6", (5, 1, 4, 3, 2, 0)).folded.entries == (
+        (2, 0, -1, 0), (0, 2, 0, -1), (-1, 0, 2, -1), (0, -1, -2, 2))
 
 
 def test_linking_condition_failure():
@@ -103,6 +116,30 @@ def small_gcms():
                 yield validate_gcm(entries)
             except (NotGCM, NotSymmetrizable):
                 pass
+
+
+SMALL_GCMS = list(small_gcms())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SMALL_GCMS + [cartan_matrix(label) for label in ("D4", "E6", "G2")]
+                       + [folded(label, perm).folded for label, perm in BATTERY]))
+def test_matrix_derived_fields(gcm):
+    # computed once at construction, and no part of equality, hashing or pickling
+    entries, n = gcm.entries, len(gcm.entries)
+    assert gcm.n == n
+    assert gcm.finite == all(m > 0 for m in leading_principal_minors(entries))
+    assert gcm.roots == tuple(tuple((k, a) for k, a in enumerate(gcm.simple_root(i)) if a)
+                              for i in range(n))
+    rebuilt = GeneralizedCartanMatrix(entries, gcm.symmetrizer)
+    assert rebuilt == gcm and hash(rebuilt) == hash(gcm) == hash((entries, gcm.symmetrizer))
+    for name, value in (("finite", not gcm.finite), ("roots", ()), ("_hash", 0)):
+        object.__setattr__(rebuilt, name, value)
+    assert rebuilt == gcm
+    assert GeneralizedCartanMatrix(entries, tuple(2 * d for d in gcm.symmetrizer)) != gcm
+    restored = pickle.loads(pickle.dumps(gcm))
+    assert restored == gcm and hash(restored) == hash(gcm)
+    assert (restored.n, restored.finite, restored.roots) == (n, gcm.finite, gcm.roots)
 
 
 def test_orbit_words_are_parabolic_longest_elements():

@@ -19,16 +19,18 @@ from twinchar import characters, errors, harness, weyl, word_model
 from twinchar.characters import canonical_serialize, demazure_character, map_character
 from twinchar.cli import main
 from twinchar.errors import (
+    ExtremalVectorMismatch,
     InvalidInput,
     NotDiagramAutomorphism,
     NotDominant,
     NotFiniteType,
     NotInWTilde,
     NotSymmetricWeight,
+    TooLarge,
 )
 from twinchar.folding import fold
 from twinchar.linalg import exact_quotient
-from twinchar.root_data import cartan_matrix, validate_gcm
+from twinchar.root_data import CharacterPolynomial, cartan_matrix, validate_gcm
 from twinchar.weyl import enumerate_weyl
 from twinchar.word_model import demazure_subspaces, twining_character
 
@@ -274,6 +276,67 @@ def test_harness_path_keeps_every_error_class(changes, word_cap, error):
     with pytest.raises(error) as raised:
         harness.verify(payload, word_cap=word_cap)
     assert raised.type is error
+
+
+def test_warm_path_keeps_its_checks(monkeypatch):
+    # after a warm pass the modules below are cache hits, and each call still raises
+    # the first of its faults, in the order the parse, prepare and route core check them
+    harness.run_battery()
+    payload = {"gcm": "A3", "automorphism": [2, 1, 0], "lambda_hat": [0, 1], "w_hat": [1, 0]}
+    prep = harness.prepare(harness.parse_instance(payload))
+    gcm, lam, w, perm = prep.gcm, prep.lam, prep.w, prep.auto.perm
+    u = w + (0,)   # w s_0 fixes lam as lam_0 = 0, but does not commute with the flip
+    skewed = (1, 1, 0)
+    demazure_subspaces(gcm, skewed, w)
+    affine = validate_gcm([[2, -2], [-2, 2]])
+    word_model._modules.add((affine, (1, 0), (1, 0)), word_model._Module(affine))
+    for key in [(gcm, lam, weyl.act(gcm, u, lam)), (gcm, skewed, weyl.act(gcm, w, skewed)),
+                (affine, (1, 0), (1, 0))]:
+        assert key in word_model._modules
+    dim = word_model._modules[gcm, lam, weyl.act(gcm, w, lam)].dimension
+    unfolded = {"gcm": "A3", "automorphism": [2, 1, 0], "lambda": list(lam), "w": list(w)}
+    with monkeypatch.context() as patched:
+        patched.setattr(word_model, "weight_below", lambda gcm, lam, beta: lam)
+        for args, error in [
+            ((gcm, skewed, u, perm, dim - 1), NotSymmetricWeight),
+            ((gcm, lam, u, perm, dim - 1), NotInWTilde),
+            ((affine, (1, 0), (), (0, 1), 0), NotFiniteType),
+            ((gcm, lam, w, perm, 0), InvalidInput),
+            ((gcm, lam, w, perm, dim - 1), TooLarge),
+            ((gcm, lam, w, perm, dim), ExtremalVectorMismatch),
+        ]:
+            with pytest.raises(error) as raised:
+                word_model.twining_core(*args)
+            assert raised.type is error
+        for changes, word_cap, error in [
+            ({"lambda": list(skewed), "w": list(u)}, dim - 1, NotSymmetricWeight),
+            ({"w": list(u)}, dim - 1, NotInWTilde),
+            ({}, dim - 1, TooLarge),
+            ({}, dim, ExtremalVectorMismatch),
+        ]:
+            with pytest.raises(error) as raised:
+                harness.verify({**unfolded, **changes}, word_cap=word_cap)
+            assert raised.type is error
+    assert harness.verify(unfolded, word_cap=dim).equal
+    word_model._modules.cache_clear()
+
+
+@pytest.mark.parametrize("config", [harness.BatteryConfig(), BOX_1], ids=["default", "box-1"])
+def test_direct_lift_and_report_instance(config):
+    # map_character builds its term dict directly: it must equal the lift through the
+    # merging constructor, and the report keeps the instance it was given
+    for _, instance in harness.battery_instances(config):
+        prep = harness.prepare(instance)
+        folded = demazure_character(prep.folding.folded, prep.lambda_hat, prep.w_hat)
+        node_orbit = prep.folding.node_orbit
+        merged = CharacterPolynomial(prep.gcm.n, [
+            (tuple(mu[k] for k in node_orbit), c) for mu, c in folded.sorted_terms()])
+        lifted = map_character(prep.folding, folded)
+        assert lifted == merged and lifted.sorted_terms() == merged.sorted_terms()
+        payload = instance.to_dict()
+        report = harness.verify(payload)
+        assert report.instance == report.to_dict()["instance"] == payload
+        assert payload == harness.parse_instance(payload).to_dict()
 
 
 @pytest.mark.parametrize("config, digest", [

@@ -28,7 +28,7 @@ from oracles import root_coords, weight_space
 CATALOG = ["A2", "A3", "A4", "B2", "C3", "D4", "G2"]
 
 # positive-root counts for the catalog (n*h/2 table)
-ROOT_COUNTS = {"A2": 3, "A3": 6, "B2": 4, "D4": 12, "G2": 6}
+ROOT_COUNTS = {"A2": 3, "A3": 6, "B2": 4, "D4": 12, "E6": 36, "G2": 6}
 
 
 def brute_force_symmetrizer(entries, bound=8):
@@ -247,6 +247,10 @@ def test_catalog_frozen_matrices():
     assert cartan_matrix("G2").entries == ((2, -1), (-3, 2))
     assert cartan_matrix("D4").entries == (
         (2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+    # the chain 0-2-3-4-5 with node 1 on node 3
+    assert cartan_matrix("E6").entries == (
+        (2, 0, -1, 0, 0, 0), (0, 2, 0, -1, 0, 0), (-1, 0, 2, -1, 0, 0),
+        (0, -1, -1, 2, -1, 0), (0, 0, 0, -1, 2, -1), (0, 0, 0, 0, -1, 2))
 
 
 @pytest.mark.parametrize("call", [
