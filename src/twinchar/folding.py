@@ -161,7 +161,7 @@ def fold_word(data: FoldingData, word: Word) -> Word:
     if not is_symmetric_weight(x, data.auto.perm):
         raise NotInWTilde(f"word {word} does not commute with the automorphism")
     x_hat = tuple(x[orbit[0]] for orbit in data.orbits)
-    result = weyl.word_of_rho_vector(data.folded, x_hat)
+    result = weyl._word_of_rho_vector(data.folded, x_hat)
     if weyl.element_of(gcm, unfold_word(data, result)) != x:
         raise NoDescentFound("descent peeling did not invert the word expansion; "
                              "folding data is inconsistent")

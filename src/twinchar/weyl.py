@@ -85,13 +85,13 @@ def element_of(gcm: GeneralizedCartanMatrix, word: Word) -> Weight:
     return tuple(_apply(gcm, word, gcm.rho(), inverse=True))
 
 
-def word_of_rho_vector(gcm: GeneralizedCartanMatrix, x: Weight) -> Word:
-    """Canonical reduced word of the element w with w^-1(rho) = x (finite type only).
+def _word_of_rho_vector(gcm: GeneralizedCartanMatrix, x: Weight) -> Word:
+    """Canonical reduced word of the element w with w^-1(rho) = x.
 
     Peels the smallest right descent, the smallest negative coordinate, until
-    x is dominant.  Raises NoDescentFound when x is not in the orbit of rho.
+    x is dominant.  Precondition: x is in the orbit of rho, where the peel
+    ends after l(w) steps; outside the Tits cone it would never end.
     """
-    _require_finite(gcm)
     roots = gcm.roots
     x = list(x)
     letters = []
@@ -107,13 +107,13 @@ def word_of_rho_vector(gcm: GeneralizedCartanMatrix, x: Weight) -> Word:
 
 
 def reduced_word(gcm: GeneralizedCartanMatrix, word: Word) -> Word:
-    """Canonical reduced word of the element of any word (finite type only).
+    """Canonical reduced word of the element of any word.
 
     >>> from twinchar.root_data import cartan_matrix
     >>> reduced_word(cartan_matrix("A2"), (0, 1, 0, 0, 1))
     (0,)
     """
-    return word_of_rho_vector(gcm, element_of(gcm, word))
+    return _word_of_rho_vector(gcm, element_of(gcm, word))
 
 
 def length(gcm: GeneralizedCartanMatrix, word: Word) -> int:

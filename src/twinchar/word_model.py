@@ -1,4 +1,4 @@
-"""Exact word model of Demazure modules, built by Demazure's recursion.
+"""Exact word model of Demazure modules of any symmetrizable GCM, by Demazure's recursion.
 
 V_w(lam) is built content by content (the weight lam minus sum_i beta_i
 alpha_i has content beta): V_w = sum_k f_i^k V_{s_i w} for a left descent
@@ -18,7 +18,7 @@ every table stays inside V_w, and its sizes are multiplicities of V_w.
 
 The recursion follows the element, not the letters: a module is built
 along a reduced word of its element, and modules live in one bounded cache
-keyed on (gcm, lam, w(lam)), since V_w depends only on the coset w W_lam.
+keyed on the content lam - w(lam), since V_w depends only on w W_lam.
 The diagram twist tau, with tau(e_j) = e_{tau(j)}, is read off the raising
 tables and kept with the module, once per permutation, and so is the
 twining character that its traces assemble.  Everything is
@@ -52,7 +52,6 @@ from .root_data import (
     GeneralizedCartanMatrix,
     RootVector,
     Weight,
-    _require_finite,
     diagram_permutation,
     dominant_weight,
     int_at_least,
@@ -365,7 +364,7 @@ def _grown(gcm: GeneralizedCartanMatrix, lam: Weight, below: _Module, i: int,
     return module
 
 
-# the module cache: (gcm, lam, w(lam)) -> V_w(lam), weighed by dim V_w; a dropped module
+# the module cache: (gcm, lam, lam - w(lam)) -> V_w(lam), weighed by dim V_w; a dropped module
 # is rebuilt when it is next needed, and stays alive while a module built on it is cached
 _modules = BoundedCache(CACHE_VECTORS, lambda module: module.dimension)
 
@@ -409,7 +408,7 @@ def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...],
 
     The arguments are those that ``demazure_subspaces`` and
     ``twining_core`` receive validated.  V_w(lam) depends only on the
-    coset w W_lam, that is on the extremal weight w(lam), which keys the
+    coset w W_lam, that is on the root content lam - w(lam), which keys the
     cache.  A miss walks the suffixes of a reduced word of w (their first
     letters are left descents) down to the first cached module or V_e,
     then builds back up in an explicit loop, skipping each letter that
@@ -420,13 +419,13 @@ def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...],
     weight space of V_w at lam - w(lam) is one line with the weight w(lam).
     """
     beta_w, mu = _content(gcm, lam, word)
-    key = (gcm, lam, mu)
+    key = (gcm, lam, beta_w)
     module = _modules.get(key)
     if module is None:
         reduced = weyl.reduced_word(gcm, word)
         if len(word) == len(reduced):
             reduced = word
-        keys = [key] + [(gcm, lam, weyl.act(gcm, reduced[t:], lam))
+        keys = [key] + [(gcm, lam, _content(gcm, lam, reduced[t:])[0])
                         for t in range(1, len(reduced) + 1)]
         found = ((t, _modules.get(k)) for t, k in enumerate(keys))
         t, module = next(((t, m) for t, m in found if m), (len(reduced), None))
@@ -463,7 +462,6 @@ def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     raised.  Contents are ordered by height, largest first, and ascending
     within a height; the dimensions sum to dim V_w(lam).
     """
-    _require_finite(gcm)
     lam = dominant_weight(gcm, lam)
     int_at_least(word_cap, 1, "word cap")
     module = _module(gcm, lam, weyl_word(gcm, word), word_cap)
@@ -505,15 +503,14 @@ def twining_core(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...
                  perm: tuple[int, ...], word_cap: int) -> CharacterPolynomial:
     """``twining_character`` on checked arguments, as ``harness.prepare`` makes them.
 
-    Keeps the mathematical checks: a symmetric weight, a commuting word
-    (one unchecked walk of w(rho)), finite type, the cap and the extremal
-    line.  The character is kept with the module, once per permutation.
+    Keeps the mathematical checks on any symmetrizable matrix: a symmetric
+    weight, a commuting word (one unchecked walk of w(rho)), the cap and the
+    extremal line.  The character is kept with the module, once per permutation.
     """
     if not is_symmetric_weight(lam, perm):
         raise NotSymmetricWeight(f"weight {lam} is not fixed by {perm}")
     if not is_symmetric_weight(weyl._walk(gcm, reversed(word), list(gcm.rho())), perm):
         raise NotInWTilde(f"word {word} does not commute with {perm}")
-    _require_finite(gcm)
     int_at_least(word_cap, 1, "word cap")
     module = _module(gcm, lam, word, word_cap)
     poly = module.characters.get(perm)

@@ -92,6 +92,19 @@ def test_folded_matrices_frozen():
     # E6 folds to F4
     assert folded("E6", (5, 1, 4, 3, 2, 0)).folded.entries == (
         (2, 0, -1, 0), (0, 2, 0, -1), (-1, 0, 2, -1), (0, -1, -2, 2))
+    # affine folds give twisted affine matrices; A2^(1) folds to A2^(2)
+    for matrix, perm, entries in [
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], (0, 2, 1), ((2, -4), (-1, 2))),
+        ([[2, -1, 0], [-2, 2, -2], [0, -1, 2]], (2, 1, 0), ((2, -1), (-4, 2))),
+        ([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]], (0, 3, 2, 1),
+         ((2, -2, 0), (-1, 2, -1), (0, -2, 2))),
+        ([[2, 0, -1, 0, 0], [0, 2, -1, 0, 0], [-1, -1, 2, -1, -1], [0, 0, -1, 2, 0],
+          [0, 0, -1, 0, 2]], (1, 0, 2, 3, 4),
+         ((2, -1, 0, 0), (-2, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))),
+        ([[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -2, 2]], (1, 0, 2, 3),
+         ((2, -1, 0), (-2, 2, -1), (0, -2, 2))),
+    ]:
+        assert fold(validate_gcm(matrix), perm).folded.entries == entries
 
 
 def test_linking_condition_failure():

@@ -8,6 +8,7 @@ import io
 import json
 import pkgutil
 from dataclasses import replace
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -23,14 +24,19 @@ from twinchar.errors import (
     InvalidInput,
     NotDiagramAutomorphism,
     NotDominant,
-    NotFiniteType,
     NotInWTilde,
     NotSymmetricWeight,
     TooLarge,
 )
 from twinchar.folding import fold
-from twinchar.linalg import exact_quotient
-from twinchar.root_data import CharacterPolynomial, cartan_matrix, validate_gcm
+from twinchar.linalg import exact_quotient, leading_principal_minors
+from twinchar.root_data import (
+    CharacterPolynomial,
+    GeneralizedCartanMatrix,
+    cartan_matrix,
+    validate_gcm,
+    weight_box,
+)
 from twinchar.weyl import enumerate_weyl
 from twinchar.word_model import demazure_subspaces, twining_character
 
@@ -261,13 +267,13 @@ A2_FLIP = {"gcm": "A2", "automorphism": [1, 0], "lambda_hat": [1], "w_hat": [0]}
     ({"w_hat": [1]}, 650, InvalidInput),
     ({"w_hat": None, "w": [0]}, 650, NotInWTilde),
     ({"automorphism": [0, 0]}, 650, NotDiagramAutomorphism),
-    ({"gcm": [[2, -2], [-2, 2]], "automorphism": [0, 1], "lambda_hat": [1, 0]}, 650,
-     NotFiniteType),
+    ({"gcm": [[2, -2], [-2, 2]], "automorphism": [0, 1], "lambda_hat": [1, -1]}, 650,
+     NotDominant),
     ({}, 0, InvalidInput),
     ({}, True, InvalidInput),
     ({"lambda_hat": [-1], "w_hat": [1]}, 650, InvalidInput),
 ], ids=["not-dominant", "lambda-size", "w-letter", "w_hat-letter", "not-commuting",
-        "not-an-automorphism", "affine", "word-cap-0", "word-cap-True",
+        "not-an-automorphism", "affine-not-dominant", "word-cap-0", "word-cap-True",
         "not-dominant-and-w_hat-letter"])
 def test_harness_path_keeps_every_error_class(changes, word_cap, error):
     # the exact class: NotDominant is an InvalidInput too, and of two faults the
@@ -288,19 +294,16 @@ def test_warm_path_keeps_its_checks(monkeypatch):
     u = w + (0,)   # w s_0 fixes lam as lam_0 = 0, but does not commute with the flip
     skewed = (1, 1, 0)
     demazure_subspaces(gcm, skewed, w)
-    affine = validate_gcm([[2, -2], [-2, 2]])
-    word_model._modules.add((affine, (1, 0), (1, 0)), word_model._Module(affine))
-    for key in [(gcm, lam, weyl.act(gcm, u, lam)), (gcm, skewed, weyl.act(gcm, w, skewed)),
-                (affine, (1, 0), (1, 0))]:
+    for key in [(gcm, lam, word_model._content(gcm, lam, u)[0]),
+                (gcm, skewed, word_model._content(gcm, skewed, w)[0])]:
         assert key in word_model._modules
-    dim = word_model._modules[gcm, lam, weyl.act(gcm, w, lam)].dimension
+    dim = word_model._modules[gcm, lam, word_model._content(gcm, lam, w)[0]].dimension
     unfolded = {"gcm": "A3", "automorphism": [2, 1, 0], "lambda": list(lam), "w": list(w)}
     with monkeypatch.context() as patched:
         patched.setattr(word_model, "weight_below", lambda gcm, lam, beta: lam)
         for args, error in [
             ((gcm, skewed, u, perm, dim - 1), NotSymmetricWeight),
             ((gcm, lam, u, perm, dim - 1), NotInWTilde),
-            ((affine, (1, 0), (), (0, 1), 0), NotFiniteType),
             ((gcm, lam, w, perm, 0), InvalidInput),
             ((gcm, lam, w, perm, dim - 1), TooLarge),
             ((gcm, lam, w, perm, dim), ExtremalVectorMismatch),
@@ -351,6 +354,74 @@ def test_battery_output_is_frozen(config, digest):
         record.pop("ms", None)
         record.get("report", {}).pop("ms", None)
     assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == digest
+
+
+# affine families by their matrices (determinant 0, proper leading minors positive):
+# the orbit Lie algebra of each fold is twisted affine, A2^(1) folds to A2^(2)
+AFFINE_FAMILIES = {family.name: family for family in (
+    harness.BatteryFamily("A1^(1)", ((2, -2), (-2, 2)), (0, 1), ()),
+    harness.BatteryFamily("A2^(1)", ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (0, 2, 1), ()),
+    harness.BatteryFamily("C2^(1)", ((2, -1, 0), (-2, 2, -2), (0, -1, 2)), (2, 1, 0), ()),
+    harness.BatteryFamily("A3^(1)", ((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1),
+                                     (-1, 0, -1, 2)), (0, 3, 2, 1), ()),
+    harness.BatteryFamily("D4^(1)", ((2, 0, -1, 0, 0), (0, 2, -1, 0, 0), (-1, -1, 2, -1, -1),
+                                     (0, 0, -1, 2, 0), (0, 0, -1, 0, 2)), (1, 0, 2, 3, 4), ()),
+    harness.BatteryFamily("B3^(1)", ((2, 0, -1, 0), (0, 2, -1, 0), (-1, -1, 2, -1),
+                                     (0, 0, -2, 2)), (1, 0, 2, 3), ()),
+)}
+
+
+def _affine_box_1(name):
+    return harness.BatteryConfig(families=(AFFINE_FAMILIES[name],), lambda_box=1,
+                                 max_word_len=3)
+
+
+@pytest.mark.parametrize("name, equal, skipped", [
+    ("A1^(1)", 28, 0), ("A2^(1)", 27, 1), ("C2^(1)", 28, 0),
+    ("A3^(1)", 136, 0), ("D4^(1)", 496, 0), ("B3^(1)", 136, 0),
+])
+def test_affine_families_verify(name, equal, skipped):
+    # the identity over symmetrizable Kac-Moody algebras, beyond finite type; with
+    # a singular matrix both sides are compared modulo delta
+    minors = leading_principal_minors(validate_gcm(AFFINE_FAMILIES[name].gcm).entries)
+    assert minors[-1] == 0 and all(m > 0 for m in minors[:-1])
+    counts = harness.run_battery(_affine_box_1(name)).counts
+    assert counts == {"equal": equal, "unequal": 0, "skipped": skipped}
+
+
+def test_weight_of_root_read_by_columns_is_caught_by_affine_folds(monkeypatch):
+    # every unfolded matrix of the default battery is symmetric, so reading the
+    # columns of the matrix for its rows passes it; the unfolded C2^(1) and B3^(1)
+    # matrices are not symmetric, and the extremal weight check refuses the mutant
+    def by_columns(gcm, beta):
+        return tuple(sum(map(mul, column, beta)) for column in zip(*gcm.entries))
+
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(GeneralizedCartanMatrix, "weight_of_root", by_columns)
+            word_model._modules.cache_clear()
+            characters._characters.cache_clear()
+            assert harness.run_battery().counts == {"equal": 104, "unequal": 0, "skipped": 0}
+            for name in ("C2^(1)", "B3^(1)"):
+                with pytest.raises(ExtremalVectorMismatch):
+                    harness.run_battery(_affine_box_1(name))
+    finally:
+        word_model._modules.cache_clear()
+        characters._characters.cache_clear()
+
+
+def test_affine_instance_gives_one_verdict_by_either_word():
+    # reduced words and fold_word take any symmetrizable matrix, so an affine
+    # instance may state its word on either side
+    c2 = AFFINE_FAMILIES["C2^(1)"]
+    for lambda_hat in weight_box(2, 0, 1):
+        by_w_hat = harness.Instance(c2.gcm, c2.automorphism, lambda_hat=lambda_hat,
+                                    w_hat=(1, 0, 1, 0))
+        prep = harness.prepare(by_w_hat)
+        by_w = replace(by_w_hat, w_hat=None, w=prep.w)
+        assert harness.prepare(by_w).w_hat == prep.w_hat
+        first, second = harness.verify(by_w_hat), harness.verify(by_w)
+        assert first.equal and (first.lhs, first.rhs) == (second.lhs, second.rhs)
 
 
 def test_family_cache_does_not_hide_construction_checks(tmp_path, monkeypatch, capsys):
@@ -423,7 +494,7 @@ def test_cli_validate_linking_failure_is_unsupported(tmp_path, capsys):
 
 def test_cli_validate_agrees_with_verify(tmp_path, capsys):
     # validate runs prepare, the one check layer of verify, so it refuses a weight that
-    # is not dominant; finite type is a check of the word model, not of the input
+    # is not dominant, and both accept an affine matrix
     bad = write_instance(tmp_path, {"gcm": "A2", "automorphism": [1, 0],
                                     "lambda_hat": [-1], "w_hat": [0]})
     for command in ("validate", "verify"):
@@ -434,7 +505,7 @@ def test_cli_validate_agrees_with_verify(tmp_path, capsys):
                                        "lambda_hat": [1, 0], "w_hat": [0, 1]})
     assert main(["validate", "-i", affine]) == 0
     assert main(["fold", "-i", affine]) == 0
-    assert main(["verify", "-i", affine]) == 3
+    assert main(["verify", "-i", affine]) == 0
     capsys.readouterr()
 
 

@@ -185,6 +185,14 @@ def test_capped_enumeration_of_infinite_groups_matches_matrix_oracle(matrix):
         enumerated = enumerate_weyl(gcm, max_length=cap)
         assert [w for w, _ in enumerated] == [w for w, _ in matrix_bfs(gcm, cap)], cap
         assert all(x == element_of(gcm, w) for w, x in enumerated)
+    # the descent peel ends on every element of an infinite group too; a shortest
+    # word of the search is reduced, though not always the canonical one
+    for word, x in enumerated:
+        canonical = reduced_word(gcm, word)
+        assert element_of(gcm, canonical) == x and len(canonical) == len(word)
+        assert length(gcm, word) == len(word) and reduced_word(gcm, canonical) == canonical
+        for i in range(gcm.n):
+            assert reduced_word(gcm, word + (i, i)) == canonical
 
 
 def test_word_serialization_round_trip():

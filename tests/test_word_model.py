@@ -29,7 +29,7 @@ from twinchar.root_data import (
     weight_box,
     weyl_dimension,
 )
-from twinchar.weyl import act, enumerate_weyl, is_in_w_tilde, longest_element
+from twinchar.weyl import enumerate_weyl, is_in_w_tilde, longest_element
 from twinchar.word_model import (
     demazure_subspaces,
     twining_character,
@@ -197,7 +197,7 @@ def test_demazure_subspaces_examples():
 
 
 def _module(gcm, lam, word):
-    return word_model._modules[gcm, lam, act(gcm, word, lam)]
+    return word_model._modules[gcm, lam, word_model._content(gcm, lam, word)[0]]
 
 
 def _stacked_rows(module, beta):
