@@ -155,10 +155,12 @@ def is_in_w_tilde(gcm: GeneralizedCartanMatrix, word: Word, perm: tuple[int, ...
 
 def enumerate_weyl(gcm: GeneralizedCartanMatrix,
                    max_length: int | None = None) -> list[tuple[Word, Weight]]:
-    """All Weyl elements up to max_length as (canonical shortest word, element_of vector).
+    """All Weyl elements up to max_length as (breadth-first shortest word, element_of vector).
 
     Breadth-first over x <- s_i x (w <- w s_i), trying letters in increasing
     order, so each element keeps the first shortest word that reaches it.
+    That word need not be the canonical one of ``reduced_word``: for A3 the
+    breadth-first word (0, 2) has the canonical word (2, 0).
     With ``max_length=None`` the group must be finite; the result is sorted
     by (length, word).
 

@@ -1,17 +1,19 @@
 """Exact word model of Demazure modules of any symmetrizable GCM, by Demazure's recursion.
 
 V_w(lam) is built content by content (the weight lam minus sum_i beta_i
-alpha_i has content beta): V_w = sum_k f_i^k V_{s_i w} for a left descent
-i of w, from the line V_e = C v_lam.  Below the top content a vector x of
+alpha_i has content beta) by Demazure's recursion V_w = C[f_i] V_{s_i w}
+for a left descent i of w, from the line V_e = C v_lam: V_w is f_i-stable,
+so each content grows by one f_i step, V_w[beta] = V_{s_i w}[beta] +
+f_i V_w[beta - e_i].  Below the top content a vector x of
 L(lam) is zero exactly when every e_j kills it (else it would be a second
 highest weight vector), and e_j maps V_w into itself, so x stands for its
 stacked raising images (e_j x)_j in V_w and no Gram matrix is formed.  At
-content beta the basis of V_{s_i w} comes first, and a candidate f_i^k y,
-y in the basis of V_{s_i w} at beta - k e_i, joins it when its images are
+content beta the basis of V_{s_i w} comes first, and a candidate f_i x,
+x in the basis of V_w at gamma = beta - e_i, joins it when its images are
 independent; a dependent candidate's relation gives its coordinates.  The
-images follow from [e_j, f_i^k] = delta_ij k f_i^(k-1) (h_i - k + 1):
+images follow from [e_j, f_i] = delta_ij h_i:
 
-    e_j f_i^k y = f_i^k (e_j y) + delta_ij k (<lam - content(y), alpha_i^vee> - k + 1) f_i^(k-1) y
+    e_j f_i x = f_i (e_j x) + delta_ij <lam - gamma, alpha_i^vee> x
 
 with both vectors on the right already placed one content higher.  So
 every table stays inside V_w, and its sizes are multiplicities of V_w.
@@ -242,72 +244,57 @@ class _Module:
         return twists
 
 
-def _extended(lam: Weight, i: int, below: _Module, module: _Module, lower: dict,
-              beta: RootVector) -> int:
-    """Add to content beta of V_w the candidates f_i^k y, k >= 1; return how many joined.
+def _extended(lam: Weight, i: int, module: _Module, lower: dict, beta: RootVector) -> int:
+    """Grow content beta of V_w by f_i V_w[beta - e_i]; return how many basis vectors joined.
 
     The basis of V_{s_i w} at beta comes first, with its images as they
-    were.  A candidate f_i^k y, y in the basis of V_{s_i w} at gamma =
-    beta - k e_i, joins the basis when its stacked raising images are
-    independent of those before it; otherwise the relation gives its
-    coordinates.  Its images follow from the commutator relation:
-    f_i^k (e_j y) and f_i^(k-1) y lie one content higher, read from
-    ``lower`` (f_i^0 is the inclusion).
+    were.  A candidate f_i x, x in the basis of V_w at gamma = beta - e_i,
+    joins it when its stacked raising images are independent of those
+    before it; otherwise the relation gives its coordinates.  Its images
+    are e_j f_i x = f_i (e_j x) + delta_ij <lam - gamma, alpha_i^vee> x,
+    with f_i on the content of e_j x read from ``lower``; the candidates'
+    coordinates make ``lower[gamma]``, f_i on the basis of V_w at gamma.
     """
     letters = module.letters(beta)
     widths = [w for _, w in letters]
     vectors, scale = _stacked(module, beta, letters)
     old = len(vectors)
-    scales = [scale] * old
-    groups = []
-    pairing_i = lam[i] - sum(map(mul, module.gcm.entries[i], beta))
-    for k in range(1, beta[i] + 1):
-        gamma = _shift(beta, i, -k)
-        size = below.sizes.get(gamma)
-        if not size or (k > 1 and (gamma, k - 1) not in lower):
-            continue
-        # <lam - gamma, alpha_i^vee> = pairing_i + 2k
-        h = k * (pairing_i + k + 1)
-        blocks = []
-        for j, w in letters:
-            rows, d = None, 1
-            f_key = (_shift(gamma, j, -1), k)
-            if (gamma, j) in below.raising and f_key in lower:
-                e_rows, d = below.raising[gamma, j]
-                f_rows, f_den = lower[f_key]
-                rows, d = _product(e_rows, f_rows), d * f_den
-            if j == i and h:   # f_i^0 y is basis vector t of V_w at gamma
-                g_rows, g_den = lower.get((gamma, k - 1)) or (
-                    [[int(b == t) for b in range(w)] for t in range(size)], 1)
-                d, scale = math.lcm(d, g_den), d
-                rows = [[x * (d // scale) + h * y * (d // g_den) for x, y in zip(row, g_row)]
-                        for row, g_row in zip(rows or [[0] * w] * size, g_rows)]
-            blocks.append((rows or ((),) * size, d))
-        stacked, den = _joined(blocks, widths, size)
-        vectors += stacked
-        scales += [den] * size
-        groups.append((gamma, k, size))
+    gamma = _shift(beta, i, -1)
+    count = module.sizes[gamma]
+    h = lam[i] - sum(map(mul, module.gcm.entries[i], gamma))   # <lam - gamma, alpha_i^vee>
+    blocks = []
+    for j, w in letters:
+        rows, d = None, 1
+        down = _shift(gamma, j, -1)
+        if (gamma, j) in module.raising and down in lower:
+            e_rows, d = module.raising[gamma, j]
+            f_rows, f_den = lower[down]
+            rows, d = _product(e_rows, f_rows), d * f_den
+        if j == i and h:   # h_i x is h times basis vector t of V_w at gamma
+            rows = [[x + h * d * (b == t) for b, x in enumerate(row)]
+                    for t, row in enumerate(rows or [[0] * w] * count)]
+        blocks.append((rows or ((),) * count, d))
+    stacked, den = _joined(blocks, widths, count)
+    vectors += stacked
     width = sum(widths)
-    found = list(_relations(vectors, scales, width, min(len(vectors), width)))
+    found = list(_relations(vectors, [scale] * old + [den] * count, width,
+                            min(len(vectors), width)))
     if any(found[:old]):
         raise RankMismatch(f"the basis of V_(s_{i} w) at content {beta} is dependent in V_w")
     basis = [t for t, f in enumerate(found) if f is None]
     size = len(basis)
-    start = old
-    for gamma, k, count in groups:
-        rows = [([int(b == t) for b in basis], 1) if found[t] is None
-                else (found[t][0] + [0] * (size - len(found[t][0])), found[t][1])
-                for t in range(start, start + count)]
-        if any(any(row) for row, _ in rows):
-            lower[gamma, k] = _table(rows)
-        start += count
+    rows = [([int(b == t) for b in basis], 1) if found[t] is None
+            else (found[t][0] + [0] * (size - len(found[t][0])), found[t][1])
+            for t in range(old, old + count)]
+    if any(any(row) for row, _ in rows):
+        lower[gamma] = _table(rows)
     if size == old:
         return 0
     start = 0
     for j, w in letters:
         table = module.raising.get((beta, j), (((),) * old, 1))
         rows = [(row, table[1]) for row in table[0]]
-        rows += [(vectors[t][start:start + w], scales[t]) for t in basis[old:]]
+        rows += [(vectors[t][start:start + w], den) for t in basis[old:]]
         if any(any(row) for row, _ in rows):
             module.raising[beta, j] = _table(rows)
         start += w
@@ -317,18 +304,19 @@ def _extended(lam: Weight, i: int, below: _Module, module: _Module, lower: dict,
 
 def _grown(gcm: GeneralizedCartanMatrix, lam: Weight, below: _Module, i: int,
            word_cap: int, word) -> _Module:
-    """V_w = sum_k f_i^k V_{s_i w} for a left descent i of w, from below = V_{s_i w}.
+    """V_w = C[f_i] V_{s_i w} for a left descent i of w, from below = V_{s_i w}.
 
     V_w starts as a copy of V_{s_i w}: same contents, same bases, the same
-    table objects.  Candidates with k >= 1 reach only the contents one step
-    along i from a nonempty content of V_w, so those are visited one height
-    at a time.  ``lower[gamma, k]`` (k >= 1) is f_i^k on the basis of
-    V_{s_i w} at gamma in the basis of V_w at gamma + k e_i; it is needed
-    only while building and is absent where it is zero.  New basis vectors
-    are counted as they are found, and TooLarge is raised past word_cap.
-    V_w is stable under the sl2 of i, so each content must have the
-    dimension of its s_i-conjugate (RankMismatch otherwise); the same fact
-    skips a content whose conjugate is empty.
+    table objects.  V_w is f_i-stable, so each content grows by one f_i
+    step, V_w[beta] = V_{s_i w}[beta] + f_i V_w[beta - e_i], and only the
+    contents one step along i from a nonempty content of V_w are visited,
+    one height at a time.  ``lower[gamma]`` is f_i on the basis
+    of V_w at gamma in the basis of V_w at gamma + e_i; it comes out of the
+    elimination at gamma + e_i, is needed only while building and is absent
+    where it is zero.  New basis vectors are counted as they are found, and
+    TooLarge is raised past word_cap.  V_w is stable under the sl2 of i, so
+    each content must have the dimension of its s_i-conjugate (RankMismatch
+    otherwise); the same fact skips a content whose conjugate is empty.
     """
     row_i = gcm.entries[i]
     module = _Module(gcm, below)
@@ -345,7 +333,7 @@ def _grown(gcm: GeneralizedCartanMatrix, lam: Weight, below: _Module, i: int,
             if pairing < 0 and _shift(beta, i, pairing) not in sizes:
                 continue
             fresh = beta not in sizes
-            added = _extended(lam, i, below, module, lower, beta)
+            added = _extended(lam, i, module, lower, beta)
             if added:
                 changed.append(beta)
                 if fresh:

@@ -371,6 +371,15 @@ AFFINE_FAMILIES = {family.name: family for family in (
 )}
 
 
+# the identity automorphism on each affine matrix and on the twisted A2^(2) that A2^(1)
+# folds to: the twining character is then the full character, so every content of the
+# module, not only the tau-fixed ones, meets the Demazure operators of the same matrix
+AFFINE_FAMILIES.update({
+    f"{name} identity": harness.BatteryFamily(f"{name} identity", gcm, tuple(range(len(gcm))), ())
+    for name, gcm in [*((family.name, family.gcm) for family in AFFINE_FAMILIES.values()),
+                      ("A2^(2)", ((2, -4), (-1, 2)))]})
+
+
 def _affine_box_1(name):
     return harness.BatteryConfig(families=(AFFINE_FAMILIES[name],), lambda_box=1,
                                  max_word_len=3)
@@ -379,6 +388,9 @@ def _affine_box_1(name):
 @pytest.mark.parametrize("name, equal, skipped", [
     ("A1^(1)", 28, 0), ("A2^(1)", 27, 1), ("C2^(1)", 28, 0),
     ("A3^(1)", 136, 0), ("D4^(1)", 496, 0), ("B3^(1)", 136, 0),
+    ("A1^(1) identity", 28, 0), ("A2^(1) identity", 152, 0), ("C2^(1) identity", 136, 0),
+    ("A3^(1) identity", 560, 0), ("D4^(1) identity", 1664, 0), ("B3^(1) identity", 496, 0),
+    ("A2^(2) identity", 28, 0),
 ])
 def test_affine_families_verify(name, equal, skipped):
     # the identity over symmetrizable Kac-Moody algebras, beyond finite type; with
