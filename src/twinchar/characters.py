@@ -84,7 +84,7 @@ def demazure_core(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> CharacterP
         if i is None:
             raise NoDescentFound(f"the weight {mu} is dominant but not {lam}")
         peeled.append((key, i))
-        key = (gcm, lam, tuple(x - mu[i] * a for x, a in zip(mu, gcm.simple_root(i))))
+        key = (gcm, lam, tuple(weyl._walk(gcm, (i,), list(mu))))
     if poly is None:
         poly = CharacterPolynomial.monomial(lam)
     for key, i in reversed(peeled):

@@ -2,39 +2,52 @@
 
 Matrices are tuples of row tuples with integer entries.  Everything here
 stays in the integers: there are no rationals and no floating point, and
-the one elimination routine is the fraction-free determinant.
+the one elimination routine is the fraction-free row step ``eliminate``.
+It serves the finite-type test here and the word model's solves.
 """
 
 from __future__ import annotations
+
+import math
+from operator import sub
 
 from .errors import InexactDivision
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def determinant(a: Matrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination.
+def eliminate(out: list[int], row: list[int], pivot: int) -> list[int]:
+    """out minus the multiple of row that clears its pivot entry, divided by the gcd.
 
-    After step k every entry of the trailing block is a (k+1) x (k+1) minor
-    of the input, so the division by the previous pivot is exact (Sylvester's
-    identity; Bareiss, Math. Comp. 22, 1968) and every value is an integer.
+    When row[pivot] > 0, out is only scaled by positive factors, so every
+    sign of the exact rational step survives.
     """
-    n = len(a)
-    m = [list(row) for row in a]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                m[r][c] = (m[r][c] * pivot - m[r][k] * m[k][c]) // prev
-        prev = pivot
-    return sign * m[-1][-1] if n else 1
+    g = math.gcd(row[pivot], out[pivot])
+    a, b = row[pivot] // g, out[pivot] // g
+    out = list(map(sub, map(a.__mul__, out), map(b.__mul__, row)))
+    g = math.gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def leading_minors_positive(a: Matrix) -> bool:
+    """True iff every leading principal minor of the square matrix is positive.
+
+    Elimination without row swaps: while the pivots before it are positive,
+    the pivot of row k is minor k + 1 over minor k (minor j of the leading
+    j x j block) times a positive factor of ``eliminate``.  So every minor
+    is positive exactly when every pivot is (Sylvester's criterion), and
+    the first pivot that is not ends the test.
+    """
+    rows = []
+    for k, entries in enumerate(a):
+        out = list(entries)
+        for pivot, row in enumerate(rows):
+            if out[pivot]:
+                out = eliminate(out, row, pivot)
+        if out[k] <= 0:
+            return False
+        rows.append(out)
+    return True
 
 
 def exact_quotient(num: int, den: int, what: str) -> int:
@@ -43,7 +56,3 @@ def exact_quotient(num: int, den: int, what: str) -> int:
     if remainder:
         raise InexactDivision(f"{what}: {num} is not divisible by {den}")
     return quotient
-
-
-def leading_principal_minors(a: Matrix) -> list[int]:
-    return [determinant(tuple(row[: k + 1] for row in a[: k + 1])) for k in range(len(a))]

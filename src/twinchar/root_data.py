@@ -28,7 +28,7 @@ from .errors import (
     NotGCM,
     NotSymmetrizable,
 )
-from .linalg import exact_quotient, leading_principal_minors
+from .linalg import exact_quotient, leading_minors_positive
 
 Weight = tuple[int, ...]
 RootVector = tuple[int, ...]
@@ -41,9 +41,9 @@ class GeneralizedCartanMatrix:
 
     The data derived from the entries is computed once, at construction,
     and takes no part in equality: the rank ``n``, ``finite`` (every
-    leading principal minor is positive), ``roots`` (per node i the nonzero
-    (k, a_ki): alpha_i in weight coordinates) and the hash, which is that
-    of (entries, symmetrizer).
+    leading principal minor is positive: elimination meets only positive
+    pivots), ``roots`` (per node i the nonzero (k, a_ki): alpha_i in weight
+    coordinates) and the hash, which is that of (entries, symmetrizer).
     """
 
     entries: IntMatrix
@@ -56,7 +56,7 @@ class GeneralizedCartanMatrix:
     def __post_init__(self):
         entries, n = self.entries, len(self.entries)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "finite", all(m > 0 for m in leading_principal_minors(entries)))
+        object.__setattr__(self, "finite", leading_minors_positive(entries))
         object.__setattr__(self, "roots", tuple(
             tuple((k, row[i]) for k, row in enumerate(entries) if row[i]) for i in range(n)))
         object.__setattr__(self, "_hash", hash((entries, self.symmetrizer)))

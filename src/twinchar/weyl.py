@@ -33,18 +33,10 @@ from .root_data import (
 Word = tuple[int, ...]
 
 
-def _reflect(roots, x: list[int], i: int) -> None:
-    """x <- s_i(x) in place: subtract <x, alpha_i^vee> alpha_i, with roots = gcm.roots."""
-    c = x[i]
-    if c:
-        for k, a in roots[i]:
-            x[k] -= c * a
-
-
 def _walk(gcm: GeneralizedCartanMatrix, letters, x: list[int]) -> list[int]:
-    """x reflected in place by each letter in turn, unchecked: the caller validates."""
+    """x <- s_i(x) in place for each letter i in turn, unchecked: the caller validates."""
     roots = gcm.roots
-    for i in letters:   # _reflect, inlined
+    for i in letters:
         c = x[i]
         if c:
             for k, a in roots[i]:
@@ -92,7 +84,6 @@ def _word_of_rho_vector(gcm: GeneralizedCartanMatrix, x: Weight) -> Word:
     x is dominant.  Precondition: x is in the orbit of rho, where the peel
     ends after l(w) steps; outside the Tits cone it would never end.
     """
-    roots = gcm.roots
     x = list(x)
     letters = []
     while True:
@@ -100,7 +91,7 @@ def _word_of_rho_vector(gcm: GeneralizedCartanMatrix, x: Weight) -> Word:
         if i is None:
             break
         letters.append(i)
-        _reflect(roots, x, i)
+        _walk(gcm, (i,), x)
     if tuple(x) != gcm.rho():
         raise NoDescentFound(f"descent peeling ended at {tuple(x)}, not at rho")
     return tuple(reversed(letters))
@@ -131,7 +122,6 @@ def longest_element(gcm: GeneralizedCartanMatrix) -> Word:
     (0, 1, 0)
     """
     _require_finite(gcm)
-    roots = gcm.roots
     x = list(gcm.rho())
     letters = []
     while True:
@@ -139,7 +129,7 @@ def longest_element(gcm: GeneralizedCartanMatrix) -> Word:
         if i is None:
             return tuple(letters)
         letters.append(i)
-        _reflect(roots, x, i)
+        _walk(gcm, (i,), x)
 
 
 def is_in_w_tilde(gcm: GeneralizedCartanMatrix, word: Word, perm: tuple[int, ...]) -> bool:
@@ -172,7 +162,6 @@ def enumerate_weyl(gcm: GeneralizedCartanMatrix,
         int_at_least(max_length, 0, "length cap")
     if max_length is None and not gcm.finite:
         raise NotFiniteType("cannot enumerate an infinite Weyl group without a length cap")
-    roots = gcm.roots
     rho = gcm.rho()
     found: dict[Weight, Word] = {rho: ()}
     frontier: list[tuple[Word, Weight]] = [((), rho)]
@@ -182,9 +171,7 @@ def enumerate_weyl(gcm: GeneralizedCartanMatrix,
         fresh = []
         for word, x in frontier:
             for i in range(gcm.n):
-                y = list(x)
-                _reflect(roots, y, i)
-                y = tuple(y)
+                y = tuple(_walk(gcm, (i,), list(x)))
                 if y not in found:
                     found[y] = word + (i,)
                     fresh.append((word + (i,), y))

@@ -47,7 +47,7 @@ from .errors import (
     RankMismatch,
     TooLarge,
 )
-from .linalg import exact_quotient
+from .linalg import eliminate, exact_quotient
 from .root_data import (
     BoundedCache,
     CharacterPolynomial,
@@ -97,39 +97,29 @@ def _table(rows) -> Table:
                  for num, d in rows), den
 
 
-def _eliminate(out: list[int], row: list[int], pivot: int) -> list[int]:
-    """out minus the multiple of row that clears its pivot entry, divided by the gcd."""
-    g = math.gcd(row[pivot], out[pivot])
-    a, b = row[pivot] // g, out[pivot] // g
-    out = list(map(sub, map(a.__mul__, out), map(b.__mul__, row)))
-    g = math.gcd(*out)
-    return [x // g for x in out] if g > 1 else out
+def _relations(vectors, width: int, rank: int):
+    """Yield, for each integer vector in turn, None when it is independent of
+    the vectors before it, else its coordinates on the independent ones
+    before it, as (numerators, positive denominator).
 
-
-def _relations(vectors, scales, width: int, rank: int):
-    """Yield, for each vector vectors[t] / scales[t] in turn (integer entries,
-    positive scale), None when it is independent of the vectors before it,
-    else its coordinates on the independent ones before it, as
-    (numerators, positive denominator).
-
-    Fraction-free elimination on the first width entries, each row divided
-    by the gcd of its entries.  Every vector carries a tail that records
-    its combination of the independent vectors (one slot each, at most
-    ``rank`` of them) and of itself (the last entry), so a vector that
-    reduces to zero states its relation to them.  An independent vector
-    beyond ``rank`` ends the iteration.
+    Fraction-free elimination (``linalg.eliminate``) on the first width
+    entries.  Every vector carries a tail that records its combination of
+    the independent vectors (one slot each, at most ``rank`` of them) and
+    of itself (the last entry), so a vector that reduces to zero states its
+    relation to them.  An independent vector beyond ``rank`` ends the
+    iteration.
     """
-    rows, pivots, kept = [], [], []
-    for vec, scale in zip(vectors, scales):
+    rows, pivots = [], []
+    for vec in vectors:
         out = list(vec) + [0] * rank + [1]
         for pivot, row in zip(pivots, rows):
             if out[pivot]:
-                out = _eliminate(out, row, pivot)
+                out = eliminate(out, row, pivot)
         pivot = next(filter(out.__getitem__, range(width)), None)
         if pivot is None:
             a = out[-1]   # nonzero: only rows of independent vectors were subtracted
             sign = -1 if a > 0 else 1
-            yield [sign * x * s for x, s in zip(out[width:], kept)], abs(a) * scale
+            yield [sign * x for x in out[width:width + len(rows)]], abs(a)
             continue
         yield None
         if len(rows) == rank:
@@ -137,15 +127,13 @@ def _relations(vectors, scales, width: int, rank: int):
         out[width + len(rows)], out[-1] = out[-1], 0
         rows.append(out)
         pivots.append(pivot)
-        kept.append(scale)
 
 
-def _joined(blocks, widths, count: int) -> tuple[list[list[int]], int]:
-    """count rows of the (rows, denominator) blocks side by side, over one denominator.
+def _joined(blocks, widths, count: int, den: int) -> list[list[int]]:
+    """count rows of the (rows, d) blocks side by side, over a multiple den of every d.
 
     A block row shorter than its width is padded with zeros.
     """
-    den = math.lcm(*(d for _, d in blocks))
     out = [[] for _ in range(count)]
     for (rows, d), width in zip(blocks, widths):
         factor = den // d
@@ -153,14 +141,22 @@ def _joined(blocks, widths, count: int) -> tuple[list[list[int]], int]:
             vec += row if factor == 1 else [x * factor for x in row]
             if len(row) < width:
                 vec += [0] * (width - len(row))
-    return out, den
+    return out
 
 
-def _stacked(module: "_Module", beta: RootVector, letters) -> tuple[list[list[int]], int]:
-    """The raising images of the basis of beta, letter blocks side by side, over one denominator."""
+def _solved(module: "_Module", beta: RootVector, letters, blocks, count: int, rank: int):
+    """Solve count candidates at content beta, after its basis, by their raising images.
+
+    The basis's raising tables and the candidates' letter blocks, one per
+    letter in ``letters``, are joined over one denominator den.  Returns
+    the joined vectors (basis first), den and the ``_relations`` of each.
+    """
     size = module.sizes.get(beta, 0)
-    return _joined([module.raising.get((beta, j), (((),) * size, 1)) for j, _ in letters],
-                   [w for _, w in letters], size)
+    basis = [module.raising.get((beta, j), (((),) * size, 1)) for j, _ in letters]
+    widths = [w for _, w in letters]
+    den = math.lcm(*(d for _, d in basis), *(d for _, d in blocks))
+    vectors = _joined(basis, widths, size, den) + _joined(blocks, widths, count, den)
+    return vectors, den, list(_relations(vectors, sum(widths), rank))
 
 
 class _Module:
@@ -226,16 +222,13 @@ class _Module:
                 twists[beta] = table
                 continue
             letters = self.letters(image)
-            basis, basis_den = _stacked(self, image, letters)
             blocks = []
             for j, _ in letters:   # e_j tau(x) = tau(e_l x), j = perm[l]
                 l = perm.index(j)
                 e_rows, e_den = self.raising.get((beta, l), (((),) * size, 1))
                 t_rows, t_den = twists.get(_shift(beta, l, -1), ((), 1))
                 blocks.append((_product(e_rows[first:], t_rows), e_den * t_den))
-            twisted, den = _joined(blocks, [w for _, w in letters], size - first)
-            found = list(_relations(basis + twisted, [basis_den] * size + [den] * len(twisted),
-                                    sum(w for _, w in letters), size))
+            found = _solved(self, image, letters, blocks, size - first, size)[2]
             if None in found[size:]:
                 raise NotTauStable(f"twisted basis of content {beta} left the module")
             twists[beta] = _table([(row + (0,) * (size - first), table[1]) for row in table[0]]
@@ -256,9 +249,7 @@ def _extended(lam: Weight, i: int, module: _Module, lower: dict, beta: RootVecto
     coordinates make ``lower[gamma]``, f_i on the basis of V_w at gamma.
     """
     letters = module.letters(beta)
-    widths = [w for _, w in letters]
-    vectors, scale = _stacked(module, beta, letters)
-    old = len(vectors)
+    old = module.sizes.get(beta, 0)
     gamma = _shift(beta, i, -1)
     count = module.sizes[gamma]
     h = lam[i] - sum(map(mul, module.gcm.entries[i], gamma))   # <lam - gamma, alpha_i^vee>
@@ -274,11 +265,8 @@ def _extended(lam: Weight, i: int, module: _Module, lower: dict, beta: RootVecto
             rows = [[x + h * d * (b == t) for b, x in enumerate(row)]
                     for t, row in enumerate(rows or [[0] * w] * count)]
         blocks.append((rows or ((),) * count, d))
-    stacked, den = _joined(blocks, widths, count)
-    vectors += stacked
-    width = sum(widths)
-    found = list(_relations(vectors, [scale] * old + [den] * count, width,
-                            min(len(vectors), width)))
+    vectors, den, found = _solved(module, beta, letters, blocks, count,
+                                  min(old + count, sum(w for _, w in letters)))
     if any(found[:old]):
         raise RankMismatch(f"the basis of V_(s_{i} w) at content {beta} is dependent in V_w")
     basis = [t for t, f in enumerate(found) if f is None]
@@ -378,7 +366,7 @@ def _content(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> tuple[RootVecto
     mu = list(lam)
     for i in reversed(word):
         c = mu[i]
-        if c:   # weyl._reflect, inlined
+        if c:   # weyl._walk by one letter, inlined: beta adds up c too
             beta[i] += c
             for k, a in roots[i]:
                 mu[k] -= c * a

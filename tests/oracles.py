@@ -9,9 +9,11 @@ of a Weyl element, a product of simple-reflection matrices on weight
 coordinates that shares no code with the library's w^-1(rho) vectors.  The
 orbits of a permutation with the 0/1 weight-lift matrix they define,
 computed without the folding code.  The Freudenthal recursion for the
-weight multiplicities of L(lam), with the root coordinates of a weight and
-the invariant form on roots that it needs: a third route to the full
-character, sharing only the root data with the two routes under test.
+weight multiplicities of L(lam), with the root coordinates of a weight (by
+Cramer's rule over cofactor determinants, which also give the leading
+principal minors) and the invariant form on roots that it needs: a third
+route to the full character, sharing only the root data with the two
+routes under test.
 The definition of a Demazure module, U(n+) applied to the extremal line of
 w(lam) inside L(lam), as an upward dynamic programming over Fraction
 tables of L(lam): the reference for the library's Demazure recursion.
@@ -29,7 +31,6 @@ from itertools import product
 from twinchar import weyl
 from twinchar.characters import demazure_op
 from twinchar.errors import InvalidInput, NotSymmetricWeight, TooLarge
-from twinchar.linalg import determinant
 from twinchar.root_data import (
     CharacterPolynomial,
     dominant_weight,
@@ -372,15 +373,28 @@ def reduced_word_demazure_character(gcm, lam, word):
     return poly
 
 
+def laplace_determinant(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * laplace_determinant([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def leading_principal_minors(m):
+    """The determinants of the leading k x k blocks, k = 1 .. n, by cofactor expansion."""
+    return [laplace_determinant([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+
+
 def root_coords(gcm, lam):
     """Inverse of weight_of_root by Cramer's rule; needs det != 0 and an integral result."""
-    det = determinant(gcm.entries)
+    det = laplace_determinant(gcm.entries)
     if det == 0:
         raise ValueError("Cartan matrix is singular; root coordinates undefined")
     coords = []
     for j in range(gcm.n):
         replaced = tuple(row[:j] + (c,) + row[j + 1:] for row, c in zip(gcm.entries, lam))
-        quotient, remainder = divmod(determinant(replaced), det)
+        quotient, remainder = divmod(laplace_determinant(replaced), det)
         if remainder:
             raise ValueError(f"weight {lam} is not in the root lattice")
         coords.append(quotient)

@@ -27,7 +27,6 @@ from twinchar.folding import (
     unfold_weight,
     unfold_word,
 )
-from twinchar.linalg import leading_principal_minors
 from twinchar.root_data import (
     GeneralizedCartanMatrix,
     cartan_matrix,
@@ -42,7 +41,7 @@ from twinchar.weyl import (
     length,
 )
 
-from oracles import lift_matrix, mat_mul, matrix_of, orbits_of
+from oracles import leading_principal_minors, lift_matrix, mat_mul, matrix_of, orbits_of
 
 BATTERY = [
     ("A2", (1, 0)),

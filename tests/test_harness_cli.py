@@ -29,7 +29,7 @@ from twinchar.errors import (
     TooLarge,
 )
 from twinchar.folding import fold
-from twinchar.linalg import exact_quotient, leading_principal_minors
+from twinchar.linalg import exact_quotient
 from twinchar.root_data import (
     CharacterPolynomial,
     GeneralizedCartanMatrix,
@@ -40,7 +40,7 @@ from twinchar.root_data import (
 from twinchar.weyl import enumerate_weyl
 from twinchar.word_model import demazure_subspaces, twining_character
 
-from oracles import freudenthal_character, weight_space
+from oracles import freudenthal_character, leading_principal_minors, weight_space
 
 
 def test_instance_parsing_requires_exactly_one_side():

@@ -12,7 +12,7 @@ from twinchar import weyl
 from twinchar.characters import demazure_character
 from twinchar.errors import InvalidInput, NotFiniteType, NotGCM, NotSymmetrizable
 from twinchar.folding import fold, fold_word, unfold_word
-from twinchar.linalg import determinant
+from twinchar.linalg import leading_minors_positive
 from twinchar.root_data import (
     cartan_matrix,
     diagram_permutation,
@@ -23,7 +23,7 @@ from twinchar.root_data import (
 )
 from twinchar.word_model import demazure_subspaces, twining_character
 
-from oracles import root_coords, weight_space
+from oracles import leading_principal_minors, root_coords, weight_space
 
 CATALOG = ["A2", "A3", "A4", "B2", "C3", "D4", "G2"]
 
@@ -192,14 +192,6 @@ def test_root_coords_of_singular_matrix():
         root_coords(validate_gcm([[2, -2], [-2, 2]]), (0, 0))
 
 
-def laplace_determinant(m):
-    """Oracle: cofactor expansion along the first row."""
-    if not m:
-        return 1
-    return sum((-1) ** j * m[0][j] * laplace_determinant([row[:j] + row[j + 1:] for row in m[1:]])
-               for j in range(len(m)))
-
-
 square_matrices = st.integers(1, 5).flatmap(
     lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                        min_size=n, max_size=n))
@@ -208,10 +200,17 @@ square_matrices = st.integers(1, 5).flatmap(
 @settings(max_examples=400, deadline=None)
 @given(square_matrices)
 @example([[0, 0], [0, 0]])
+@example([[0, 1], [1, 2]])                       # zero first pivot
+@example([[1, 2, 0], [2, 4, 1], [0, 1, 3]])      # zero later pivot
+@example([[2, 3, 1], [1, 1, 0], [0, 1, 2]])      # negative pivot after a positive one
+@example([[2, -2], [-2, 2]])                     # affine A1: positive, then zero
 @example([[1, 2, 3], [2, 4, 6], [0, 1, -1]])
-@example([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
-def test_determinant_matches_laplace_expansion(m):
-    assert determinant(tuple(map(tuple, m))) == laplace_determinant(m)
+@example([list(row) for row in cartan_matrix("E6").entries])
+def test_leading_minors_positive_matches_laplace_minors(m):
+    # elimination without row swaps meets only positive pivots exactly when every
+    # leading principal minor, by cofactor expansion, is positive
+    assert leading_minors_positive(tuple(map(tuple, m))) == all(
+        d > 0 for d in leading_principal_minors(m))
 
 
 def test_positive_roots_a2():

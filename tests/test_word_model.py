@@ -291,10 +291,10 @@ def _checked_relations(log):
     """Wrap word_model._relations so that each answer is checked exactly against Fractions."""
     original = word_model._relations
 
-    def relations(vectors, scales, width, rank):
+    def relations(vectors, width, rank):
         independent = []
-        for vec, scale, found in zip(vectors, scales, original(vectors, scales, width, rank)):
-            head = [Fraction(x, scale) for x in vec[:width]]
+        for vec, found in zip(vectors, original(vectors, width, rank)):
+            head = [Fraction(x) for x in vec[:width]]
             if found is None:
                 rank = len(fraction_echelon(dict(enumerate(v)) for v in independent + [head]))
                 assert rank == len(independent) + 1
