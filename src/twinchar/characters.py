@@ -74,7 +74,7 @@ def demazure_core(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> CharacterP
     shortest element of w W_lam, so chi_w = D_i chi_{s_i w}; it peels down
     to the first cached weight or to mu = lam, where the character is
     e(lam), then applies one Demazure operator per step back up, caching
-    each character it passes.
+    each character it passes, e(lam) included.
     """
     key = (gcm, lam, tuple(weyl._walk(gcm, reversed(word), list(lam))))
     peeled = []
@@ -87,6 +87,7 @@ def demazure_core(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> CharacterP
         key = (gcm, lam, tuple(weyl._walk(gcm, (i,), list(mu))))
     if poly is None:
         poly = CharacterPolynomial.monomial(lam)
+        _characters.add(key, poly)
     for key, i in reversed(peeled):
         poly = demazure_op(gcm, poly, i)
         _characters.add(key, poly)

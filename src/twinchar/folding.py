@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from . import weyl
 from .errors import (
@@ -141,10 +142,12 @@ def fold_weight(data: FoldingData, lam: Weight) -> Weight:
 
 def unfold_word(data: FoldingData, word_hat: Word) -> Word:
     """Expand a folded word letterwise through the per-orbit Weyl words."""
-    out: list[int] = []
-    for k in weyl_word(data.folded, word_hat):
-        out.extend(data.orbit_words[k])
-    return tuple(out)
+    return _unfold_letters(data, weyl_word(data.folded, word_hat))
+
+
+def _unfold_letters(data: FoldingData, word_hat: Word) -> Word:
+    """``unfold_word`` on a folded word whose letters are checked."""
+    return tuple(chain.from_iterable(map(data.orbit_words.__getitem__, word_hat)))
 
 
 def fold_word(data: FoldingData, word: Word) -> Word:
@@ -156,13 +159,18 @@ def fold_word(data: FoldingData, word: Word) -> Word:
     is peeled on the folded side.  The result is checked to re-expand to
     the same element.
     """
+    return _fold_letters(data, weyl_word(data.gcm, word))
+
+
+def _fold_letters(data: FoldingData, word: Word) -> Word:
+    """``fold_word`` on an unfolded word whose letters are checked."""
     gcm = data.gcm
-    x = weyl.element_of(gcm, word)
+    x = weyl._walk(gcm, word, list(gcm.rho()))
     if not is_symmetric_weight(x, data.auto.perm):
         raise NotInWTilde(f"word {word} does not commute with the automorphism")
     x_hat = tuple(x[orbit[0]] for orbit in data.orbits)
     result = weyl._word_of_rho_vector(data.folded, x_hat)
-    if weyl.element_of(gcm, unfold_word(data, result)) != x:
+    if weyl._walk(gcm, _unfold_letters(data, result), list(gcm.rho())) != x:
         raise NoDescentFound("descent peeling did not invert the word expansion; "
                              "folding data is inconsistent")
     return result

@@ -7,10 +7,15 @@ side) and the folded Demazure character pushed through the weight lift
 (right side) and compares them exactly; a mismatch is a report, not a
 crash, so the harness doubles as a falsification tool.
 
-``parse_instance`` checks the types of an instance and ``prepare`` checks
-the rest, once; ``verify_prepared`` then runs the route cores, which keep
-every mathematical check.  Each (matrix, automorphism) family is folded
-once per process, in a bounded cache keyed on the validated matrix and the
+Each check runs once per instance.  ``Instance`` checks the types of its
+fields however it is built; ``parse_instance`` adds only the checks of the
+dict's keys.  ``prepare`` checks the values, and ``verify_prepared`` then
+runs the route cores, which keep every mathematical check.  The records
+``Instance``, ``PreparedInstance`` and ``VerificationReport`` are
+NamedTuples: immutable, changed with ``_replace`` (not
+``dataclasses.replace``), which for an ``Instance`` checks as its
+constructor does.  Each (matrix, automorphism) family is folded once per
+process, in a bounded cache keyed on the validated matrix and the
 strict-int permutation, never on raw fields: ``fold`` checks the
 permutation on a miss, and a failed fold is not cached.  A matrix given by
 its rows is validated once per process the same way: the cache key is the
@@ -24,6 +29,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import weyl, word_model
 from .characters import canonical_serialize, demazure_core, map_character
@@ -31,19 +37,20 @@ from .errors import InvalidInput, TooLarge
 from .folding import (
     DiagramAutomorphism,
     FoldingData,
+    _fold_letters,
+    _unfold_letters,
     fold,
     fold_weight,
-    fold_word,
     unfold_weight,
-    unfold_word,
 )
 from .root_data import (
     CharacterPolynomial,
     GeneralizedCartanMatrix,
     Weight,
+    _dominant,
+    _letters,
     _sequence,
     cartan_matrix,
-    dominant_weight,
     int_at_least,
     int_tuple,
     validate_gcm,
@@ -51,12 +58,11 @@ from .root_data import (
 )
 
 Word = tuple[int, ...]
+# builds a NamedTuple record in C, past the Python __new__ that NamedTuple generates
+_record = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One verification problem as found in an instance file."""
-
+class _InstanceFields(NamedTuple):
     gcm: object                      # catalog label (str) or integer matrix
     automorphism: tuple[int, ...]
     lambda_hat: Weight | None = None
@@ -64,11 +70,42 @@ class Instance:
     w_hat: Word | None = None
     w: Word | None = None
 
-    def __post_init__(self):
-        if (self.lambda_hat is None) == (self.lam is None):
+
+class Instance(_InstanceFields):
+    """One verification problem as found in an instance file.
+
+    Building one checks the types, however it is built: directly, by
+    ``parse_instance``, or by ``_make`` and ``_replace``, which go through
+    the constructor.  The matrix is a label or rows, and the rows and every
+    list field become tuples of ints (``int_tuple``: a bool, float or str
+    entry is invalid input); exactly one of each pair of sides is given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, gcm, automorphism, lambda_hat=None, lam=None, w_hat=None, w=None):
+        if not isinstance(gcm, str):
+            if not isinstance(gcm, (list, tuple)):
+                raise InvalidInput("field 'gcm' must be a catalog label or a list of rows")
+            gcm = tuple(int_tuple(row, "gcm row") for row in gcm)
+        automorphism = int_tuple(automorphism, "field 'automorphism'")
+        if lambda_hat is not None:
+            lambda_hat = int_tuple(lambda_hat, "field 'lambda_hat'")
+        if lam is not None:
+            lam = int_tuple(lam, "field 'lambda'")
+        if w_hat is not None:
+            w_hat = int_tuple(w_hat, "field 'w_hat'")
+        if w is not None:
+            w = int_tuple(w, "field 'w'")
+        if (lambda_hat is None) == (lam is None):
             raise InvalidInput("exactly one of lambda_hat / lambda must be given")
-        if (self.w_hat is None) == (self.w is None):
+        if (w_hat is None) == (w is None):
             raise InvalidInput("exactly one of w_hat / w must be given")
+        return _record(cls, (gcm, automorphism, lambda_hat, lam, w_hat, w))
+
+    @classmethod
+    def _make(cls, iterable) -> "Instance":
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         out: dict = {"gcm": self.gcm if isinstance(self.gcm, str)
@@ -85,31 +122,22 @@ class Instance:
         return out
 
 
+_INSTANCE_KEYS = frozenset({"gcm", "automorphism", "lambda_hat", "lambda", "w_hat", "w"})
+
+
 def parse_instance(data: dict) -> Instance:
+    """The instance of a dict read from an instance file.
+
+    Checks the shape of the dict, its keys; ``Instance`` checks the types.
+    """
     if not isinstance(data, dict):
         raise InvalidInput("instance must be a JSON object")
-    known = {"gcm", "automorphism", "lambda_hat", "lambda", "w_hat", "w"}
-    unknown = set(data) - known
-    if unknown:
-        raise InvalidInput(f"unknown instance fields: {sorted(unknown)}")
+    if not _INSTANCE_KEYS.issuperset(data):
+        raise InvalidInput(f"unknown instance fields: {sorted(data.keys() - _INSTANCE_KEYS)}")
     if "gcm" not in data or "automorphism" not in data:
         raise InvalidInput("instance needs 'gcm' and 'automorphism'")
-
-    def as_tuple(key):
-        value = data.get(key)
-        return None if value is None else int_tuple(value, f"field {key!r}")
-
-    gcm = data["gcm"]
-    if not isinstance(gcm, str):
-        if not isinstance(gcm, list):
-            raise InvalidInput("field 'gcm' must be a catalog label or a list of rows")
-        gcm = tuple(int_tuple(row, "gcm row") for row in gcm)
-    return Instance(gcm=gcm,
-                    automorphism=int_tuple(data["automorphism"], "field 'automorphism'"),
-                    lambda_hat=as_tuple("lambda_hat"),
-                    lam=as_tuple("lambda"),
-                    w_hat=as_tuple("w_hat"),
-                    w=as_tuple("w"))
+    return Instance(data["gcm"], data["automorphism"], data.get("lambda_hat"),
+                    data.get("lambda"), data.get("w_hat"), data.get("w"))
 
 
 def load_instance(path: str) -> Instance:
@@ -117,8 +145,7 @@ def load_instance(path: str) -> Instance:
         return parse_instance(json.load(handle))
 
 
-@dataclass(frozen=True)
-class PreparedInstance:
+class PreparedInstance(NamedTuple):
     """Instance with both the folded and unfolded data filled in."""
 
     folding: FoldingData
@@ -161,11 +188,17 @@ def _folding(gcm_source, automorphism) -> FoldingData:
 
 
 def prepare(instance: Instance) -> PreparedInstance:
-    """Check an instance once (the one check layer of ``verify``) and convert it to both sides.
+    """Check the values of an instance once and convert it to both sides.
 
-    Dominance comes last, so the first error of an instance with two faults stays the same.
+    ``Instance`` has checked the types, so the cache keys are strict ints
+    and no type is checked again.  This is the one value check of
+    ``verify``: the matrix and the automorphism, the size and symmetry of
+    the weight, the letters of the word and, last, the dominance of the
+    weight, so the first error of an instance with two faults stays the same.
     """
-    data = _folding(instance.gcm, instance.automorphism)
+    gcm = instance.gcm
+    data = _family(cartan_matrix(gcm) if isinstance(gcm, str) else _matrix(gcm),
+                   instance.automorphism)
     if instance.lam is not None:
         lam = instance.lam
         lambda_hat = fold_weight(data, lam)
@@ -173,27 +206,32 @@ def prepare(instance: Instance) -> PreparedInstance:
         lambda_hat = instance.lambda_hat
         lam = unfold_weight(data, lambda_hat)
     if instance.w is not None:
-        w = instance.w
-        w_hat = fold_word(data, w)
+        w = _letters(data.gcm, instance.w)
+        w_hat = _fold_letters(data, w)
     else:
-        w_hat = instance.w_hat
-        w = unfold_word(data, w_hat)
-    return PreparedInstance(data, dominant_weight(data.gcm, lam), tuple(lambda_hat), tuple(w),
-                            tuple(w_hat), instance)
+        w_hat = _letters(data.folded, instance.w_hat)
+        w = _unfold_letters(data, w_hat)
+    return _record(PreparedInstance, (data, _dominant(data.gcm, lam), lambda_hat, w, w_hat,
+                                      instance))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     source: Instance
     lhs: CharacterPolynomial
     rhs: CharacterPolynomial
     equal: bool
     ms: float                        # wall time of both routes, ms to 3 decimals
-    dims: dict
 
     @property
     def instance(self) -> dict:
         return self.source.to_dict()
+
+    @property
+    def dims(self) -> dict:
+        # the lift keeps coefficients, so rhs sums to the folded Demazure dimension
+        return {"folded_demazure_dim": self.rhs.coefficient_sum(),
+                "lhs_terms": len(self.lhs),
+                "rhs_terms": len(self.rhs)}
 
     @property
     def differing_terms(self) -> list:
@@ -221,17 +259,12 @@ def verify_prepared(prep: PreparedInstance,
     cores, which keep every mathematical check.  The left side never
     touches the folding data, the right side never touches the word model.
     """
+    folding = prep.folding
     start = time.perf_counter_ns()
-    lhs = word_model.twining_core(prep.gcm, prep.lam, prep.w, prep.auto.perm, word_cap)
-    folded_char = demazure_core(prep.folding.folded, prep.lambda_hat, prep.w_hat)
-    rhs = map_character(prep.folding, folded_char)
+    lhs = word_model.twining_core(folding.gcm, prep.lam, prep.w, folding.auto.perm, word_cap)
+    rhs = map_character(folding, demazure_core(folding.folded, prep.lambda_hat, prep.w_hat))
     ms = round((time.perf_counter_ns() - start) / 1e6, 3)
-    dims = {
-        "folded_demazure_dim": folded_char.coefficient_sum(),
-        "lhs_terms": len(lhs),
-        "rhs_terms": len(rhs),
-    }
-    return VerificationReport(prep.source, lhs, rhs, lhs == rhs, ms, dims)
+    return _record(VerificationReport, (prep.source, lhs, rhs, lhs == rhs, ms))
 
 
 def verify(instance: Instance | dict,

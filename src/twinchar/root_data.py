@@ -193,7 +193,11 @@ def int_at_least(value, minimum: int, what: str) -> None:
 
 def dominant_weight(gcm: GeneralizedCartanMatrix, lam) -> Weight:
     """The weight as a tuple, checked to be integral, of size rank and dominant."""
-    lam = int_tuple(lam, "weight")
+    return _dominant(gcm, int_tuple(lam, "weight"))
+
+
+def _dominant(gcm: GeneralizedCartanMatrix, lam: Weight) -> Weight:
+    """``dominant_weight`` on a tuple of ints: checks the size and the dominance."""
     if len(lam) != gcm.n:
         raise InvalidInput(f"weight {lam} has size {len(lam)}, expected {gcm.n}")
     if not gcm.is_dominant(lam):
@@ -203,7 +207,11 @@ def dominant_weight(gcm: GeneralizedCartanMatrix, lam) -> Weight:
 
 def weyl_word(gcm: GeneralizedCartanMatrix, word) -> tuple[int, ...]:
     """The word as a tuple, checked to be ints that are nodes of the matrix."""
-    word = int_tuple(word, "word")
+    return _letters(gcm, int_tuple(word, "word"))
+
+
+def _letters(gcm: GeneralizedCartanMatrix, word: tuple[int, ...]) -> tuple[int, ...]:
+    """``weyl_word`` on a tuple of ints: checks that each letter is a node."""
     if word and not (0 <= min(word) and max(word) < gcm.n):
         raise InvalidInput(f"word {word} has a letter out of range for rank {gcm.n}")
     return word

@@ -356,14 +356,14 @@ def test_criterion_8_mutation_sensitivity():
         prep = harness.prepare(harness.parse_instance(
             {"gcm": "A3", "automorphism": [2, 1, 0],
              "lambda_hat": [1, 1], "w_hat": list(what)}))
-        bad = replace(prep, folding=replace(prep.folding, folded=bad_folded))
+        bad = prep._replace(folding=replace(prep.folding, folded=bad_folded))
         flipped.append(not harness.verify_prepared(bad).equal)
     assert any(flipped), "no battery instance noticed the corrupted folded matrix"
 
     # (b) corrupt one expansion word (swap in a commuting but wrong lift)
     prep = harness.prepare(harness.parse_instance(
         {"gcm": "A3", "automorphism": [2, 1, 0], "lambda_hat": [1, 1], "w_hat": [0]}))
-    bad = replace(prep, w=(1,))
+    bad = prep._replace(w=(1,))
     assert not harness.verify_prepared(bad).equal
 
     # (c) sanity: the untouched instances are all equal

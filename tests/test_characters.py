@@ -10,6 +10,7 @@ from twinchar import characters, weyl
 from twinchar.characters import (
     canonical_serialize,
     demazure_character,
+    demazure_core,
     demazure_op,
     map_character,
 )
@@ -169,6 +170,18 @@ def test_the_character_cache_is_bounded(monkeypatch):
     assert (B2, (1, 1), weyl.act(B2, word, (1, 1))) in characters._characters
     assert demazure_character(B2, (1, 1), (0,)) == reduced_word_demazure_character(B2, (1, 1), (0,))
     assert demazure_character(B2, (1, 1), word) == full
+    characters._characters.cache_clear()
+
+
+def test_the_highest_weight_character_is_cached():
+    # w(lam) = lam gives e(lam), kept under its key (gcm, lam, lam) like every other
+    # character, so a second call returns the cached object
+    characters._characters.cache_clear()
+    first = demazure_core(A2, (0, 1), (0,))    # s_0 fixes (0, 1)
+    assert first == CharacterPolynomial.monomial((0, 1))
+    assert characters._characters[A2, (0, 1), (0, 1)] is first
+    assert demazure_core(A2, (0, 1), (0,)) is first
+    assert demazure_core(A2, (0, 1), ()) is first
     characters._characters.cache_clear()
 
 

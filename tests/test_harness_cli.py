@@ -7,7 +7,10 @@ import importlib
 import io
 import json
 import pkgutil
+import sys
+from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 from operator import mul
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinchar
-from twinchar import characters, errors, harness, weyl, word_model
+from twinchar import characters, errors, harness, root_data, weyl, word_model
 from twinchar.characters import canonical_serialize, demazure_character, map_character
 from twinchar.cli import main
 from twinchar.errors import (
@@ -24,9 +27,11 @@ from twinchar.errors import (
     InvalidInput,
     NotDiagramAutomorphism,
     NotDominant,
+    NotGCM,
     NotInWTilde,
     NotSymmetricWeight,
     TooLarge,
+    TwiningError,
 )
 from twinchar.folding import fold
 from twinchar.linalg import exact_quotient
@@ -324,6 +329,135 @@ def test_warm_path_keeps_its_checks(monkeypatch):
     word_model._modules.cache_clear()
 
 
+# one fault per entry, in the order verify meets them: the types of the fields
+# (Instance), then the values (prepare), dominance last; each with the error it raises
+# alone, as the instance-file path reported it before Instance checked types
+FAULTS = {   # name: (field, changes to TWO_SIDED, error class, message)
+    "float-row": ("gcm", {"gcm": [[2, -1, 0], [-1, 2.0, -1], [0, -1, 2]]},
+                  InvalidInput, "gcm row [-1, 2.0, -1] has a non-integer entry"),
+    "bool": ("automorphism", {"automorphism": [2, True, 0]},
+             InvalidInput, "field 'automorphism' [2, True, 0] has a non-integer entry"),
+    "float": ("weight", {"lambda_hat": [1.0, 1]},
+              InvalidInput, "field 'lambda_hat' [1.0, 1] has a non-integer entry"),
+    "str": ("word", {"w_hat": ["0", 1]},
+            InvalidInput, "field 'w_hat' ['0', 1] has a non-integer entry"),
+    "label": ("gcm", {"gcm": "Z3"}, InvalidInput, "unknown Cartan type label 'Z3'"),
+    "not-gcm": ("gcm", {"gcm": [[2, 1, 0], [1, 2, -1], [0, -1, 2]]},
+                NotGCM, "off-diagonal entry a[0][1] = 1 must be <= 0"),
+    "not-bijective": ("automorphism", {"automorphism": [0, 0, 1]},
+                      NotDiagramAutomorphism, "[0, 0, 1] is not a bijection of 0..2"),
+    "size": ("weight", {"lambda_hat": [1, 1, 1]},
+             InvalidInput, "folded weight (1, 1, 1) has wrong size 3"),
+    "asymmetric": ("weight", {"lambda_hat": None, "lambda": [1, 0, 0]}, NotSymmetricWeight,
+                   "weight (1, 0, 0) is not constant on orbits ((0, 2), (1,))"),
+    "letter": ("word", {"w_hat": [0, 5]},
+               InvalidInput, "word (0, 5) has a letter out of range for rank 2"),
+    "not-commuting": ("word", {"w_hat": None, "w": [0]},
+                      NotInWTilde, "word (0,) does not commute with the automorphism"),
+    "not-dominant": ("weight", {"lambda_hat": [-1, 1]},
+                     NotDominant, "weight (-1, 1, -1) is not dominant"),
+}
+TWO_SIDED = {"gcm": "A3", "automorphism": [2, 1, 0], "lambda_hat": [1, 1], "w_hat": [0, 1]}
+
+
+def _as_tuples(value):
+    return tuple(map(_as_tuples, value)) if isinstance(value, list) else value
+
+
+@pytest.mark.parametrize("path", ["file", "direct"])
+def test_first_error_of_two_faults(path):
+    # of two faults in different fields the one met first is reported, by class and
+    # message; an Instance built from tuples reports what the instance file does
+    def first_error(*names):
+        payload = dict(TWO_SIDED)
+        for name in names:
+            payload.update(FAULTS[name][1])
+        fields = {("lam" if k == "lambda" else k): _as_tuples(v)
+                  for k, v in payload.items() if v is not None}
+        try:
+            harness.verify(payload if path == "file" else harness.Instance(**fields))
+        except TwiningError as exc:
+            return type(exc), str(exc)
+        return None
+
+    grid = [(name,) for name in FAULTS]
+    grid += [pair for pair in combinations(FAULTS, 2) if FAULTS[pair[0]][0] != FAULTS[pair[1]][0]]
+    assert len(grid) == 12 + 53
+    wrong = [(names, got) for names in grid
+             if (got := first_error(*names)) != FAULTS[names[0]][2:]]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_instance_replace_and_make_check_types(bad):
+    # _replace builds through _make, and both go through the checks of Instance
+    instance = harness.parse_instance(TWO_SIDED)
+    for changes in [{"gcm": ((2, -1, 0), (-1, bad, -1), (0, -1, 2))},
+                    {"automorphism": (2, bad, 0)}, {"lambda_hat": (bad, 1)},
+                    {"lambda_hat": None, "lam": (bad, 1, 1)}, {"w_hat": (0, bad)},
+                    {"w_hat": None, "w": (bad,)}]:
+        with pytest.raises(InvalidInput, match="non-integer entry"):
+            instance._replace(**changes)
+        with pytest.raises(InvalidInput, match="non-integer entry"):
+            harness.Instance._make({**instance._asdict(), **changes}.values())
+    with pytest.raises(InvalidInput, match="exactly one"):
+        instance._replace(lam=(1, 1, 1))
+    moved = instance._replace(w_hat=[1, 0])
+    assert type(moved) is harness.Instance and moved.w_hat == (1, 0)
+    assert harness.Instance._make(instance) == instance
+
+
+def _int_tuple_calls(call):
+    """The number of int_tuple calls that call makes, and its result."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is root_data.int_tuple.__code__:
+            calls.append(frame.f_lineno)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return len(calls), result
+
+
+@pytest.mark.parametrize("payload, lists", [
+    (TWO_SIDED, 3),
+    ({"gcm": [[2, -1], [-1, 2]], "automorphism": [1, 0], "lambda": [1, 1], "w": [0, 1, 0]}, 5),
+], ids=["label-folded", "rows-unfolded"])
+def test_warm_verify_checks_each_list_once(payload, lists):
+    # a matrix row, the automorphism, the weight and the word are each checked once, by
+    # Instance; prepare checks values only
+    harness.verify(payload)
+    calls, report = _int_tuple_calls(lambda: harness.verify(payload))
+    assert report.equal and calls == lists
+    calls, instance = _int_tuple_calls(lambda: harness.parse_instance(payload))
+    assert calls == lists
+    assert _int_tuple_calls(lambda: harness.prepare(instance)) == (0, harness.prepare(instance))
+
+
+def test_battery_reports_are_frozen():
+    # every report of the default battery as verify --json prints it, without ms, and
+    # its dims: the lift keeps coefficients, so the folded Demazure dimension is the
+    # coefficient sum of the right side
+    reports, totals = [], Counter()
+    for _, instance in harness.battery_instances(harness.BatteryConfig()):
+        prep = harness.prepare(instance)
+        report = harness.verify(instance)
+        folded = demazure_character(prep.folding.folded, prep.lambda_hat, prep.w_hat)
+        assert report.dims == {"folded_demazure_dim": folded.coefficient_sum(),
+                               "lhs_terms": len(report.lhs), "rhs_terms": len(report.rhs)}
+        totals.update(report.dims)
+        data = report.to_dict()
+        data.pop("ms")
+        reports.append(data)
+    assert totals == {"folded_demazure_dim": 378, "lhs_terms": 367, "rhs_terms": 367}
+    assert (hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+            == "94bd8bf4f4b3f4c45d357ffc30b7b8ad5862dcc4bbc69d627cae9418f79b5848")
+
+
 @pytest.mark.parametrize("config", [harness.BatteryConfig(), BOX_1], ids=["default", "box-1"])
 def test_direct_lift_and_report_instance(config):
     # map_character builds its term dict directly: it must equal the lift through the
@@ -430,7 +564,7 @@ def test_affine_instance_gives_one_verdict_by_either_word():
         by_w_hat = harness.Instance(c2.gcm, c2.automorphism, lambda_hat=lambda_hat,
                                     w_hat=(1, 0, 1, 0))
         prep = harness.prepare(by_w_hat)
-        by_w = replace(by_w_hat, w_hat=None, w=prep.w)
+        by_w = by_w_hat._replace(w_hat=None, w=prep.w)
         assert harness.prepare(by_w).w_hat == prep.w_hat
         first, second = harness.verify(by_w_hat), harness.verify(by_w)
         assert first.equal and (first.lhs, first.rhs) == (second.lhs, second.rhs)
@@ -455,7 +589,7 @@ def test_corrupted_folded_matrix_is_detected():
         prep = harness.prepare(harness.parse_instance(
             {"gcm": "A3", "automorphism": [2, 1, 0],
              "lambda_hat": [1, 1], "w_hat": list(what)}))
-        bad = replace(prep, folding=replace(prep.folding, folded=bad_folded))
+        bad = prep._replace(folding=replace(prep.folding, folded=bad_folded))
         statuses.append(harness.verify_prepared(bad).equal)
     assert not all(statuses)
 
@@ -464,7 +598,7 @@ def test_corrupted_orbit_word_is_detected():
     # swap the expansion of the first folded letter for a commuting word
     prep = harness.prepare(harness.parse_instance(
         {"gcm": "A3", "automorphism": [2, 1, 0], "lambda_hat": [1, 1], "w_hat": [0]}))
-    bad = replace(prep, w=(1,))  # s_1 commutes with the flip but is the wrong lift
+    bad = prep._replace(w=(1,))  # s_1 commutes with the flip but is the wrong lift
     report = harness.verify_prepared(bad)
     assert not report.equal
     assert report.differing_terms
