@@ -5,9 +5,10 @@ form, so no power-series division appears anywhere.  Demazure characters
 follow Demazure's recursion chi_w = D_i chi_{s_i w} on the extremal weight
 w(lam), which keys their bounded cache; no reduced word is formed.
 ``map_character`` pushes a character of the folded side through the weight
-lift, exponent by exponent.  Nothing here reaches the word model: the two
-routes meet only in the root layer (``root_data``, ``linalg``, ``errors``,
-``weyl``).
+lift, exponent by exponent, and ``lifted_core`` keeps each lift in the same
+cache, next to the character it lifts.  Nothing here reaches the word
+model: the two routes meet only in the root layer (``root_data``,
+``linalg``, ``errors``, ``weyl``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from .root_data import (
     weyl_word,
 )
 
-# the most characters the cache (gcm, lam, w(lam)) -> chi_w(lam) holds before it drops
-# the oldest: about three times the largest benchmark pool's 355 extremal weights
+# the most entries the cache holds before it drops the oldest: the characters
+# (gcm, lam, w(lam)) -> chi_w(lam) and their lifts (gcm, lam, w(lam), node_orbit); a
+# pass over the largest benchmark pool holds 355 of each, 710 in all, so none drops
 CACHE_CHARACTERS = 1024
 _characters = BoundedCache(CACHE_CHARACTERS)
 
@@ -108,4 +110,21 @@ def map_character(folding, poly: CharacterPolynomial) -> CharacterPolynomial:
     node_orbit = folding.node_orbit
     lifted = CharacterPolynomial(len(node_orbit))
     lifted._terms = {tuple(map(w.__getitem__, node_orbit)): c for w, c in poly._terms.items()}
+    return lifted
+
+
+def lifted_core(folding, lam: Weight, word) -> CharacterPolynomial:
+    """``map_character(folding, demazure_core(folding.folded, lam, word))``, kept.
+
+    The lift of chi_w(lam) depends on the folded matrix, lam, mu = w(lam)
+    and the weight lift ``node_orbit``, which key it in the character
+    cache: a hit is one unchecked walk of the word and one lookup, and a
+    miss lifts the character and stores the lift.
+    """
+    gcm = folding.folded
+    key = (gcm, lam, tuple(weyl._walk(gcm, reversed(word), list(lam))), folding.node_orbit)
+    lifted = _characters.get(key)
+    if lifted is None:
+        lifted = map_character(folding, demazure_core(gcm, lam, word))
+        _characters.add(key, lifted)
     return lifted

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import weyl, word_model
-from .characters import canonical_serialize, demazure_core, map_character
+from .characters import canonical_serialize, lifted_core
 from .errors import InvalidInput, TooLarge
 from .folding import (
     DiagramAutomorphism,
@@ -262,7 +262,7 @@ def verify_prepared(prep: PreparedInstance,
     folding = prep.folding
     start = time.perf_counter_ns()
     lhs = word_model.twining_core(folding.gcm, prep.lam, prep.w, folding.auto.perm, word_cap)
-    rhs = map_character(folding, demazure_core(folding.folded, prep.lambda_hat, prep.w_hat))
+    rhs = lifted_core(folding, prep.lambda_hat, prep.w_hat)
     ms = round((time.perf_counter_ns() - start) / 1e6, 3)
     return _record(VerificationReport, (prep.source, lhs, rhs, lhs == rhs, ms))
 

@@ -177,10 +177,13 @@ def _sequence(values, what: str) -> tuple:
         raise InvalidInput(f"{what} {values!r} is not a list") from None
 
 
+_INT = frozenset({int})
+
+
 def int_tuple(values, what: str) -> tuple[int, ...]:
     """The values (a list, see ``_sequence``) as a tuple of ints; bool, float and str raise."""
-    out = _sequence(values, what)
-    if {int, *map(type, out)} != {int}:
+    out = tuple(values) if type(values) is list else _sequence(values, what)
+    if not _INT.issuperset(map(type, out)):
         raise InvalidInput(f"{what} {list(out)} has a non-integer entry")
     return out
 

@@ -111,23 +111,39 @@ def length(gcm: GeneralizedCartanMatrix, word: Word) -> int:
     return len(reduced_word(gcm, word))
 
 
+def _length_bound(gcm: GeneralizedCartanMatrix) -> int:
+    """n max(n, 15): at least the positive roots of any finite root system of rank n.
+
+    That is 120 for E8 and n^2 for B_n and C_n, the most of any rank, and
+    the bound is superadditive, so it covers a sum of components too.  A
+    finite-type walk that passes it has met a matrix whose ``finite`` is wrong.
+    """
+    return gcm.n * max(gcm.n, 15)
+
+
 def longest_element(gcm: GeneralizedCartanMatrix) -> Word:
     """Reduced word of the longest element, grown by smallest-index ascents.
 
     An ascent of w is a positive coordinate of w^-1(rho); the longest
-    element is the one without ascents.
+    element is the one without ascents.  Its length is the number of
+    positive roots, so a word longer than ``_length_bound`` raises
+    NotFiniteType.
 
     >>> from twinchar.root_data import cartan_matrix
     >>> longest_element(cartan_matrix("A2"))
     (0, 1, 0)
     """
     _require_finite(gcm)
+    bound = _length_bound(gcm)
     x = list(gcm.rho())
     letters = []
     while True:
         i = next((k for k, c in enumerate(x) if c > 0), None)
         if i is None:
             return tuple(letters)
+        if len(letters) == bound:
+            raise NotFiniteType(f"no longest element of length at most {bound}: "
+                                "the Weyl group is not finite")
         letters.append(i)
         _walk(gcm, (i,), x)
 
@@ -151,8 +167,9 @@ def enumerate_weyl(gcm: GeneralizedCartanMatrix,
     order, so each element keeps the first shortest word that reaches it.
     That word need not be the canonical one of ``reduced_word``: for A3 the
     breadth-first word (0, 2) has the canonical word (2, 0).
-    With ``max_length=None`` the group must be finite; the result is sorted
-    by (length, word).
+    With ``max_length=None`` the group must be finite, and an element longer
+    than ``_length_bound`` raises NotFiniteType; the result is sorted by
+    (length, word).
 
     >>> from twinchar.root_data import cartan_matrix
     >>> [word for word, _ in enumerate_weyl(cartan_matrix("A2"))]
@@ -176,6 +193,9 @@ def enumerate_weyl(gcm: GeneralizedCartanMatrix,
                     found[y] = word + (i,)
                     fresh.append((word + (i,), y))
         frontier = fresh
+        if fresh and max_length is None and depth > _length_bound(gcm):
+            raise NotFiniteType(f"an element of length {depth} passes {_length_bound(gcm)}: "
+                                "the Weyl group is not finite")
     return sorted(((w, x) for x, w in found.items()), key=lambda t: (len(t[0]), t[0]))
 
 

@@ -361,16 +361,27 @@ def _content(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> tuple[RootVecto
     Reflecting lam down the word telescopes: lam - w(lam) is the sum over t
     of <s_{i_{t+1}} ... s_{i_k}(lam), alpha_{i_t}^vee> alpha_{i_t}.
     """
+    return _walked(gcm, lam, word)[:2]
+
+
+def _walked(gcm: GeneralizedCartanMatrix, lam: Weight,
+            word) -> tuple[RootVector, Weight, Weight]:
+    """``_content`` and w(rho), from one unchecked walk of the word.
+
+    Each letter is ``weyl._walk`` by one letter on both weights, inlined,
+    and beta adds up the coefficients c of lam's steps.
+    """
     roots = gcm.roots
     beta = [0] * gcm.n
     mu = list(lam)
+    x = [1] * gcm.n
     for i in reversed(word):
-        c = mu[i]
-        if c:   # weyl._walk by one letter, inlined: beta adds up c too
-            beta[i] += c
-            for k, a in roots[i]:
-                mu[k] -= c * a
-    return tuple(beta), tuple(mu)
+        c, d = mu[i], x[i]
+        beta[i] += c
+        for k, a in roots[i]:
+            mu[k] -= c * a
+            x[k] -= d * a
+    return tuple(beta), tuple(mu), tuple(x)
 
 
 def weight_below(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector) -> Weight:
@@ -379,12 +390,13 @@ def weight_below(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector) ->
 
 
 def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...],
-            word_cap: int) -> _Module:
+            word_cap: int, content: tuple[RootVector, Weight] | None = None) -> _Module:
     """The checked V_w(lam), from the cache or built along a reduced word of w.
 
     The arguments are those that ``demazure_subspaces`` and
-    ``twining_core`` receive validated.  V_w(lam) depends only on the
-    coset w W_lam, that is on the root content lam - w(lam), which keys the
+    ``twining_core`` receive validated, and the ``_content`` of the word
+    when the caller has walked it.  V_w(lam) depends only on the coset
+    w W_lam, that is on the root content lam - w(lam), which keys the
     cache.  A miss walks the suffixes of a reduced word of w (their first
     letters are left descents) down to the first cached module or V_e,
     then builds back up in an explicit loop, skipping each letter that
@@ -394,7 +406,7 @@ def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...],
     while building and on every call, and so is the extremal line: the
     weight space of V_w at lam - w(lam) is one line with the weight w(lam).
     """
-    beta_w, mu = _content(gcm, lam, word)
+    beta_w, mu = content or _content(gcm, lam, word)
     key = (gcm, lam, beta_w)
     module = _modules.get(key)
     if module is None:
@@ -480,15 +492,18 @@ def twining_core(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...
     """``twining_character`` on checked arguments, as ``harness.prepare`` makes them.
 
     Keeps the mathematical checks on any symmetrizable matrix: a symmetric
-    weight, a commuting word (one unchecked walk of w(rho)), the cap and the
-    extremal line.  The character is kept with the module, once per permutation.
+    weight, a commuting word, the cap and the extremal line.  One unchecked
+    walk of the word gives w(rho) for the commuting check and the content
+    and w(lam) for the module.  The character is kept with the module, once
+    per permutation.
     """
     if not is_symmetric_weight(lam, perm):
         raise NotSymmetricWeight(f"weight {lam} is not fixed by {perm}")
-    if not is_symmetric_weight(weyl._walk(gcm, reversed(word), list(gcm.rho())), perm):
+    beta_w, mu, x = _walked(gcm, lam, word)
+    if not is_symmetric_weight(x, perm):
         raise NotInWTilde(f"word {word} does not commute with {perm}")
     int_at_least(word_cap, 1, "word cap")
-    module = _module(gcm, lam, word, word_cap)
+    module = _module(gcm, lam, word, word_cap, (beta_w, mu))
     poly = module.characters.get(perm)
     if poly is None:
         poly = CharacterPolynomial(gcm.n, [

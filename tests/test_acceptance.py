@@ -373,3 +373,20 @@ def test_criterion_8_mutation_sensitivity():
     report(8, time.perf_counter() - start,
            f"corrupted folded matrix flipped {sum(flipped)}/8 instances, "
            "corrupted expansion flipped its instance")
+
+
+def test_corrupted_folded_matrix_misses_the_warm_lift():
+    # the lift of a folded character is cached under the folded matrix itself: after a
+    # warm battery, which holds every lift of part (a) of criterion 8, the corrupted
+    # folded matrix still misses and flips a verdict
+    harness.run_battery()
+    bad_folded = validate_gcm([[2, -1], [-1, 2]])
+    flipped = []
+    for what, _ in enumerate_weyl(validate_gcm([[2, -1], [-2, 2]])):
+        prep = harness.prepare(harness.parse_instance(
+            {"gcm": "A3", "automorphism": [2, 1, 0],
+             "lambda_hat": [1, 1], "w_hat": list(what)}))
+        assert harness.verify_prepared(prep).equal
+        bad = prep._replace(folding=replace(prep.folding, folded=bad_folded))
+        flipped.append(not harness.verify_prepared(bad).equal)
+    assert any(flipped), "the warm lift hid the corrupted folded matrix"

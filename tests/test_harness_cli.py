@@ -409,10 +409,15 @@ def test_instance_replace_and_make_check_types(bad):
 
 def _int_tuple_calls(call):
     """The number of int_tuple calls that call makes, and its result."""
+    return _calls(root_data.int_tuple, call)
+
+
+def _calls(function, call):
+    """The number of calls of function that call makes, and its result."""
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is root_data.int_tuple.__code__:
+        if event == "call" and frame.f_code is function.__code__:
             calls.append(frame.f_lineno)
 
     sys.setprofile(profile)
@@ -436,6 +441,17 @@ def test_warm_verify_checks_each_list_once(payload, lists):
     calls, instance = _int_tuple_calls(lambda: harness.parse_instance(payload))
     assert calls == lists
     assert _int_tuple_calls(lambda: harness.prepare(instance)) == (0, harness.prepare(instance))
+
+
+def test_warm_verify_keeps_the_lift():
+    # the lift of each folded character is kept in the character cache: a warm pass
+    # over the default battery lifts nothing, and after the cache is emptied it lifts
+    harness.run_battery()
+    calls, summary = _calls(map_character, harness.run_battery)
+    assert calls == 0 and summary.counts == {"equal": 104, "unequal": 0, "skipped": 0}
+    characters._characters.cache_clear()
+    calls, summary = _calls(map_character, harness.run_battery)
+    assert calls >= 1 and summary.counts == {"equal": 104, "unequal": 0, "skipped": 0}
 
 
 def test_battery_reports_are_frozen():

@@ -16,6 +16,7 @@ from twinchar.linalg import leading_minors_positive
 from twinchar.root_data import (
     cartan_matrix,
     diagram_permutation,
+    int_tuple,
     is_finite_type,
     positive_roots,
     validate_gcm,
@@ -300,3 +301,55 @@ def test_unordered_containers_are_rejected(call, value):
     # in its own order
     with pytest.raises(InvalidInput):
         call(cartan_matrix("A2"), value)
+
+
+def set_based_int_tuple(values, what):
+    """Oracle: ``int_tuple`` as it stood before its list fast path, one set per test."""
+    if type(values) is tuple:
+        out = values
+    elif isinstance(values, (dict, set, frozenset)):
+        raise InvalidInput(f"{what} {values!r} is unordered, not a list")
+    else:
+        try:
+            out = tuple(values)
+        except TypeError:
+            raise InvalidInput(f"{what} {values!r} is not a list") from None
+    if {int, *map(type, out)} != {int}:
+        raise InvalidInput(f"{what} {list(out)} has a non-integer entry")
+    return out
+
+
+class ListSubclass(list):
+    pass
+
+
+ATOMS = st.one_of(st.integers(), st.booleans(), st.floats(), st.text(max_size=2), st.none())
+ENTRIES = st.one_of(ATOMS, st.lists(st.integers(), max_size=2))
+# each kind builds its input afresh from the drawn entries: a generator is read once
+CONTAINERS = {
+    "list": list, "tuple": tuple, "list subclass": ListSubclass,
+    "generator": lambda entries: (x for x in entries), "iterator": iter,
+    "dict": dict.fromkeys, "set": set, "frozenset": frozenset,
+}
+
+
+def _outcome(function, values):
+    try:
+        return "ok", function(values, "field 'w'")
+    except InvalidInput as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(CONTAINERS)), st.lists(ENTRIES, max_size=4),
+       st.lists(ATOMS, max_size=4),
+       st.one_of(st.integers(), st.floats(allow_nan=False), st.none(), st.binary(max_size=3)))
+def test_int_tuple_accepts_and_rejects_as_the_set_based_check(kind, entries, hashable,
+                                                               scalar):
+    # lists, tuples and generators of any entries, nested lists and empty inputs; dicts,
+    # sets and frozensets (of hashable entries); non-iterables, and bytes, which iterate
+    # as ints: the result or the InvalidInput message is the oracle's
+    build = CONTAINERS[kind]
+    drawn = hashable if kind in ("dict", "set", "frozenset") else entries
+    assert _outcome(int_tuple, build(drawn)) == _outcome(set_based_int_tuple, build(drawn))
+    assert _outcome(int_tuple, scalar) == _outcome(set_based_int_tuple, scalar)

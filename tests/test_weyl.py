@@ -5,13 +5,19 @@ independent reference for the group, its lengths and its BFS words.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinchar.errors import InvalidInput, NotFiniteType
-from twinchar.root_data import cartan_matrix, positive_roots, validate_gcm
+from twinchar.root_data import (
+    GeneralizedCartanMatrix,
+    cartan_matrix,
+    positive_roots,
+    validate_gcm,
+)
 from twinchar.weyl import (
     act,
     element_of,
@@ -172,6 +178,32 @@ def test_enumerate_weyl_with_length_cap():
     for cap in (2.5, True, -1, "2"):
         with pytest.raises(InvalidInput):
             enumerate_weyl(a2, max_length=cap)
+
+
+@pytest.mark.parametrize("call", [longest_element, enumerate_weyl])
+def test_finite_walks_stop_when_finite_is_wrong(call):
+    # affine A1 read as finite type, as a broken finiteness test would read it: the
+    # walks stop once a length passes 2 max(2, 15) = 30; the matrix is fresh and
+    # reaches no cache, so no other test sees the wrong flag
+    gcm = GeneralizedCartanMatrix(((2, -2), (-2, 2)), (1, 1))
+    object.__setattr__(gcm, "finite", True)
+    start = time.perf_counter()
+    with pytest.raises(NotFiniteType, match="not finite"):
+        call(gcm)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_length_bound_admits_the_longest_finite_elements():
+    # n max(n, 15) is met exactly by E8 (120 positive roots) and by B_n and C_n for
+    # n >= 15 (n^2), and is superadditive, so it covers sums of components
+    e8 = [[2, 0, -1, 0, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0, 0],
+          [-1, 0, 2, -1, 0, 0, 0, 0], [0, -1, -1, 2, -1, 0, 0, 0],
+          [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+          [0, 0, 0, 0, 0, -1, 2, -1], [0, 0, 0, 0, 0, 0, -1, 2]]
+    e8_b2 = [row + [0, 0] for row in e8] + [[0] * 8 + [2, -2], [0] * 8 + [-1, 2]]
+    for gcm, roots in [(validate_gcm(e8), 120), (cartan_matrix("B15"), 225),
+                       (cartan_matrix("C16"), 256), (validate_gcm(e8_b2), 124)]:
+        assert gcm.finite and len(longest_element(gcm)) == roots
 
 
 @pytest.mark.parametrize("matrix", [
