@@ -7,8 +7,8 @@ w(lam), which keys their bounded cache; no reduced word is formed.
 ``map_character`` pushes a character of the folded side through the weight
 lift, exponent by exponent, and ``lifted_core`` keeps each lift in the same
 cache, next to the character it lifts.  Nothing here reaches the word
-model: the two routes meet only in the root layer (``root_data``,
-``linalg``, ``errors``, ``weyl``).
+model, which does not import ``weyl``: the two routes meet only in the
+root layer (``root_data``, ``linalg``, ``errors``).
 """
 
 from __future__ import annotations

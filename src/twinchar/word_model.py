@@ -18,9 +18,9 @@ images follow from [e_j, f_i] = delta_ij h_i:
 with both vectors on the right already placed one content higher.  So
 every table stays inside V_w, and its sizes are multiplicities of V_w.
 
-The recursion follows the element, not the letters: a module is built
-along a reduced word of its element, and modules live in one bounded cache
-keyed on the content lam - w(lam), since V_w depends only on w W_lam.
+The recursion follows the element, not the letters: modules live in one
+bounded cache keyed on the content lam - w(lam), since V_w depends only on
+w W_lam, and a miss peels descents off w(lam), one tau-orbit at a time.
 The diagram twist tau, with tau(e_j) = e_{tau(j)}, is read off the raising
 tables and kept with the module, once per permutation, and so is the
 twining character that its traces assemble.  Everything is
@@ -28,8 +28,8 @@ integer arithmetic: each table is one integer matrix over one positive
 denominator, one fraction-free elimination serves every solve, and the one
 division that the theory makes exact, the trace, is checked.
 
-This module deliberately does not import the folding machinery: the
-automorphism enters only as a plain index permutation.
+This module deliberately imports neither the folding machinery nor
+``weyl``: the automorphism enters only as a plain index permutation.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ import math
 from dataclasses import dataclass, field
 from operator import mul, sub
 
-from . import weyl
 from .errors import (
     ExtremalVectorMismatch,
+    NoDescentFound,
     NotInWTilde,
     NotSymmetricWeight,
     NotTauStable,
@@ -355,21 +355,13 @@ class Subspace:
     module: _Module = field(compare=False, repr=False)
 
 
-def _content(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> tuple[RootVector, Weight]:
-    """lam - w(lam) in root coordinates, and w(lam), for any word of w.
-
-    Reflecting lam down the word telescopes: lam - w(lam) is the sum over t
-    of <s_{i_{t+1}} ... s_{i_k}(lam), alpha_{i_t}^vee> alpha_{i_t}.
-    """
-    return _walked(gcm, lam, word)[:2]
-
-
 def _walked(gcm: GeneralizedCartanMatrix, lam: Weight,
             word) -> tuple[RootVector, Weight, Weight]:
-    """``_content`` and w(rho), from one unchecked walk of the word.
+    """lam - w(lam) in root coordinates, w(lam) and w(rho), for any word of w.
 
-    Each letter is ``weyl._walk`` by one letter on both weights, inlined,
-    and beta adds up the coefficients c of lam's steps.
+    One unchecked walk of both weights, ``weyl._walk`` inlined.  Reflecting
+    lam down the word telescopes: beta sums the steps of lam, so lam - w(lam)
+    is the sum over t of <s_{i_{t+1}} ... s_{i_k}(lam), alpha_{i_t}^vee> alpha_{i_t}.
     """
     roots = gcm.roots
     beta = [0] * gcm.n
@@ -389,41 +381,48 @@ def weight_below(gcm: GeneralizedCartanMatrix, lam: Weight, beta: RootVector) ->
     return tuple(map(sub, lam, gcm.weight_of_root(beta)))
 
 
-def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...],
-            word_cap: int, content: tuple[RootVector, Weight] | None = None) -> _Module:
-    """The checked V_w(lam), from the cache or built along a reduced word of w.
+def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...], word_cap: int,
+            content: tuple[RootVector, Weight], perm: tuple[int, ...]) -> _Module:
+    """The checked V_w(lam), from the cache or built by Demazure's recursion.
 
-    The arguments are those that ``demazure_subspaces`` and
-    ``twining_core`` receive validated, and the ``_content`` of the word
-    when the caller has walked it.  V_w(lam) depends only on the coset
-    w W_lam, that is on the root content lam - w(lam), which keys the
-    cache.  A miss walks the suffixes of a reduced word of w (their first
-    letters are left descents) down to the first cached module or V_e,
-    then builds back up in an explicit loop, skipping each letter that
-    fixes the extremal weight.  A reduced word is walked as given: the
-    suffixes of an unfolded word include the tau-stable elements of its
-    folded suffixes, whose twists the module reuses.  The cap is checked
-    while building and on every call, and so is the extremal line: the
-    weight space of V_w at lam - w(lam) is one line with the weight w(lam).
+    The arguments are those that ``demazure_subspaces`` and ``twining_core``
+    receive validated, with lam - w(lam) and w(lam) from ``_walked``; the word
+    only names the module in errors.  V_w(lam) depends only on w W_lam, so its
+    content keys the cache.  A miss peels a coordinate i < 0 of w(lam), a left
+    descent of the shortest element of w W_lam, down to a cached content or 0,
+    then builds back up by V_w = C[f_i] V_{s_i w}.  It takes the smallest
+    descent in the tau-orbit of the letter peeled last, else the smallest: in
+    one orbit p of a tau-symmetric weight the descents peel exactly w_p, the
+    only tau-fixed element of W_p but 1, so the chain passes through the
+    tau-stable module of each folded letter, whose twist the module reuses.
+    With the identity permutation it peels as ``characters.demazure_core``.
+    The cap is checked while building and on every call, and so is the extremal
+    line: the weight space of V_w at lam - w(lam) is one line of weight w(lam).
     """
-    beta_w, mu = content or _content(gcm, lam, word)
+    beta_w, mu = content
     key = (gcm, lam, beta_w)
     module = _modules.get(key)
     if module is None:
-        reduced = weyl.reduced_word(gcm, word)
-        if len(word) == len(reduced):
-            reduced = word
-        keys = [key] + [(gcm, lam, _content(gcm, lam, reduced[t:])[0])
-                        for t in range(1, len(reduced) + 1)]
-        found = ((t, _modules.get(k)) for t, k in enumerate(keys))
-        t, module = next(((t, m) for t, m in found if m), (len(reduced), None))
+        beta, x, orbit, peeled = list(beta_w), list(mu), (), []
+        while (module := _modules.get(key)) is None and any(beta):
+            i = min((k for k, c in enumerate(x) if c < 0), key=lambda k: (k not in orbit, k),
+                    default=None)
+            if i is None:
+                raise NoDescentFound(f"no descent at weight {tuple(x)}, content {tuple(beta)}")
+            peeled.append((key, i))
+            beta[i] += (c := x[i])
+            for k, a in gcm.roots[i]:
+                x[k] -= c * a
+            key = (gcm, lam, tuple(beta))
+            orbit = [i]
+            while (j := perm[orbit[-1]]) != i:
+                orbit.append(j)
         if module is None:
             module = _Module(gcm)
-            _modules.add(keys[t], module)
-        for t in range(t - 1, -1, -1):
-            if keys[t] != keys[t + 1]:
-                module = _grown(gcm, lam, module, reduced[t], word_cap, word)
-                _modules.add(keys[t], module)
+            _modules.add(key, module)
+        for key, i in reversed(peeled):
+            module = _grown(gcm, lam, module, i, word_cap, word)
+            _modules.add(key, module)
     if module.dimension > word_cap:
         raise TooLarge(f"the Demazure module of {word} at {lam} has more than "
                        f"{word_cap} basis vectors")
@@ -452,7 +451,8 @@ def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     """
     lam = dominant_weight(gcm, lam)
     int_at_least(word_cap, 1, "word cap")
-    module = _module(gcm, lam, weyl_word(gcm, word), word_cap)
+    word = weyl_word(gcm, word)
+    module = _module(gcm, lam, word, word_cap, _walked(gcm, lam, word)[:2], tuple(range(gcm.n)))
     return {beta: Subspace(lam, beta, module.sizes[beta], module)
             for beta in sorted(module.sizes, key=lambda b: (-sum(b), b))}
 
@@ -503,7 +503,7 @@ def twining_core(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...
     if not is_symmetric_weight(x, perm):
         raise NotInWTilde(f"word {word} does not commute with {perm}")
     int_at_least(word_cap, 1, "word cap")
-    module = _module(gcm, lam, word, word_cap, (beta_w, mu))
+    module = _module(gcm, lam, word, word_cap, (beta_w, mu), perm)
     poly = module.characters.get(perm)
     if poly is None:
         poly = CharacterPolynomial(gcm.n, [

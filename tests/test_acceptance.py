@@ -147,6 +147,8 @@ def test_criterion_2_routes_share_only_the_root_layer():
     direct = import_closure("word_model")
     folded = import_closure("characters", "folding")
     assert direct & folded <= ROOT_LAYER, direct & folded
+    # the word model factors w itself: of the root layer it reads no Weyl group code
+    assert direct == {"word_model", "root_data", "linalg", "errors"}, direct
     assert not direct & {"characters", "folding"}, direct
     assert "word_model" not in folded, folded
 

@@ -299,10 +299,10 @@ def test_warm_path_keeps_its_checks(monkeypatch):
     u = w + (0,)   # w s_0 fixes lam as lam_0 = 0, but does not commute with the flip
     skewed = (1, 1, 0)
     demazure_subspaces(gcm, skewed, w)
-    for key in [(gcm, lam, word_model._content(gcm, lam, u)[0]),
-                (gcm, skewed, word_model._content(gcm, skewed, w)[0])]:
+    for key in [(gcm, lam, word_model._walked(gcm, lam, u)[0]),
+                (gcm, skewed, word_model._walked(gcm, skewed, w)[0])]:
         assert key in word_model._modules
-    dim = word_model._modules[gcm, lam, word_model._content(gcm, lam, w)[0]].dimension
+    dim = word_model._modules[gcm, lam, word_model._walked(gcm, lam, w)[0]].dimension
     unfolded = {"gcm": "A3", "automorphism": [2, 1, 0], "lambda": list(lam), "w": list(w)}
     with monkeypatch.context() as patched:
         patched.setattr(word_model, "weight_below", lambda gcm, lam, beta: lam)
@@ -950,8 +950,9 @@ def test_broken_invariants_exit_4(tmp_path, monkeypatch, capsys):
     # in the module that the cache then serves
     word_model._modules.cache_clear()
     prep = harness.prepare(harness.parse_instance(payload))
-    top, _ = word_model._content(prep.gcm, prep.lam, prep.w)
-    module = word_model._module(prep.gcm, prep.lam, prep.w, word_model.DEFAULT_WORD_CAP)
+    top, mu = word_model._walked(prep.gcm, prep.lam, prep.w)[:2]
+    module = word_model._module(prep.gcm, prep.lam, prep.w, word_model.DEFAULT_WORD_CAP,
+                                (top, mu), prep.auto.perm)
     with monkeypatch.context() as patched:
         patched.setitem(module.sizes, top, 2)
         assert main(["verify", "-i", inst]) == 4

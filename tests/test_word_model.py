@@ -15,6 +15,7 @@ from twinchar import characters, harness, word_model
 from twinchar.characters import demazure_character
 from twinchar.errors import (
     InvalidInput,
+    NoDescentFound,
     NotSymmetricWeight,
     NotTauStable,
     RankMismatch,
@@ -197,7 +198,7 @@ def test_demazure_subspaces_examples():
 
 
 def _module(gcm, lam, word):
-    return word_model._modules[gcm, lam, word_model._content(gcm, lam, word)[0]]
+    return word_model._modules[gcm, lam, word_model._walked(gcm, lam, word)[0]]
 
 
 def _stacked_rows(module, beta):
@@ -493,6 +494,73 @@ def test_words_of_one_coset_share_one_module():
     assert _module(A2, lam, (0, 1)) is _module(A2, lam, (0,))
     assert _module(A2, lam, (1, 0, 1)) is _module(A2, lam, (1, 0))
     word_model._modules.cache_clear()
+
+
+def test_an_unreduced_word_peels_through_the_stable_chain(monkeypatch):
+    # A3-flip at (1, 0, 1): V_w is found by peeling descents off w(lam), one flip orbit
+    # at a time, not by the letters of the word, so the unreduced (0, 2, 1, 0, 2, 1, 1)
+    # builds on the stable V_(1, 0, 2) exactly as the reduced (0, 2, 1, 0, 2) does:
+    # 2 modules, and a twist that solves 7 rows past the twist it starts from
+    a3 = cartan_matrix("A3")
+    perm, lam = (2, 1, 0), (1, 0, 1)
+    grown, solved = word_model._grown, word_model._solved
+    work = {}
+
+    def counting_grown(*args):
+        work["modules"] += 1
+        work["building"] = True
+        try:
+            return grown(*args)
+        finally:
+            work["building"] = False
+
+    def counting_solved(module, beta, letters, blocks, count, rank):
+        if not work["building"]:   # a twist's solve, not a build's
+            work["rows"] += count
+        return solved(module, beta, letters, blocks, count, rank)
+
+    monkeypatch.setattr(word_model, "_grown", counting_grown)
+    monkeypatch.setattr(word_model, "_solved", counting_solved)
+    results = []
+    for word in [(0, 2, 1, 0, 2), (0, 2, 1, 0, 2, 1, 1)]:
+        word_model._modules.cache_clear()
+        work.update(modules=0, rows=0, building=False)
+        twining_character(a3, lam, (1, 0, 2), perm)
+        work.update(modules=0, rows=0)
+        results.append(twining_character(a3, lam, word, perm))
+        assert (work["modules"], work["rows"]) == (2, 7), word
+    assert results[0] == results[1]
+    word_model._modules.cache_clear()
+
+
+def test_the_peel_refuses_a_content_that_does_not_match_its_weight():
+    # at the dominant weight (1, 1) the content must be 0: with (1, 0) no descent is
+    # left to peel, and the miss stops at once, before it caches anything
+    word_model._modules.cache_clear()
+    with pytest.raises(NoDescentFound) as raised:
+        word_model._module(A2, (1, 1), (0,), word_model.DEFAULT_WORD_CAP,
+                           ((1, 0), (1, 1)), ID2)
+    assert raised.value.exit_code == 4
+    assert len(word_model._modules) == 0
+
+
+def test_a_twist_need_not_close_up_on_a_moved_orbit():
+    # the 4-cycle (2, 3, 1, 0) of A2xA2 is one orbit of row sum 1 and folds to A1; the
+    # content (1, 1, 0, 0) of V_w0(1, 1, 1, 1) has a tau-orbit of size 2, yet tau^2,
+    # the flip of each A2, traces 0 on its 2 dimensions: tau^m is not 1 on the weight
+    # spaces of an orbit of size m
+    a2a2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]
+    perm = (2, 3, 1, 0)
+    family = harness.BatteryFamily("A2xA2-cycle", a2a2, perm, ())
+    config = harness.BatteryConfig(families=(family,), lambda_box=1)
+    assert harness.run_battery(config).counts == {"equal": 4, "unequal": 0, "skipped": 0}
+    gcm = validate_gcm(a2a2)
+    beta = (1, 1, 0, 0)
+    moved = word_model._permuted(beta, perm)
+    assert moved != beta and word_model._permuted(moved, perm) == beta
+    subspace = demazure_subspaces(gcm, (1, 1, 1, 1), longest_element(gcm))[beta]
+    assert subspace.dimension == 2
+    assert twining_trace(subspace, (1, 0, 3, 2)) == 0
 
 
 def test_twining_trace_refuses_a_permutation_that_is_not_an_automorphism():
