@@ -13,13 +13,17 @@ the zero pattern is symmetric), so the orbit splits into A2 pairs; and
 the scale 2 / s is an integer.  The folded matrix must be a valid GCM and
 the lift must intertwine every folded simple reflection with its orbit
 word, so a wrong convention cannot survive construction.
+
+Both records here, ``DiagramAutomorphism`` and ``FoldingData``, are
+NamedTuples, changed with ``_replace``.  ``fold_word`` reads commutation
+off the vector w^-1(rho) of ``weyl``, as ``weyl.is_in_w_tilde`` does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from . import weyl
 from .errors import (
@@ -42,14 +46,12 @@ from .root_data import (
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphism:
+class DiagramAutomorphism(NamedTuple):
     perm: tuple[int, ...]
     order: int
 
 
-@dataclass(frozen=True)
-class FoldingData:
+class FoldingData(NamedTuple):
     gcm: GeneralizedCartanMatrix
     auto: DiagramAutomorphism
     orbits: tuple[tuple[int, ...], ...]    # sorted, ordered by smallest member

@@ -10,16 +10,17 @@ crash, so the harness doubles as a falsification tool.
 Each check runs once per instance.  ``Instance`` checks the types of its
 fields however it is built; ``parse_instance`` adds only the checks of the
 dict's keys.  ``prepare`` checks the values, and ``verify_prepared`` then
-runs the route cores, which keep every mathematical check.  The records
-``Instance``, ``PreparedInstance`` and ``VerificationReport`` are
-NamedTuples: immutable, changed with ``_replace`` (not
-``dataclasses.replace``), which for an ``Instance`` checks as its
-constructor does.  Each (matrix, automorphism) family is folded once per
-process, in a bounded cache keyed on the validated matrix and the
-strict-int permutation, never on raw fields: ``fold`` checks the
-permutation on a miss, and a failed fold is not cached.  A matrix given by
-its rows is validated once per process the same way: the cache key is the
-rows after the strict integer check, never the raw rows.
+runs the route cores, which keep every mathematical check.  Every record
+here is a NamedTuple (``Instance``, ``PreparedInstance``,
+``VerificationReport``, ``BatteryFamily``, ``BatteryConfig`` and
+``BatterySummary``): immutable, changed with ``_replace``, which for an
+``Instance`` checks as its constructor does.  Each family, one matrix with
+one automorphism, is built and folded once per process, in the one bounded
+cache ``_family``.  Its key is the catalog label or the strict-int rows and
+the strict-int permutation, never raw fields: ``Instance`` makes that key
+for ``prepare``, and ``_folding`` makes it for a battery family.  On a miss
+the matrix is built and ``fold`` checks the permutation; a failed build or
+fold is not cached.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -165,26 +165,22 @@ class PreparedInstance(NamedTuple):
 
 
 def build_gcm(source) -> GeneralizedCartanMatrix:
-    if isinstance(source, str):
-        return cartan_matrix(source)
-    return _matrix(tuple(int_tuple(row, "matrix row") for row in _sequence(source, "matrix")))
+    """The matrix of a catalog label or of rows, checked on every call."""
+    return cartan_matrix(source) if isinstance(source, str) else validate_gcm(source)
 
 
 @lru_cache(maxsize=64)
-def _matrix(rows: tuple[tuple[int, ...], ...]) -> GeneralizedCartanMatrix:
-    # keyed on rows through int_tuple only: (True, False) == (1, 0) and both hash alike
-    return validate_gcm(rows)
-
-
-@lru_cache(maxsize=64)
-def _family(gcm: GeneralizedCartanMatrix, perm: tuple[int, ...]) -> FoldingData:
-    # strict ints only, as (True, False) == (1, 0) hashes alike; fold checks perm on a miss
-    return fold(gcm, perm)
+def _family(source, perm: tuple[int, ...]) -> FoldingData:
+    # keyed on a label or strict-int rows and a strict-int perm, as (True, False) == (1, 0)
+    # hashes alike; the matrix is built and fold checks perm on a miss
+    return fold(build_gcm(source), perm)
 
 
 def _folding(gcm_source, automorphism) -> FoldingData:
-    """The folding data of a family, folded and checked once."""
-    return _family(build_gcm(gcm_source), int_tuple(automorphism, "automorphism"))
+    """The folding data of a battery family, folded and checked once."""
+    key = gcm_source if isinstance(gcm_source, str) else tuple(
+        int_tuple(row, "matrix row") for row in _sequence(gcm_source, "matrix"))
+    return _family(key, int_tuple(automorphism, "automorphism"))
 
 
 def prepare(instance: Instance) -> PreparedInstance:
@@ -196,9 +192,7 @@ def prepare(instance: Instance) -> PreparedInstance:
     the weight, the letters of the word and, last, the dominance of the
     weight, so the first error of an instance with two faults stays the same.
     """
-    gcm = instance.gcm
-    data = _family(cartan_matrix(gcm) if isinstance(gcm, str) else _matrix(gcm),
-                   instance.automorphism)
+    data = _family(instance.gcm, instance.automorphism)
     if instance.lam is not None:
         lam = instance.lam
         lambda_hat = fold_weight(data, lam)
@@ -274,8 +268,7 @@ def verify(instance: Instance | dict,
     return verify_prepared(prepare(instance), word_cap)
 
 
-@dataclass(frozen=True)
-class BatteryFamily:
+class BatteryFamily(NamedTuple):
     """One (matrix, automorphism) family of the battery with its sweeps."""
 
     name: str
@@ -297,8 +290,7 @@ def default_families() -> tuple[BatteryFamily, ...]:
     )
 
 
-@dataclass(frozen=True)
-class BatteryConfig:
+class BatteryConfig(NamedTuple):
     families: tuple[BatteryFamily, ...] = ()
     word_cap: int = word_model.DEFAULT_WORD_CAP
     max_word_len: int | None = None   # overrides every family sweep when set
@@ -332,8 +324,7 @@ def battery_instances(config: BatteryConfig) -> Iterator[tuple[str, Instance]]:
                                     w_hat=tuple(w_hat))
 
 
-@dataclass
-class BatterySummary:
+class BatterySummary(NamedTuple):
     records: list[dict]
 
     @property

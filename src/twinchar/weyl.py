@@ -14,8 +14,9 @@ backwards.
 This vector is the only representation of a Weyl element: ``element_of``
 returns it, ``enumerate_weyl`` runs its breadth-first search on it, and
 ``is_in_w_tilde`` and ``folding.fold_word`` read commutation with a
-diagram automorphism off it.  Matrices appear only in the tests, as an
-independent reference.
+diagram automorphism off it.  Only the word model walks w(rho) instead,
+in the one walk that also gives its module's content.  Matrices appear
+only in the tests, as an independent reference.
 """
 
 from __future__ import annotations
@@ -152,11 +153,12 @@ def is_in_w_tilde(gcm: GeneralizedCartanMatrix, word: Word, perm: tuple[int, ...
     """True iff the element commutes with the automorphism action on weights.
 
     The automorphism fixes rho and W acts freely on the orbit of rho, so w
-    commutes with it exactly when w(rho) is fixed by the permutation.
+    commutes with it exactly when w^-1 does, that is when the vector
+    w^-1(rho) of ``element_of`` is fixed by the permutation.
     """
     if len(perm) != gcm.n:
         raise InvalidInput(f"automorphism size {len(perm)} does not match rank {gcm.n}")
-    return is_symmetric_weight(_apply(gcm, word, gcm.rho()), perm)
+    return is_symmetric_weight(_apply(gcm, word, gcm.rho(), inverse=True), perm)
 
 
 def enumerate_weyl(gcm: GeneralizedCartanMatrix,

@@ -7,7 +7,6 @@ informative, the assertions are not time-based.
 import ast
 import random
 import time
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -358,7 +357,7 @@ def test_criterion_8_mutation_sensitivity():
         prep = harness.prepare(harness.parse_instance(
             {"gcm": "A3", "automorphism": [2, 1, 0],
              "lambda_hat": [1, 1], "w_hat": list(what)}))
-        bad = prep._replace(folding=replace(prep.folding, folded=bad_folded))
+        bad = prep._replace(folding=prep.folding._replace(folded=bad_folded))
         flipped.append(not harness.verify_prepared(bad).equal)
     assert any(flipped), "no battery instance noticed the corrupted folded matrix"
 
@@ -389,6 +388,6 @@ def test_corrupted_folded_matrix_misses_the_warm_lift():
             {"gcm": "A3", "automorphism": [2, 1, 0],
              "lambda_hat": [1, 1], "w_hat": list(what)}))
         assert harness.verify_prepared(prep).equal
-        bad = prep._replace(folding=replace(prep.folding, folded=bad_folded))
+        bad = prep._replace(folding=prep.folding._replace(folded=bad_folded))
         flipped.append(not harness.verify_prepared(bad).equal)
     assert any(flipped), "the warm lift hid the corrupted folded matrix"

@@ -2,14 +2,15 @@
 
 import ast
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
 import json
 import pkgutil
+import re
 import sys
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 from operator import mul
 from pathlib import Path
@@ -163,7 +164,7 @@ def test_battery_lambda_box_sweep():
     for sizes in ({"lambda_box": 0.5}, {"lambda_box": True}, {"max_word_len": 1.5},
                   {"max_word_len": True}, {"lambda_box": 1, "max_word_len": "1"}):
         with pytest.raises(InvalidInput):
-            harness.run_battery(replace(config, **sizes))
+            harness.run_battery(config._replace(**sizes))
 
 
 def test_battery_instances_are_built_lazily(monkeypatch):
@@ -194,7 +195,7 @@ def test_cached_family_equals_a_fresh_fold():
         cached = harness._folding(family.gcm, family.automorphism)
         assert cached == fold(harness.build_gcm(family.gcm), family.automorphism)
         assert harness._folding(family.gcm, list(family.automorphism)) is cached
-    # a matrix given as lists is unhashable, but its validated form is a key
+    # a matrix given as lists is unhashable, but its strict-int rows are a key
     a2 = harness.Instance(gcm=[[2, -1], [-1, 2]], automorphism=[1, 0],
                           lambda_hat=(1,), w_hat=(0,))
     assert harness.verify(a2).equal
@@ -221,14 +222,20 @@ def test_family_cache_keeps_validating(tmp_path, auto, error):
 @pytest.mark.parametrize("rows", [((2, False), (False, 2)), [[2.0, 0], [0, 2]],
                                   ((2, 0), [0, 2.0])], ids=["bool", "float", "float-tuple"])
 def test_matrix_cache_keeps_validating(rows):
-    # each equals the cached integer matrix and hashes alike once made a tuple, so a
-    # key on raw rows would let it through
-    harness._matrix.cache_clear()
-    cached = harness.build_gcm([[2, 0], [0, 2]])
-    assert harness.build_gcm(((2, 0), (0, 2))) is cached
-    assert tuple(map(tuple, rows)) == cached.entries
+    # each equals the rows of the cached integer family and hashes alike once made a
+    # tuple, so a family key on raw rows would let it through
+    harness._family.cache_clear()
+    cached = harness._folding([[2, 0], [0, 2]], (1, 0))
+    assert harness._folding(((2, 0), (0, 2)), [1, 0]) is cached
+    integer = harness.Instance(gcm=[[2, 0], [0, 2]], automorphism=(1, 0),
+                               lambda_hat=(1,), w_hat=())
+    assert harness.prepare(integer).folding is cached
+    assert harness.verify(integer).equal
+    assert tuple(map(tuple, rows)) == cached.gcm.entries
     with pytest.raises(InvalidInput):
         harness.build_gcm(rows)
+    with pytest.raises(InvalidInput):
+        harness._folding(rows, (1, 0))
     with pytest.raises(InvalidInput):
         harness.verify(harness.Instance(gcm=rows, automorphism=(1, 0),
                                         lambda_hat=(1,), w_hat=()))
@@ -605,7 +612,7 @@ def test_corrupted_folded_matrix_is_detected():
         prep = harness.prepare(harness.parse_instance(
             {"gcm": "A3", "automorphism": [2, 1, 0],
              "lambda_hat": [1, 1], "w_hat": list(what)}))
-        bad = prep._replace(folding=replace(prep.folding, folded=bad_folded))
+        bad = prep._replace(folding=prep.folding._replace(folded=bad_folded))
         statuses.append(harness.verify_prepared(bad).equal)
     assert not all(statuses)
 
@@ -618,6 +625,57 @@ def test_corrupted_orbit_word_is_detected():
     report = harness.verify_prepared(bad)
     assert not report.equal
     assert report.differing_terms
+
+
+def _with_corrupted_folded_matrix(prep):
+    return prep._replace(folding=prep.folding._replace(
+        folded=validate_gcm([[2, -1], [-1, 2]])))
+
+
+def test_unequal_report_prints_its_differing_terms():
+    prep = harness.prepare(harness.parse_instance(
+        {"gcm": "A3", "automorphism": [2, 1, 0], "lambda_hat": [1, 1], "w_hat": [0]}))
+    report = harness.verify_prepared(_with_corrupted_folded_matrix(prep))
+    lines = harness.format_report(report).splitlines()
+    assert lines[0] == "verdict: UNEQUAL"
+    assert lines[lines.index("differing terms (weight, lhs, rhs):"):] == [
+        "differing terms (weight, lhs, rhs):",
+        "  [-1, 3, -1]: 1 vs 0",
+        "  [-1, 2, -1]: 0 vs 1",
+    ]
+
+
+def test_battery_keeps_the_report_of_an_unequal_instance(monkeypatch):
+    real_prepare = harness.prepare
+    monkeypatch.setattr(harness, "prepare",
+                        lambda instance: _with_corrupted_folded_matrix(real_prepare(instance)))
+    config = harness.BatteryConfig(
+        families=(harness.BatteryFamily("A3-flip", "A3", (2, 1, 0), ((1, 1),)),))
+    summary = harness.run_battery(config)
+    assert summary.counts == {"equal": 2, "unequal": 6, "skipped": 0}
+    assert summary.exit_code == 1
+    for (key, instance), record in zip(harness.battery_instances(config), summary.records):
+        assert record["key"] == key
+        if record["status"] == "equal":
+            assert set(record) == {"key", "status", "ms"}
+            continue
+        assert set(record) == {"key", "status", "ms", "report"}
+        report = record["report"]
+        assert report["instance"] == instance.to_dict() and report["equal"] is False
+        expected = harness.verify_prepared(harness.prepare(instance)).to_dict()
+        assert dict(report, ms=None) == dict(expected, ms=None)
+
+
+def test_report_keeps_an_instance_given_on_the_unfolded_side():
+    # the instance file whose verify --json report CI pins
+    path = Path(__file__).resolve().parent / "data" / "a3-flip-unfolded.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload == {"gcm": "A3", "automorphism": [2, 1, 0],
+                       "lambda": [1, 0, 1], "w": [1, 0, 2, 1]}
+    data = harness.verify(harness.load_instance(str(path))).to_dict()
+    assert data["instance"] == payload and list(data["instance"]) == list(payload)
+    assert data["equal"] and data["dims"] == {"folded_demazure_dim": 4,
+                                              "lhs_terms": 4, "rhs_terms": 4}
 
 
 def write_instance(tmp_path, payload):
@@ -792,6 +850,23 @@ def test_cli_battery_tiny(capsys):
     assert payload["counts"]["equal"] > 0
 
 
+def test_cli_battery_text(capsys):
+    # one line per record, a skipped one with its reason in brackets, then the totals
+    assert main(["battery", "--max-word-len", "1", "--word-cap", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    records = harness.run_battery(harness.BatteryConfig(word_cap=1, max_word_len=1)).records
+    assert len(lines) == len(records) + 1
+    for line, record in zip(lines, records):
+        if record["status"] == "skipped":
+            assert line == f"skipped  {record['key']} [{record['reason']}]"
+        else:
+            assert re.fullmatch(re.escape(f"equal    {record['key']} (") + r"\d+\.\d{3} ms\)",
+                                line), line
+    assert lines[3] == ("skipped  A2-flip lambda_hat=[1] w_hat=[0] [the Demazure module of "
+                        "(0, 1, 0) at (1, 1) has more than 1 basis vectors]")
+    assert lines[-1] == "total: 24 equal, 0 unequal, 12 skipped"
+
+
 def test_cli_word_cap_is_unsupported(tmp_path, capsys):
     inst = write_instance(tmp_path, {"gcm": "A2", "automorphism": [1, 0],
                                      "lambda_hat": [3], "w_hat": [0]})
@@ -919,8 +994,23 @@ def test_every_cache_is_bounded():
         caches += [(info.name, name, value.cache_info().maxsize)
                    for name, value in vars(module).items() if hasattr(value, "cache_info")]
     assert ("harness", "_family", 64) in caches
-    assert ("harness", "_matrix", 64) in caches
     assert [c for c in caches if c[2] is None] == []
+
+
+def test_only_a_record_with_a_field_out_of_equality_is_a_dataclass():
+    # a record whose fields all take part in equality is a NamedTuple, changed with
+    # _replace; a dataclass is kept only where a field must stay out of equality
+    kept, plain = set(), []
+    for info in pkgutil.iter_modules(twinchar.__path__):
+        module = importlib.import_module(f"twinchar.{info.name}")
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and dataclasses.is_dataclass(value)
+                    and value.__module__ == module.__name__):
+                if all(f.compare for f in dataclasses.fields(value)):
+                    plain.append(f"{info.name}.{name}")
+                kept.add(f"{info.name}.{name}")
+    assert plain == []
+    assert {"root_data.GeneralizedCartanMatrix", "word_model.Subspace"} <= kept
 
 
 def test_no_error_claims_the_falsification_exit_code():

@@ -260,6 +260,20 @@ def test_stability_dichotomy_witness():
             twining_trace(sub, FLIP)
 
 
+@pytest.mark.parametrize("word, message", [
+    ((0,), "twist maps content (1, 0) of dimension 1 to (0, 1) of dimension 0"),
+    ((0, 1), "twisted basis of content (1, 1) left the module"),
+], ids=["moved-content", "left-the-module"])
+def test_twist_refuses_a_module_that_is_not_tau_stable(word, message):
+    # the top content (0, 0) is fixed, so twining_trace passes its own check and the
+    # twist of the module, built content by content, raises
+    top = demazure_subspaces(A2, RHO, word)[(0, 0)]
+    with pytest.raises(NotTauStable) as caught:
+        twining_trace(top, FLIP)
+    assert str(caught.value) == message
+    assert isinstance(caught.value, InvalidInput) and caught.value.exit_code == 2
+
+
 def test_identity_automorphism_reduces_to_dimensions():
     for lam in [(1, 1), (2, 0), (2, 2)]:
         for word in [(), (0,), (0, 1), (0, 1, 0)]:
