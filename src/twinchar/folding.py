@@ -128,7 +128,7 @@ def fold(gcm: GeneralizedCartanMatrix, perm) -> FoldingData:
 
 def unfold_weight(data: FoldingData, mu_hat: Weight) -> Weight:
     """Lift a folded weight to the symmetric weight constant on each orbit."""
-    if len(mu_hat) != data.n_folded:
+    if len(mu_hat) != len(data.orbits):
         raise InvalidInput(f"folded weight {mu_hat} has wrong size {len(mu_hat)}")
     return tuple(map(mu_hat.__getitem__, data.node_orbit))
 

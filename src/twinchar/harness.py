@@ -26,9 +26,9 @@ fold is not cached.
 from __future__ import annotations
 
 import json
-import time
 from collections.abc import Iterator
 from functools import lru_cache
+from time import perf_counter_ns
 from typing import NamedTuple
 
 from . import weyl, word_model
@@ -254,10 +254,10 @@ def verify_prepared(prep: PreparedInstance,
     touches the folding data, the right side never touches the word model.
     """
     folding = prep.folding
-    start = time.perf_counter_ns()
+    start = perf_counter_ns()
     lhs = word_model.twining_core(folding.gcm, prep.lam, prep.w, folding.auto.perm, word_cap)
     rhs = lifted_core(folding, prep.lambda_hat, prep.w_hat)
-    ms = round((time.perf_counter_ns() - start) / 1e6, 3)
+    ms = round((perf_counter_ns() - start) / 1e6, 3)
     return _record(VerificationReport, (prep.source, lhs, rhs, lhs == rhs, ms))
 
 

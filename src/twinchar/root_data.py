@@ -18,7 +18,6 @@ import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from operator import mul
 
 from .errors import (
     InvalidInput,
@@ -43,7 +42,10 @@ class GeneralizedCartanMatrix:
     and takes no part in equality: the rank ``n``, ``finite`` (every
     leading principal minor is positive: elimination meets only positive
     pivots), ``roots`` (per node i the nonzero (k, a_ki): alpha_i in weight
-    coordinates) and the hash, which is that of (entries, symmetrizer).
+    coordinates, the column the walks step by), ``coroots`` (per node k the
+    nonzero (j, a_kj): alpha_k^vee on root coordinates, the row that
+    ``weight_of_root`` sums over) and the hash, which is that of
+    (entries, symmetrizer).
     """
 
     entries: IntMatrix
@@ -51,6 +53,7 @@ class GeneralizedCartanMatrix:
     n: int = field(init=False, compare=False, repr=False)
     finite: bool = field(init=False, compare=False, repr=False)
     roots: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, compare=False, repr=False)
+    coroots: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -59,6 +62,8 @@ class GeneralizedCartanMatrix:
         object.__setattr__(self, "finite", leading_minors_positive(entries))
         object.__setattr__(self, "roots", tuple(
             tuple((k, row[i]) for k, row in enumerate(entries) if row[i]) for i in range(n)))
+        object.__setattr__(self, "coroots", tuple(
+            tuple((j, a) for j, a in enumerate(row) if a) for row in entries))
         object.__setattr__(self, "_hash", hash((entries, self.symmetrizer)))
 
     def __hash__(self) -> int:
@@ -80,8 +85,14 @@ class GeneralizedCartanMatrix:
         return (1,) * self.n
 
     def weight_of_root(self, beta: RootVector) -> Weight:
-        """Weight coordinates of sum_j beta_j alpha_j."""
-        return tuple(sum(map(mul, row, beta)) for row in self.entries)
+        """Weight coordinates of sum_j beta_j alpha_j: row k of the matrix times beta."""
+        out = []
+        for row in self.coroots:
+            total = 0
+            for j, a in row:
+                total += a * beta[j]
+            out.append(total)
+        return tuple(out)
 
 
 def validate_gcm(matrix) -> GeneralizedCartanMatrix:
@@ -203,7 +214,7 @@ def _dominant(gcm: GeneralizedCartanMatrix, lam: Weight) -> Weight:
     """``dominant_weight`` on a tuple of ints: checks the size and the dominance."""
     if len(lam) != gcm.n:
         raise InvalidInput(f"weight {lam} has size {len(lam)}, expected {gcm.n}")
-    if not gcm.is_dominant(lam):
+    if min(lam, default=0) < 0:
         raise NotDominant(f"weight {lam} is not dominant")
     return lam
 

@@ -362,6 +362,8 @@ def _walked(gcm: GeneralizedCartanMatrix, lam: Weight,
     One unchecked walk of both weights, ``weyl._walk`` inlined.  Reflecting
     lam down the word telescopes: beta sums the steps of lam, so lam - w(lam)
     is the sum over t of <s_{i_{t+1}} ... s_{i_k}(lam), alpha_{i_t}^vee> alpha_{i_t}.
+    A zero step leaves lam and beta as they are and is skipped, as ``weyl._walk``
+    skips it; rho is regular, so its steps never vanish and each is taken.
     """
     roots = gcm.roots
     beta = [0] * gcm.n
@@ -369,10 +371,14 @@ def _walked(gcm: GeneralizedCartanMatrix, lam: Weight,
     x = [1] * gcm.n
     for i in reversed(word):
         c, d = mu[i], x[i]
-        beta[i] += c
-        for k, a in roots[i]:
-            mu[k] -= c * a
-            x[k] -= d * a
+        if c:
+            beta[i] += c
+            for k, a in roots[i]:
+                mu[k] -= c * a
+                x[k] -= d * a
+        else:
+            for k, a in roots[i]:
+                x[k] -= d * a
     return tuple(beta), tuple(mu), tuple(x)
 
 

@@ -5,12 +5,14 @@ import pickle
 import subprocess
 import sys
 from itertools import permutations, product
+from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinchar import word_model
 from twinchar.errors import (
     LinkingConditionFailed,
     NotDiagramAutomorphism,
@@ -35,6 +37,7 @@ from twinchar.root_data import (
     weight_box,
 )
 from twinchar.weyl import (
+    act,
     element_of,
     enumerate_weyl,
     is_in_w_tilde,
@@ -143,15 +146,49 @@ def test_matrix_derived_fields(gcm):
     assert gcm.finite == all(m > 0 for m in leading_principal_minors(entries))
     assert gcm.roots == tuple(tuple((k, a) for k, a in enumerate(gcm.simple_root(i)) if a)
                               for i in range(n))
+    assert gcm.coroots == tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in entries)
     rebuilt = GeneralizedCartanMatrix(entries, gcm.symmetrizer)
     assert rebuilt == gcm and hash(rebuilt) == hash(gcm) == hash((entries, gcm.symmetrizer))
-    for name, value in (("finite", not gcm.finite), ("roots", ()), ("_hash", 0)):
+    for name, value in (("finite", not gcm.finite), ("roots", ()), ("coroots", ()),
+                        ("_hash", 0)):
         object.__setattr__(rebuilt, name, value)
     assert rebuilt == gcm
     assert GeneralizedCartanMatrix(entries, tuple(2 * d for d in gcm.symmetrizer)) != gcm
     restored = pickle.loads(pickle.dumps(gcm))
     assert restored == gcm and hash(restored) == hash(gcm)
-    assert (restored.n, restored.finite, restored.roots) == (n, gcm.finite, gcm.roots)
+    assert (restored.n, restored.finite, restored.roots, restored.coroots) == (
+        n, gcm.finite, gcm.roots, gcm.coroots)
+
+
+# the small matrices of finite type and the singular ones
+WALKED_GCMS = [gcm for gcm in SMALL_GCMS
+               if gcm.finite or leading_principal_minors(gcm.entries)[-1] == 0]
+
+
+@st.composite
+def walks(draw):
+    """A matrix, a dominant weight that may have zero coordinates, a word and a root vector."""
+    gcm = draw(st.sampled_from(WALKED_GCMS))
+    lam = tuple(draw(st.lists(st.integers(0, 2), min_size=gcm.n, max_size=gcm.n)))
+    word = tuple(draw(st.lists(st.integers(0, gcm.n - 1), max_size=6)))
+    beta = tuple(draw(st.lists(st.integers(-3, 3), min_size=gcm.n, max_size=gcm.n)))
+    return gcm, lam, word, beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+@example((cartan_matrix("A2"), (0, 1), (0,), (1, 0)))
+@example((validate_gcm([[2, -1], [-4, 2]]), (1, 0), (0, 1, 0), (1, 2)))
+def test_weight_of_root_and_walk_read_rows(case):
+    # weight_of_root sums row k of the matrix over the sparse coroot table; the walk
+    # skips the zero steps of lam but takes every step of rho, and the weight
+    # below its content, read by rows, is the w(lam) that the walk reached
+    gcm, lam, word, beta = case
+    assert gcm.weight_of_root(beta) == tuple(sum(map(mul, row, beta)) for row in gcm.entries)
+    beta_w, mu, x = word_model._walked(gcm, lam, word)
+    assert mu == act(gcm, word, lam)
+    assert x == act(gcm, word, gcm.rho())
+    assert word_model.weight_below(gcm, lam, beta_w) == mu
 
 
 def test_orbit_words_are_parabolic_longest_elements():
