@@ -78,9 +78,6 @@ class GeneralizedCartanMatrix:
         """
         return tuple(row[j] for row in self.entries)
 
-    def is_dominant(self, lam: Weight) -> bool:
-        return min(lam, default=0) >= 0
-
     def rho(self) -> Weight:
         return (1,) * self.n
 

@@ -168,17 +168,16 @@ class _Module:
     beta - e_j, absent when it is zero.  The basis of V_w at beta begins
     with that of V_{s_i w}, so a row of a table may be shorter than the
     basis it is written in: the missing entries are zero, and a table of
-    V_{s_i w} serves V_w unchanged.  ``below`` is V_{s_i w} (None for V_e),
+    V_{s_i w} (``below``) serves V_w unchanged, shared by reference.
     ``twists[perm]`` is the diagram twist of every content, computed once
-    per permutation, and ``characters[perm]`` the twining character of
-    V_w(lam) that it gives.
+    per permutation from this module's own tables, and ``characters[perm]``
+    the twining character of V_w(lam) that it gives.
     """
 
-    __slots__ = ("gcm", "below", "sizes", "raising", "twists", "characters", "dimension")
+    __slots__ = ("gcm", "sizes", "raising", "twists", "characters", "dimension")
 
     def __init__(self, gcm: GeneralizedCartanMatrix, below: "_Module | None" = None):
         self.gcm = gcm
-        self.below = below
         self.sizes = dict(below.sizes) if below else {(0,) * gcm.n: 1}
         self.raising = dict(below.raising) if below else {}
         self.twists = {}
@@ -194,45 +193,33 @@ class _Module:
         """tau on the basis of every content beta, in the basis of tau(beta).
 
         tau e_l = e_{perm[l]} tau, so the images of tau(x) are the twists of
-        the images of x, one height at a time: only raising tables are
-        read.  Each tau(x) is solved on the basis of tau(beta) from its
-        images; when that fails, tau(x) left V_w and NotTauStable is raised,
-        so a w outside the commuting subgroup is refused.  The nearest
-        module below with a twist for perm is tau-stable and its basis
-        begins this one, so its twist gives the first rows of each content
-        and only the rest are solved.  The permutation must be a diagram
+        the images of x, one height at a time from the identity at the top
+        content: only this module's raising tables are read.  Each tau(x) is
+        solved on the basis of tau(beta) from its images; when that fails,
+        tau(x) left V_w and NotTauStable is raised, so a w outside the
+        commuting subgroup is refused.  The permutation must be a diagram
         automorphism, as the public entries check.
         """
         if perm in self.twists:
             return self.twists[perm]
-        base = self.below
-        while base is not None and perm not in base.twists:
-            base = base.below
-        known = base.twists[perm] if base else {(0,) * self.gcm.n: (((1,),), 1)}
-        twists = {}
-        for beta in sorted(self.sizes, key=sum):
+        twists = {(0,) * self.gcm.n: (((1,),), 1)}
+        for beta in sorted(self.sizes, key=sum)[1:]:   # the top content 0 comes first
             size = self.sizes[beta]
             image = _permuted(beta, perm)
             if self.sizes.get(image) != size:
                 raise NotTauStable(f"twist maps content {beta} of dimension {size} "
                                    f"to {image} of dimension {self.sizes.get(image, 0)}")
-            table = known.get(beta, ((), 1))
-            first = len(table[0])
-            if first == size:
-                twists[beta] = table
-                continue
             letters = self.letters(image)
             blocks = []
             for j, _ in letters:   # e_j tau(x) = tau(e_l x), j = perm[l]
                 l = perm.index(j)
                 e_rows, e_den = self.raising.get((beta, l), (((),) * size, 1))
                 t_rows, t_den = twists.get(_shift(beta, l, -1), ((), 1))
-                blocks.append((_product(e_rows[first:], t_rows), e_den * t_den))
-            found = _solved(self, image, letters, blocks, size - first, size)[2]
+                blocks.append((_product(e_rows, t_rows), e_den * t_den))
+            found = _solved(self, image, letters, blocks, size, size)[2]
             if None in found[size:]:
                 raise NotTauStable(f"twisted basis of content {beta} left the module")
-            twists[beta] = _table([(row + (0,) * (size - first), table[1]) for row in table[0]]
-                                  + found[size:])
+            twists[beta] = _table(found[size:])
         self.twists[perm] = twists
         return twists
 
@@ -340,8 +327,9 @@ def _grown(gcm: GeneralizedCartanMatrix, lam: Weight, below: _Module, i: int,
     return module
 
 
-# the module cache: (gcm, lam, lam - w(lam)) -> V_w(lam), weighed by dim V_w; a dropped module
-# is rebuilt when it is next needed, and stays alive while a module built on it is cached
+# the module cache: (gcm, lam, lam - w(lam)) -> V_w(lam), weighed by dim V_w; dropping a module
+# frees its own dicts, the tables it shares stay alive with the cached modules above it, and
+# it is rebuilt when it is next needed
 _modules = BoundedCache(CACHE_VECTORS, lambda module: module.dimension)
 
 
@@ -400,7 +388,8 @@ def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...], wo
     descent in the tau-orbit of the letter peeled last, else the smallest: in
     one orbit p of a tau-symmetric weight the descents peel exactly w_p, the
     only tau-fixed element of W_p but 1, so the chain passes through the
-    tau-stable module of each folded letter, whose twist the module reuses.
+    tau-stable module of each folded letter, which the chains of a battery's
+    other words share.
     With the identity permutation it peels as ``characters.demazure_core``.
     The cap is checked while building and on every call, and so is the extremal
     line: the weight space of V_w at lam - w(lam) is one line of weight w(lam).

@@ -20,23 +20,34 @@ tables of L(lam): the reference for the library's Demazure recursion.
 The Demazure character by operators applied along the canonical reduced
 word of the element: the reference for the folded route's recursion on
 the extremal weight.
+The small matrices, every GCM of rank at most 3 with small entries, and
+the battery of every fold of them, counted by the type of the matrix.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
-from twinchar import weyl
+from twinchar import harness, weyl
 from twinchar.characters import demazure_op
-from twinchar.errors import InvalidInput, NotSymmetricWeight, TooLarge
+from twinchar.errors import (
+    InvalidInput,
+    LinkingConditionFailed,
+    NotDiagramAutomorphism,
+    NotGCM,
+    NotSymmetricWeight,
+    NotSymmetrizable,
+    TooLarge,
+)
 from twinchar.root_data import (
     CharacterPolynomial,
     dominant_weight,
     int_at_least,
     is_symmetric_weight,
     positive_roots,
+    validate_gcm,
 )
 
 ALL_WORDS_CAP = 100_000
@@ -409,6 +420,11 @@ def pairing_root_root(gcm, beta, gamma):
     return sum(beta[i] * d[i] * a[i][j] * gamma[j] for i in range(n) for j in range(n))
 
 
+def is_dominant(mu):
+    """Whether every fundamental-weight coordinate of the weight is nonnegative."""
+    return all(c >= 0 for c in mu)
+
+
 def freudenthal_character(gcm, lam):
     """Weight multiplicities of L(lam) by the Freudenthal recursion (finite type).
 
@@ -628,3 +644,45 @@ def upward_twining_character(gcm, lam, word, perm):
     return CharacterPolynomial(gcm.n, [
         (tuple(l - c for l, c in zip(lam, gcm.weight_of_root(beta))), trace)
         for beta, trace in upward_traces(gcm, lam, word, perm).items()])
+
+
+def small_gcms():
+    """Every GCM of rank at most 3 with off-diagonal entries in {0, -1, -2, -3}."""
+    for n in (1, 2, 3):
+        cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for values in product((0, -1, -2, -3), repeat=len(cells)):
+            entries = [[2] * n for _ in range(n)]
+            for (i, j), value in zip(cells, values):
+                entries[i][j] = value
+            try:
+                yield validate_gcm(entries)
+            except (NotGCM, NotSymmetrizable):
+                pass
+
+
+def small_fold_counts(max_word_len):
+    """The lambda-box 1 battery of every fold of a small GCM by a non-identity automorphism.
+
+    Returns, per type of the matrix ("finite", else "singular" or
+    "indefinite" by its determinant), the folds and the battery's summed
+    counts, as {"folds", "equal", "unequal", "skipped"}.
+    """
+    out = {}
+    for gcm in small_gcms():
+        for perm in permutations(range(gcm.n)):
+            if perm == tuple(range(gcm.n)):
+                continue
+            kind = ("finite" if gcm.finite else
+                    "singular" if laplace_determinant(gcm.entries) == 0 else "indefinite")
+            family = harness.BatteryFamily(kind, gcm.entries, perm, ())
+            config = harness.BatteryConfig(families=(family,), lambda_box=1,
+                                           max_word_len=max_word_len)
+            try:
+                counts = harness.run_battery(config).counts
+            except (NotDiagramAutomorphism, LinkingConditionFailed):
+                continue   # the permutation is no automorphism, or the fold fails
+            total = out.setdefault(kind, dict.fromkeys(("folds", "equal", "unequal", "skipped"), 0))
+            total["folds"] += 1
+            for status, count in counts.items():
+                total[status] += count
+    return out

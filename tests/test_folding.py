@@ -4,7 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
-from itertools import permutations, product
+from itertools import permutations
 from operator import mul
 from pathlib import Path
 
@@ -16,10 +16,8 @@ from twinchar import word_model
 from twinchar.errors import (
     LinkingConditionFailed,
     NotDiagramAutomorphism,
-    NotGCM,
     NotInWTilde,
     NotSymmetricWeight,
-    NotSymmetrizable,
 )
 from twinchar.folding import (
     fold,
@@ -44,7 +42,15 @@ from twinchar.weyl import (
     length,
 )
 
-from oracles import leading_principal_minors, lift_matrix, mat_mul, matrix_of, orbits_of
+from oracles import (
+    is_dominant,
+    leading_principal_minors,
+    lift_matrix,
+    mat_mul,
+    matrix_of,
+    orbits_of,
+    small_gcms,
+)
 
 BATTERY = [
     ("A2", (1, 0)),
@@ -117,20 +123,6 @@ def test_linking_condition_failure():
     doubled = validate_gcm([[2, -2], [-2, 2]])
     with pytest.raises(LinkingConditionFailed):
         fold(doubled, (1, 0))
-
-
-def small_gcms():
-    """Every GCM of rank at most 3 with off-diagonal entries in {0, -1, -2, -3}."""
-    for n in (1, 2, 3):
-        cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for values in product((0, -1, -2, -3), repeat=len(cells)):
-            entries = [[2] * n for _ in range(n)]
-            for (i, j), value in zip(cells, values):
-                entries[i][j] = value
-            try:
-                yield validate_gcm(entries)
-            except (NotGCM, NotSymmetrizable):
-                pass
 
 
 SMALL_GCMS = list(small_gcms())
@@ -363,7 +355,7 @@ def test_dominance_equivariance_of_lift():
         gcm = data.gcm
         for mu_hat in weight_box(data.n_folded, -2, 2):
             lifted = unfold_weight(data, mu_hat)
-            assert gcm.is_dominant(lifted) == data.folded.is_dominant(mu_hat)
+            assert is_dominant(lifted) == is_dominant(mu_hat)
 
 
 def test_lift_intertwines_single_reflections():

@@ -46,7 +46,12 @@ from twinchar.root_data import (
 from twinchar.weyl import enumerate_weyl
 from twinchar.word_model import demazure_subspaces, twining_character
 
-from oracles import freudenthal_character, leading_principal_minors, weight_space
+from oracles import (
+    freudenthal_character,
+    leading_principal_minors,
+    small_fold_counts,
+    weight_space,
+)
 
 
 def test_instance_parsing_requires_exactly_one_side():
@@ -165,6 +170,17 @@ def test_battery_lambda_box_sweep():
                   {"max_word_len": True}, {"lambda_box": 1, "max_word_len": "1"}):
         with pytest.raises(InvalidInput):
             harness.run_battery(config._replace(**sizes))
+
+
+def test_battery_decides_every_fold_of_the_small_matrices():
+    # every fold of a GCM of rank at most 3 by a non-identity automorphism, at lambda
+    # box 1 and folded words up to length 3: the routes agree on finite, singular and
+    # indefinite matrices; the skips are modules over the default cap
+    assert small_fold_counts(3) == {
+        "finite": {"folds": 13, "equal": 196, "unequal": 0, "skipped": 0},
+        "singular": {"folds": 9, "equal": 249, "unequal": 0, "skipped": 3},
+        "indefinite": {"folds": 42, "equal": 1095, "unequal": 0, "skipped": 81},
+    }
 
 
 def test_battery_instances_are_built_lazily(monkeypatch):

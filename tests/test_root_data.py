@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from twinchar import weyl
 from twinchar.characters import demazure_character
-from twinchar.errors import InvalidInput, NotFiniteType, NotGCM, NotSymmetrizable
+from twinchar.errors import InvalidInput, NotDominant, NotFiniteType, NotGCM, NotSymmetrizable
 from twinchar.folding import fold, fold_word, unfold_word
 from twinchar.linalg import leading_minors_positive
 from twinchar.root_data import (
     cartan_matrix,
     diagram_permutation,
+    dominant_weight,
     int_tuple,
     is_finite_type,
     positive_roots,
@@ -161,8 +162,9 @@ def test_simple_root_and_reflection_examples():
     assert a2.simple_root(0) == (2, -1)
     assert a2.simple_root(1) == (-1, 2)
     assert weyl.act(a2, (0,), (1, 1)) == (-1, 2)
-    assert not a2.is_dominant((-1, 2))
-    assert a2.is_dominant((0, 3))
+    with pytest.raises(NotDominant):
+        dominant_weight(a2, (-1, 2))
+    assert dominant_weight(a2, (0, 3)) == (0, 3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -47,6 +47,7 @@ from oracles import (
     freudenthal_character,
     fwords,
     highest_weight_vector,
+    is_dominant,
     root_coords,
     shapovalov_pair,
     tau_twist,
@@ -175,7 +176,7 @@ def test_weight_space_ranks_match_freudenthal():
         gcm = cartan_matrix(label)
         freud = freudenthal_character(gcm, lam)
         for mu, mult in freud.sorted_terms():
-            if not gcm.is_dominant(mu):
+            if not is_dominant(mu):
                 continue
             beta = root_coords(gcm, tuple(l - m for l, m in zip(lam, mu)))
             assert weight_space(gcm, lam, beta).dimension == mult, (label, lam, mu)
@@ -470,28 +471,29 @@ def test_the_twist_reads_only_raising_tables(monkeypatch):
         assert tuple(perm) in module.twists
 
 
-def test_a_twist_starts_from_the_twist_of_a_stable_module_below():
+def test_a_twist_extends_the_twist_of_a_stable_module_below():
     # A3-flip at (1, 0, 1): V_w for the unfolded word (0, 2, 1, 0, 2) is built on
-    # V_(1, 0, 2), which commutes with the flip; once that twist is known, the
-    # twist of V_w begins with its rows, zero-padded, solves only the rest (the
-    # content (1, 1, 1) grows), and equals the twist solved with nothing known below
+    # V_(1, 0, 2), which commutes with the flip; the basis of V_w begins with that
+    # of V_(1, 0, 2), so on it the twist of V_w is the twist of V_(1, 0, 2),
+    # zero-padded (the content (1, 1, 1) grows), and it is the same whether or not
+    # the module below was twisted first
     a3 = cartan_matrix("A3")
     perm, lam, short, word = (2, 1, 0), (1, 0, 1), (1, 0, 2), (0, 2, 1, 0, 2)
     word_model._modules.cache_clear()
     twining_character(a3, lam, short, perm)
     below = _module(a3, lam, short).twists[perm]
     twining_character(a3, lam, word, perm)
-    reused = _module(a3, lam, word).twists[perm]
+    extended = _module(a3, lam, word).twists[perm]
     for beta, (rows, den) in below.items():
-        mine, my_den = reused[beta]
+        mine, my_den = extended[beta]
         assert [[Fraction(x, my_den) for x in row[:len(rows[0])]] for row in mine[:len(rows)]] \
             == [[Fraction(x, den) for x in row] for row in rows]
         assert all(x == 0 for row in mine[:len(rows)] for x in row[len(rows[0]):])
-    assert len(reused[1, 1, 1][0]) > len(below[1, 1, 1][0])
+    assert len(extended[1, 1, 1][0]) > len(below[1, 1, 1][0])
     word_model._modules.cache_clear()
     twining_character(a3, lam, word, perm)
     assert perm not in _module(a3, lam, short).twists
-    assert _module(a3, lam, word).twists[perm] == reused
+    assert _module(a3, lam, word).twists[perm] == extended
     word_model._modules.cache_clear()
 
 
@@ -514,7 +516,7 @@ def test_an_unreduced_word_peels_through_the_stable_chain(monkeypatch):
     # A3-flip at (1, 0, 1): V_w is found by peeling descents off w(lam), one flip orbit
     # at a time, not by the letters of the word, so the unreduced (0, 2, 1, 0, 2, 1, 1)
     # builds on the stable V_(1, 0, 2) exactly as the reduced (0, 2, 1, 0, 2) does:
-    # 2 modules, and a twist that solves 7 rows past the twist it starts from
+    # 2 modules, and a twist that solves the 14 rows of its own contents below the top
     a3 = cartan_matrix("A3")
     perm, lam = (2, 1, 0), (1, 0, 1)
     grown, solved = word_model._grown, word_model._solved
@@ -542,7 +544,7 @@ def test_an_unreduced_word_peels_through_the_stable_chain(monkeypatch):
         twining_character(a3, lam, (1, 0, 2), perm)
         work.update(modules=0, rows=0)
         results.append(twining_character(a3, lam, word, perm))
-        assert (work["modules"], work["rows"]) == (2, 7), word
+        assert (work["modules"], work["rows"]) == (2, 14), word
     assert results[0] == results[1]
     word_model._modules.cache_clear()
 
