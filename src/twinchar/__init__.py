@@ -34,7 +34,6 @@ from .root_data import (
     CharacterPolynomial,
     GeneralizedCartanMatrix,
     cartan_matrix,
-    is_finite_type,
     positive_roots,
     validate_gcm,
     weyl_dimension,
@@ -42,15 +41,11 @@ from .root_data import (
 from .weyl import (
     enumerate_weyl,
     is_in_w_tilde,
-    length,
     longest_element,
-    reduced_word,
 )
 from .word_model import (
-    Subspace,
     demazure_subspaces,
     twining_character,
-    twining_trace,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +57,6 @@ __all__ = [
     "FoldingData",
     "GeneralizedCartanMatrix",
     "Instance",
-    "Subspace",
     "TwiningError",
     "VerificationReport",
     "canonical_serialize",
@@ -74,17 +68,13 @@ __all__ = [
     "fold",
     "fold_weight",
     "fold_word",
-    "is_finite_type",
     "is_in_w_tilde",
     "is_symmetric_weight",
-    "length",
     "longest_element",
     "map_character",
     "positive_roots",
-    "reduced_word",
     "run_battery",
     "twining_character",
-    "twining_trace",
     "unfold_weight",
     "unfold_word",
     "validate_gcm",

@@ -59,7 +59,7 @@ class NotInWTilde(InvalidInput):
 
 
 class NotTauStable(InvalidInput):
-    """Subspace is not stable under the twining map."""
+    """A Demazure module is not stable under the twining map."""
 
 
 class NoDescentFound(InvariantViolation):

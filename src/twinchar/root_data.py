@@ -159,11 +159,6 @@ def _symmetrizer(entries: IntMatrix) -> tuple[int, ...]:
     return tuple(d)
 
 
-def is_finite_type(gcm: GeneralizedCartanMatrix) -> bool:
-    """True iff every leading principal minor is positive."""
-    return gcm.finite
-
-
 def _require_finite(gcm: GeneralizedCartanMatrix) -> None:
     if not gcm.finite:
         raise NotFiniteType("operation requires a finite-type Cartan matrix")
@@ -380,8 +375,8 @@ class CharacterPolynomial:
         self._terms = data
 
     @classmethod
-    def monomial(cls, weight: Weight, coeff: int = 1) -> "CharacterPolynomial":
-        return cls(len(weight), [(tuple(weight), coeff)])
+    def monomial(cls, weight: Weight) -> "CharacterPolynomial":
+        return cls(len(weight), [(tuple(weight), 1)])
 
     def coefficient(self, weight: Weight) -> int:
         return self._terms.get(tuple(weight), 0)

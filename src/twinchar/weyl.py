@@ -9,7 +9,7 @@ Descent rule: x_i = <rho, (w alpha_i)^vee> is negative exactly when i is
 a right descent of w, that is l(w s_i) < l(w).  The canonical reduced word
 peels the smallest right descent (x <- s_i x, which is w <- w s_i) until
 x = rho, at O(n) integer work per letter, and reads the peeled letters
-backwards.
+backwards; ``folding.fold_word`` on the identity fold returns it.
 
 This vector is the only representation of a Weyl element: ``element_of``
 returns it, ``enumerate_weyl`` runs its breadth-first search on it, and
@@ -98,20 +98,6 @@ def _word_of_rho_vector(gcm: GeneralizedCartanMatrix, x: Weight) -> Word:
     return tuple(reversed(letters))
 
 
-def reduced_word(gcm: GeneralizedCartanMatrix, word: Word) -> Word:
-    """Canonical reduced word of the element of any word.
-
-    >>> from twinchar.root_data import cartan_matrix
-    >>> reduced_word(cartan_matrix("A2"), (0, 1, 0, 0, 1))
-    (0,)
-    """
-    return _word_of_rho_vector(gcm, element_of(gcm, word))
-
-
-def length(gcm: GeneralizedCartanMatrix, word: Word) -> int:
-    return len(reduced_word(gcm, word))
-
-
 def _length_bound(gcm: GeneralizedCartanMatrix) -> int:
     """n max(n, 15): at least the positive roots of any finite root system of rank n.
 
@@ -167,8 +153,9 @@ def enumerate_weyl(gcm: GeneralizedCartanMatrix,
 
     Breadth-first over x <- s_i x (w <- w s_i), trying letters in increasing
     order, so each element keeps the first shortest word that reaches it.
-    That word need not be the canonical one of ``reduced_word``: for A3 the
-    breadth-first word (0, 2) has the canonical word (2, 0).
+    That word need not be the canonical one of ``folding.fold_word`` on the
+    identity fold: for A3 the breadth-first word (0, 2) has the canonical
+    word (2, 0).
     With ``max_length=None`` the group must be finite, and an element longer
     than ``_length_bound`` raises NotFiniteType; the result is sorted by
     (length, word).

@@ -22,8 +22,8 @@ The recursion follows the element, not the letters: modules live in one
 bounded cache keyed on the content lam - w(lam), since V_w depends only on
 w W_lam, and a miss peels descents off w(lam), one tau-orbit at a time.
 The diagram twist tau, with tau(e_j) = e_{tau(j)}, is read off the raising
-tables and kept with the module, once per permutation, and so is the
-twining character that its traces assemble.  Everything is
+tables, and the twining character that its traces assemble is kept with
+the module, once per permutation.  Everything is
 integer arithmetic: each table is one integer matrix over one positive
 denominator, one fraction-free elimination serves every solve, and the one
 division that the theory makes exact, the trace, is checked.
@@ -35,7 +35,6 @@ This module deliberately imports neither the folding machinery nor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import mul, sub
 
 from .errors import (
@@ -169,18 +168,16 @@ class _Module:
     with that of V_{s_i w}, so a row of a table may be shorter than the
     basis it is written in: the missing entries are zero, and a table of
     V_{s_i w} (``below``) serves V_w unchanged, shared by reference.
-    ``twists[perm]`` is the diagram twist of every content, computed once
-    per permutation from this module's own tables, and ``characters[perm]``
-    the twining character of V_w(lam) that it gives.
+    ``characters[perm]`` is the twining character of V_w(lam), assembled
+    once per permutation from the traces of ``twist(perm)``.
     """
 
-    __slots__ = ("gcm", "sizes", "raising", "twists", "characters", "dimension")
+    __slots__ = ("gcm", "sizes", "raising", "characters", "dimension")
 
     def __init__(self, gcm: GeneralizedCartanMatrix, below: "_Module | None" = None):
         self.gcm = gcm
         self.sizes = dict(below.sizes) if below else {(0,) * gcm.n: 1}
         self.raising = dict(below.raising) if below else {}
-        self.twists = {}
         self.characters = {}
         self.dimension = below.dimension if below else 1
 
@@ -198,10 +195,9 @@ class _Module:
         solved on the basis of tau(beta) from its images; when that fails,
         tau(x) left V_w and NotTauStable is raised, so a w outside the
         commuting subgroup is refused.  The permutation must be a diagram
-        automorphism, as the public entries check.
+        automorphism, as the public entries check.  Nothing is kept:
+        ``twining_core`` keeps the character that the traces give.
         """
-        if perm in self.twists:
-            return self.twists[perm]
         twists = {(0,) * self.gcm.n: (((1,),), 1)}
         for beta in sorted(self.sizes, key=sum)[1:]:   # the top content 0 comes first
             size = self.sizes[beta]
@@ -220,7 +216,6 @@ class _Module:
             if None in found[size:]:
                 raise NotTauStable(f"twisted basis of content {beta} left the module")
             twists[beta] = _table(found[size:])
-        self.twists[perm] = twists
         return twists
 
 
@@ -333,16 +328,6 @@ def _grown(gcm: GeneralizedCartanMatrix, lam: Weight, below: _Module, i: int,
 _modules = BoundedCache(CACHE_VECTORS, lambda module: module.dimension)
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """The weight space of a Demazure module V_w(lam) at one content."""
-
-    lam: Weight
-    content: RootVector
-    dimension: int
-    module: _Module = field(compare=False, repr=False)
-
-
 def _walked(gcm: GeneralizedCartanMatrix, lam: Weight,
             word) -> tuple[RootVector, Weight, Weight]:
     """lam - w(lam) in root coordinates, w(lam) and w(rho), for any word of w.
@@ -435,8 +420,8 @@ def _trace(table: Table) -> int:
 
 
 def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
-                       word_cap: int = DEFAULT_WORD_CAP) -> dict[RootVector, Subspace]:
-    """The nonzero weight spaces of the Demazure module V_w(lam), highest content first.
+                       word_cap: int = DEFAULT_WORD_CAP) -> dict[RootVector, int]:
+    """The dimension of each nonzero weight space of V_w(lam), by content, highest first.
 
     The word may be any word of w, reduced or not: the module is that of
     its element.  The word cap bounds dim V_w(lam), the basis vectors of
@@ -448,26 +433,7 @@ def demazure_subspaces(gcm: GeneralizedCartanMatrix, lam: Weight, word,
     int_at_least(word_cap, 1, "word cap")
     word = weyl_word(gcm, word)
     module = _module(gcm, lam, word, word_cap, _walked(gcm, lam, word)[:2], tuple(range(gcm.n)))
-    return {beta: Subspace(lam, beta, module.sizes[beta], module)
-            for beta in sorted(module.sizes, key=lambda b: (-sum(b), b))}
-
-
-def twining_trace(subspace: Subspace, perm: tuple[int, ...]) -> int:
-    """Trace of the twining map on one weight space of a Demazure module.
-
-    The twist table carries one denominator, so the trace is one exact
-    integer division.  Raises NotTauStable when the content is not fixed
-    by the permutation or the twist leaves the module, which is the
-    signature of a word outside the commuting subgroup.
-    """
-    perm = diagram_permutation(subspace.module.gcm, perm)
-    if not is_symmetric_weight(subspace.lam, perm):
-        raise NotSymmetricWeight(f"weight {subspace.lam} is not fixed by {perm}")
-    content = subspace.content
-    image = _permuted(content, perm)
-    if image != content:
-        raise NotTauStable(f"twist maps content {content} to {image}")
-    return _trace(subspace.module.twist(perm)[content])
+    return {beta: module.sizes[beta] for beta in sorted(module.sizes, key=lambda b: (-sum(b), b))}
 
 
 def twining_character(gcm: GeneralizedCartanMatrix, lam: Weight, word,

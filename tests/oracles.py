@@ -17,9 +17,10 @@ routes under test.
 The definition of a Demazure module, U(n+) applied to the extremal line of
 w(lam) inside L(lam), as an upward dynamic programming over Fraction
 tables of L(lam): the reference for the library's Demazure recursion.
-The Demazure character by operators applied along the canonical reduced
-word of the element: the reference for the folded route's recursion on
-the extremal weight.
+The canonical reduced word of an element and its length, read from the
+library's ``fold_word`` on the identity fold.  The Demazure character by
+operators applied along that word: the reference for the folded route's
+recursion on the extremal weight.
 The small matrices, every GCM of rank at most 3 with small entries, and
 the battery of every fold of them, counted by the type of the matrix.
 """
@@ -41,6 +42,7 @@ from twinchar.errors import (
     NotSymmetrizable,
     TooLarge,
 )
+from twinchar.folding import fold, fold_word
 from twinchar.root_data import (
     CharacterPolynomial,
     dominant_weight,
@@ -375,11 +377,25 @@ def matrix_bfs(gcm, max_length=None):
     return sorted(((w, m) for m, w in found.items()), key=lambda t: (len(t[0]), t[0]))
 
 
+@lru_cache(maxsize=16)
+def _identity_fold(gcm):
+    return fold(gcm, tuple(range(gcm.n)))
+
+
+def reduced_word(gcm, word):
+    """The canonical reduced word of the element of any word: descent peeling, smallest first."""
+    return fold_word(_identity_fold(gcm), word)
+
+
+def length(gcm, word):
+    return len(reduced_word(gcm, word))
+
+
 def reduced_word_demazure_character(gcm, lam, word):
     """D_{i1} ... D_{ik} e(lam) along the canonical reduced word i1 ... ik of the element."""
     lam = dominant_weight(gcm, lam)
     poly = CharacterPolynomial.monomial(lam)
-    for i in reversed(weyl.reduced_word(gcm, word)):
+    for i in reversed(reduced_word(gcm, word)):
         poly = demazure_op(gcm, poly, i)
     return poly
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from twinchar import harness
+from twinchar import harness, word_model
 from twinchar.characters import demazure_character, demazure_op, map_character
 from twinchar.errors import NotTauStable
 from twinchar.folding import fold, unfold_weight, unfold_word
@@ -26,7 +26,6 @@ from twinchar.weyl import (
 from twinchar.word_model import (
     demazure_subspaces,
     twining_character,
-    twining_trace,
     weight_below,
 )
 
@@ -214,8 +213,7 @@ def test_criterion_4_demazure_formula_cross_check():
                 expected = demazure_character(gcm, lam, word)
                 subs = demazure_subspaces(gcm, lam, word)
                 dims = CharacterPolynomial(
-                    gcm.n, [(weight_below(gcm, lam, beta), sub.dimension)
-                            for beta, sub in subs.items()])
+                    gcm.n, [(weight_below(gcm, lam, beta), dim) for beta, dim in subs.items()])
                 assert dims == expected, (label, lam, word)
                 checked += 1
     elapsed = time.perf_counter() - start
@@ -333,16 +331,17 @@ def test_criterion_7_twist_properties():
     gcm, auto, data = folded_data("A3-flip")
     lam = unfold_weight(data, (1, 1))
     word = unfold_word(data, (0, 1))
-    for beta, sub in demazure_subspaces(gcm, lam, word).items():
+    twined = twining_character(gcm, lam, word, auto.perm)
+    for beta in demazure_subspaces(gcm, lam, word):
         if all(beta[auto.perm[l]] == beta[l] for l in range(gcm.n)):
-            assert isinstance(twining_trace(sub, auto.perm), int)
+            assert isinstance(twined.coefficient(weight_below(gcm, lam, beta)), int)
 
     # stability witness: one simple reflection outside the commuting subgroup
     a2 = cartan_matrix("A2")
-    subs = demazure_subspaces(a2, (1, 1), (0,))
+    demazure_subspaces(a2, (1, 1), (0,))
+    module = word_model._modules[a2, (1, 1), word_model._walked(a2, (1, 1), (0,))[0]]
     with pytest.raises(NotTauStable):
-        for sub in subs.values():
-            twining_trace(sub, (1, 0))
+        module.twist((1, 0))
     elapsed = time.perf_counter() - start
     report(7, elapsed, "isometry 100 pairs x 5 foldings, twist order, "
                        "integer traces, instability witness raised")

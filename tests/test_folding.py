@@ -39,12 +39,12 @@ from twinchar.weyl import (
     element_of,
     enumerate_weyl,
     is_in_w_tilde,
-    length,
 )
 
 from oracles import (
     is_dominant,
     leading_principal_minors,
+    length,
     lift_matrix,
     mat_mul,
     matrix_of,

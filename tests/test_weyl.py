@@ -1,7 +1,9 @@
 """Weyl elements as w^-1(rho) vectors, reduced words and the commuting subgroup.
 
 The matrix model in ``oracles`` (products of reflection matrices) is the
-independent reference for the group, its lengths and its BFS words.
+independent reference for the group, its lengths and its BFS words.  The
+canonical reduced word is ``folding.fold_word`` on the identity fold, which
+``oracles.reduced_word`` and ``oracles.length`` wrap.
 """
 
 import random
@@ -24,13 +26,20 @@ from twinchar.weyl import (
     enumerate_weyl,
     format_word,
     is_in_w_tilde,
-    length,
     longest_element,
     parse_word,
-    reduced_word,
 )
 
-from oracles import identity_matrix, mat_mul, mat_vec, matrix_bfs, matrix_of, root_coords
+from oracles import (
+    identity_matrix,
+    length,
+    mat_mul,
+    mat_vec,
+    matrix_bfs,
+    matrix_of,
+    reduced_word,
+    root_coords,
+)
 
 WEYL_ORDERS = {"A2": 6, "A3": 24, "B2": 8, "G2": 12, "C3": 48, "A4": 120, "D4": 192}
 

@@ -34,7 +34,6 @@ from twinchar.weyl import enumerate_weyl, is_in_w_tilde, longest_element
 from twinchar.word_model import (
     demazure_subspaces,
     twining_character,
-    twining_trace,
     weight_below,
 )
 
@@ -183,16 +182,14 @@ def test_weight_space_ranks_match_freudenthal():
 
 
 def test_demazure_subspaces_examples():
-    subs = demazure_subspaces(A2, RHO, (0,))
-    assert {beta: s.dimension for beta, s in subs.items()} == {(0, 0): 1, (1, 0): 1}
-    subs0 = demazure_subspaces(A2, RHO, ())
-    assert {beta: s.dimension for beta, s in subs0.items()} == {(0, 0): 1}
+    assert demazure_subspaces(A2, RHO, (0,)) == {(0, 0): 1, (1, 0): 1}
+    assert demazure_subspaces(A2, RHO, ()) == {(0, 0): 1}
     full = demazure_subspaces(A2, RHO, (0, 1, 0))
-    assert sum(s.dimension for s in full.values()) == 8
+    assert sum(full.values()) == 8
     # the top content is the extremal weight w(lam), one line
     top = next(iter(full))
     assert top == (2, 2) and weight_below(A2, RHO, top) == (-1, -1)
-    assert full[top].dimension == 1
+    assert full[top] == 1
     assert list(demazure_subspaces(validate_gcm([[2]]), (3,), (0,))) == [(3,), (2,), (1,), (0,)]
     with pytest.raises(TooLarge):
         demazure_subspaces(A2, (3, 3), (0, 1, 0), word_cap=50)
@@ -233,11 +230,18 @@ def test_demazure_subspaces_echelon_invariants():
             assert below.sizes.get(beta, 0) <= size
 
 
+def _trace(gcm, lam, word, perm, beta):
+    """The twining trace at content beta, as a coefficient of the twining character.
+
+    Only for finite types, where a content is one weight and not a sum of several.
+    """
+    return twining_character(gcm, lam, word, perm).coefficient(weight_below(gcm, lam, beta))
+
+
 def test_twining_traces_for_a2_adjoint():
-    subs = demazure_subspaces(A2, RHO, (0, 1, 0))
-    assert twining_trace(subs[(0, 0)], FLIP) == 1
-    assert twining_trace(subs[(1, 1)], FLIP) == 0
-    assert twining_trace(subs[(2, 2)], FLIP) == 1
+    assert _trace(A2, RHO, (0, 1, 0), FLIP, (0, 0)) == 1
+    assert _trace(A2, RHO, (0, 1, 0), FLIP, (1, 1)) == 0
+    assert _trace(A2, RHO, (0, 1, 0), FLIP, (2, 2)) == 1
 
 
 def test_twining_character_example():
@@ -254,11 +258,11 @@ def test_twining_character_preconditions():
 
 
 def test_stability_dichotomy_witness():
-    # w = s_0 is outside the commuting subgroup: some subspace must fail
-    subs = demazure_subspaces(A2, RHO, (0,))
+    # w = s_0 is outside the commuting subgroup: its module is not tau-stable
+    # (twining_character refuses the word earlier, with NotInWTilde)
+    demazure_subspaces(A2, RHO, (0,))
     with pytest.raises(NotTauStable):
-        for sub in subs.values():
-            twining_trace(sub, FLIP)
+        _module(A2, RHO, (0,)).twist(FLIP)
 
 
 @pytest.mark.parametrize("word, message", [
@@ -266,11 +270,11 @@ def test_stability_dichotomy_witness():
     ((0, 1), "twisted basis of content (1, 1) left the module"),
 ], ids=["moved-content", "left-the-module"])
 def test_twist_refuses_a_module_that_is_not_tau_stable(word, message):
-    # the top content (0, 0) is fixed, so twining_trace passes its own check and the
-    # twist of the module, built content by content, raises
-    top = demazure_subspaces(A2, RHO, word)[(0, 0)]
+    # the twist of the module, built content by content from the top, raises
+    # (twining_character refuses the word earlier, with NotInWTilde)
+    demazure_subspaces(A2, RHO, word)
     with pytest.raises(NotTauStable) as caught:
-        twining_trace(top, FLIP)
+        _module(A2, RHO, word).twist(FLIP)
     assert str(caught.value) == message
     assert isinstance(caught.value, InvalidInput) and caught.value.exit_code == 2
 
@@ -281,8 +285,7 @@ def test_identity_automorphism_reduces_to_dimensions():
             twined = twining_character(A2, lam, word, ID2)
             subs = demazure_subspaces(A2, lam, word)
             dims = CharacterPolynomial(
-                2, [(weight_below(A2, lam, beta), sub.dimension)
-                    for beta, sub in subs.items()])
+                2, [(weight_below(A2, lam, beta), dim) for beta, dim in subs.items()])
             assert twined == dims == demazure_character(A2, lam, word)
 
 
@@ -290,7 +293,7 @@ def test_total_dimension_matches_weyl_formula():
     for label, lam in [("A2", (1, 1)), ("B2", (1, 1)), ("A3", (1, 0, 1))]:
         gcm = cartan_matrix(label)
         subs = demazure_subspaces(gcm, lam, longest_element(gcm))
-        assert sum(s.dimension for s in subs.values()) == weyl_dimension(gcm, lam)
+        assert sum(subs.values()) == weyl_dimension(gcm, lam)
 
 
 def test_f_action_matches_pair_on_bigger_rank():
@@ -345,9 +348,10 @@ def test_integer_echelon_matches_fraction_reference(monkeypatch, label, perm, bo
             if (perm is not None and is_symmetric_weight(lam, perm)
                     and is_in_w_tilde(gcm, word, perm)):
                 reference = upward_traces(gcm, lam, word, perm)
-                for beta, sub in subs.items():
+                for beta in subs:
                     if is_symmetric_weight(beta, perm):
-                        assert twining_trace(sub, perm) == reference[beta], (lam, word, beta)
+                        assert _trace(gcm, lam, word, perm, beta) == reference[beta], \
+                            (lam, word, beta)
                         traces += 1
     word_model._modules.cache_clear()
     # the relations really carry denominators, and the flips really compare traces
@@ -388,13 +392,11 @@ def test_basis_words_match_the_all_words_oracle(label, lam, every_word):
     gcm = cartan_matrix(label)
     words = [w for w, _ in enumerate_weyl(gcm)] if every_word else [longest_element(gcm)]
     for word in words:
-        ours = {beta: s.dimension for beta, s in demazure_subspaces(gcm, lam, word).items()}
         oracle = {beta: s.dimension for beta, s in all_words_subspaces(gcm, lam, word).items()}
-        assert ours == oracle, (label, lam, word)
+        assert demazure_subspaces(gcm, lam, word) == oracle, (label, lam, word)
     # the module of the longest element is L(lam)
     multiplicities = dict(freudenthal_character(gcm, lam).sorted_terms())
-    nonempty = {beta: s.dimension
-                for beta, s in demazure_subspaces(gcm, lam, longest_element(gcm)).items()}
+    nonempty = demazure_subspaces(gcm, lam, longest_element(gcm))
     assert {weight_below(gcm, lam, beta): m for beta, m in nonempty.items()} == multiplicities
     for beta, m in nonempty.items():
         if content_word_count(beta) <= 300:
@@ -456,7 +458,7 @@ def test_tables_satisfy_the_commutator_relation(label, lam, every_word):
 
 def test_the_twist_reads_only_raising_tables(monkeypatch):
     # a module keeps no lowering table; its twist is rebuilt from raising tables alone
-    # (the twining character kept with the module is dropped too, or it would be served)
+    # (the twining character kept with the module is dropped, or it would be served)
     a3 = cartan_matrix("A3")
     perm = (2, 1, 0)
     lam = unfold_weight(fold(a3, perm), (1, 1))
@@ -465,10 +467,9 @@ def test_the_twist_reads_only_raising_tables(monkeypatch):
     module = _module(a3, lam, word)
     assert not hasattr(module, "lower")
     with monkeypatch.context() as patched:
-        patched.setattr(module, "twists", {})
         patched.setattr(module, "characters", {})
         assert twining_character(a3, lam, word, perm) == expected
-        assert tuple(perm) in module.twists
+        assert module.characters == {perm: expected}
 
 
 def test_a_twist_extends_the_twist_of_a_stable_module_below():
@@ -476,14 +477,14 @@ def test_a_twist_extends_the_twist_of_a_stable_module_below():
     # V_(1, 0, 2), which commutes with the flip; the basis of V_w begins with that
     # of V_(1, 0, 2), so on it the twist of V_w is the twist of V_(1, 0, 2),
     # zero-padded (the content (1, 1, 1) grows), and it is the same whether or not
-    # the module below was twisted first
+    # the character of the module below was asked for first
     a3 = cartan_matrix("A3")
     perm, lam, short, word = (2, 1, 0), (1, 0, 1), (1, 0, 2), (0, 2, 1, 0, 2)
     word_model._modules.cache_clear()
     twining_character(a3, lam, short, perm)
-    below = _module(a3, lam, short).twists[perm]
+    below = _module(a3, lam, short).twist(perm)
     twining_character(a3, lam, word, perm)
-    extended = _module(a3, lam, word).twists[perm]
+    extended = _module(a3, lam, word).twist(perm)
     for beta, (rows, den) in below.items():
         mine, my_den = extended[beta]
         assert [[Fraction(x, my_den) for x in row[:len(rows[0])]] for row in mine[:len(rows)]] \
@@ -492,8 +493,8 @@ def test_a_twist_extends_the_twist_of_a_stable_module_below():
     assert len(extended[1, 1, 1][0]) > len(below[1, 1, 1][0])
     word_model._modules.cache_clear()
     twining_character(a3, lam, word, perm)
-    assert perm not in _module(a3, lam, short).twists
-    assert _module(a3, lam, word).twists[perm] == extended
+    assert perm not in _module(a3, lam, short).characters
+    assert _module(a3, lam, word).twist(perm) == extended
     word_model._modules.cache_clear()
 
 
@@ -509,6 +510,30 @@ def test_words_of_one_coset_share_one_module():
     assert _module(A2, lam, (1,)) is _module(A2, lam, ())
     assert _module(A2, lam, (0, 1)) is _module(A2, lam, (0,))
     assert _module(A2, lam, (1, 0, 1)) is _module(A2, lam, (1, 0))
+    word_model._modules.cache_clear()
+
+
+def test_a_warm_twining_character_solves_no_twist(monkeypatch):
+    # the character kept with the module serves a repeated call, of the same word or of
+    # another word of the same coset w W_lam: at (0, 1, 0) of A3, s_0 and s_2 fix lam,
+    # so (1,), (1, 0, 2) and the unreduced (1, 2, 0, 0, 0) name one module, and only
+    # the first call solves its twist
+    a3 = cartan_matrix("A3")
+    perm, lam = (2, 1, 0), (0, 1, 0)
+    twist, calls = word_model._Module.twist, []
+
+    def counting_twist(module, p):
+        calls.append(p)
+        return twist(module, p)
+
+    monkeypatch.setattr(word_model._Module, "twist", counting_twist)
+    word_model._modules.cache_clear()
+    first = twining_character(a3, lam, (1,), perm)
+    assert calls == [perm]
+    for word in [(1,), (1, 0, 2), (1, 2, 0, 0, 0)]:
+        assert twining_character(a3, lam, word, perm) == first, word
+        assert _module(a3, lam, word) is _module(a3, lam, (1,))
+    assert calls == [perm]
     word_model._modules.cache_clear()
 
 
@@ -574,18 +599,17 @@ def test_a_twist_need_not_close_up_on_a_moved_orbit():
     beta = (1, 1, 0, 0)
     moved = word_model._permuted(beta, perm)
     assert moved != beta and word_model._permuted(moved, perm) == beta
-    subspace = demazure_subspaces(gcm, (1, 1, 1, 1), longest_element(gcm))[beta]
-    assert subspace.dimension == 2
-    assert twining_trace(subspace, (1, 0, 3, 2)) == 0
+    w0 = longest_element(gcm)
+    assert demazure_subspaces(gcm, (1, 1, 1, 1), w0)[beta] == 2
+    assert _trace(gcm, (1, 1, 1, 1), w0, (1, 0, 3, 2), beta) == 0
 
 
-def test_twining_trace_refuses_a_permutation_that_is_not_an_automorphism():
+def test_twining_character_refuses_a_permutation_that_is_not_an_automorphism():
     # (1, 0) does not preserve the B2 matrix, and (0, 0) is no bijection
     b2 = cartan_matrix("B2")
     for gcm, lam, perm in [(b2, (1, 1), (1, 0)), (A2, RHO, (0, 0))]:
-        for sub in demazure_subspaces(gcm, lam, longest_element(gcm)).values():
-            with pytest.raises(InvalidInput):
-                twining_trace(sub, perm)
+        with pytest.raises(InvalidInput):
+            twining_character(gcm, lam, longest_element(gcm), perm)
 
 
 TWINING_FAMILIES = [("A2", (1, 0), [(1,), (2,)]), ("A3", (2, 1, 0), [(1, 0), (0, 1), (1, 1)]),
@@ -681,7 +705,7 @@ def test_demazure_recursion_matches_the_upward_reference(label, perm, weights):
     for lam in weights:
         for length in range(5):
             for word in product(range(gcm.n), repeat=length):
-                ours = {beta: s.dimension for beta, s in demazure_subspaces(gcm, lam, word).items()}
+                ours = demazure_subspaces(gcm, lam, word)
                 reference = {beta: len(rows)
                              for beta, rows in upward_subspaces(gcm, lam, word).items()}
                 assert ours == reference, (lam, word)
@@ -698,7 +722,7 @@ def test_cache_state_never_changes_a_verdict():
     instance = {"gcm": "A4", "automorphism": [3, 2, 1, 0], "lambda_hat": [0, 1],
                 "w_hat": [1, 0, 1]}
     prep = harness.prepare(harness.parse_instance(instance))
-    dim = sum(s.dimension for s in demazure_subspaces(prep.gcm, prep.lam, prep.w).values())
+    dim = sum(demazure_subspaces(prep.gcm, prep.lam, prep.w).values())
 
     def outcome(cap):
         try:
