@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 
 from .errors import (
@@ -250,7 +249,6 @@ def _reflect_root(entries: IntMatrix, beta: RootVector, i: int) -> RootVector:
     return beta[:i] + (new_i,) + beta[i + 1:]
 
 
-@lru_cache(maxsize=64)
 def positive_roots(gcm: GeneralizedCartanMatrix) -> tuple[RootVector, ...]:
     """All positive roots in root coordinates, by reflection closure of the simple roots."""
     _require_finite(gcm)
@@ -296,15 +294,10 @@ def cartan_matrix(label: str) -> GeneralizedCartanMatrix:
     Bourbaki node numbering shifted to 0-based: type A/B/C is the chain
     0-1-...-(n-1) with the short/long end at node n-1; type D attaches both
     n-2 and n-1 to node n-3; E6 is the chain 0-2-3-4-5 with node 1 on
-    node 3.
+    node 3.  Each call builds the matrix and checks it.
     """
     if not isinstance(label, str):
         raise InvalidInput(f"Cartan type label {label!r} is not a string")
-    return _catalog(label)
-
-
-@lru_cache(maxsize=64)
-def _catalog(label: str) -> GeneralizedCartanMatrix:
     lab = label.strip().upper()
     if lab in _EXCEPTIONAL:
         return validate_gcm(_EXCEPTIONAL[lab])

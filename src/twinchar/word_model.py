@@ -64,9 +64,10 @@ Table = tuple[tuple[tuple[int, ...], ...], int]   # integer rows over one positi
 
 # the most basis vectors, dim V_w(lam), that one Demazure module may have
 DEFAULT_WORD_CAP = 650
-# the most basis vectors the module cache holds before it drops the oldest modules:
-# twice the largest benchmark pool's working set (7,967 vectors), about 9 MB at the
-# 560 bytes per held vector that tracemalloc shows on CPython 3.11
+# the most basis vectors the module cache holds before it drops the oldest modules, about
+# 9 MB at the 560 bytes per held vector that tracemalloc shows on CPython 3.11: twice the
+# 7,967 held after one pass over the largest benchmark pool, which builds only 4,791, as a
+# module weighs its full dim V_w, the tables it shares with the module below included
 CACHE_VECTORS = 1 << 14
 
 

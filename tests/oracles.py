@@ -23,6 +23,9 @@ operators applied along that word: the reference for the folded route's
 recursion on the extremal weight.
 The small matrices, every GCM of rank at most 3 with small entries, and
 the battery of every fold of them, counted by the type of the matrix.
+The battery families that the tests and CI run beside the default
+battery, the E6 flip, the A2xA2 4-cycle and the affine folds, with the
+folded matrix of each family, default ones included.
 """
 
 import math
@@ -702,3 +705,49 @@ def small_fold_counts(max_word_len):
             for status, count in counts.items():
                 total[status] += count
     return out
+
+
+# the folded matrix of each fold that the tests pin, by family name: the default battery's,
+# the E6 flip's (F4) and the affine folds', each twisted affine
+FOLDED = {
+    "A2-flip": ((2,),),
+    "A3-flip": ((2, -1), (-2, 2)),
+    # a mixed orbit puts its scale on the column orbit, so this is the transpose of the
+    # equal-scale reading
+    "A4-flip": ((2, -2), (-1, 2)),
+    "D4-triality": ((2, -1), (-3, 2)),
+    "D4-swap": ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
+    "E6-flip": ((2, 0, -1, 0), (0, 2, 0, -1), (-1, 0, 2, -1), (0, -1, -2, 2)),
+    "A2^(1)": ((2, -4), (-1, 2)),   # A2^(2)
+    "C2^(1)": ((2, -1), (-4, 2)),
+    "A3^(1)": ((2, -2, 0), (-1, 2, -1), (0, -2, 2)),
+    "D4^(1)": ((2, -1, 0, 0), (-2, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
+    "B3^(1)": ((2, -1, 0), (-2, 2, -1), (0, -2, 2)),
+}
+
+E6_FLIP = harness.BatteryFamily("E6-flip", "E6", (5, 1, 4, 3, 2, 0), ())
+
+# one orbit of row sum 1, which folds to A1
+A2XA2_CYCLE = harness.BatteryFamily(
+    "A2xA2-cycle", ((2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2)), (2, 3, 1, 0), ())
+
+# affine families by their matrices (determinant 0, proper leading minors positive)
+AFFINE_FAMILIES = {family.name: family for family in (
+    harness.BatteryFamily("A1^(1)", ((2, -2), (-2, 2)), (0, 1), ()),
+    harness.BatteryFamily("A2^(1)", ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (0, 2, 1), ()),
+    harness.BatteryFamily("C2^(1)", ((2, -1, 0), (-2, 2, -2), (0, -1, 2)), (2, 1, 0), ()),
+    harness.BatteryFamily("A3^(1)", ((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1),
+                                     (-1, 0, -1, 2)), (0, 3, 2, 1), ()),
+    harness.BatteryFamily("D4^(1)", ((2, 0, -1, 0, 0), (0, 2, -1, 0, 0), (-1, -1, 2, -1, -1),
+                                     (0, 0, -1, 2, 0), (0, 0, -1, 0, 2)), (1, 0, 2, 3, 4), ()),
+    harness.BatteryFamily("B3^(1)", ((2, 0, -1, 0), (0, 2, -1, 0), (-1, -1, 2, -1),
+                                     (0, 0, -2, 2)), (1, 0, 2, 3), ()),
+)}
+
+# the identity automorphism on each affine matrix and on the twisted A2^(2) that A2^(1)
+# folds to: the twining character is then the full character, so every content of the
+# module, not only the tau-fixed ones, meets the Demazure operators of the same matrix
+AFFINE_FAMILIES.update({
+    f"{name} identity": harness.BatteryFamily(f"{name} identity", gcm, tuple(range(len(gcm))), ())
+    for name, gcm in [*((family.name, family.gcm) for family in AFFINE_FAMILIES.values()),
+                      ("A2^(2)", FOLDED["A2^(1)"])]})

@@ -30,6 +30,7 @@ from twinchar.word_model import (
 )
 
 from oracles import (
+    FOLDED,
     content_word_count,
     freudenthal_character,
     is_dominant,
@@ -43,28 +44,12 @@ from oracles import (
     weight_space,
 )
 
-FAMILIES = {
-    "A2-flip": ("A2", (1, 0)),
-    "A3-flip": ("A3", (2, 1, 0)),
-    "A4-flip": ("A4", (3, 2, 1, 0)),
-    "D4-triality": ("D4", (2, 1, 3, 0)),
-    "D4-swap": ("D4", (0, 1, 3, 2)),
-}
-
-EXPECTED_FOLDED = {
-    "A2-flip": ((2,),),
-    "A3-flip": ((2, -1), (-2, 2)),
-    # scale sits on the column orbit, so the mixed-orbit case is the
-    # transpose of the equal-scale reading
-    "A4-flip": ((2, -2), (-1, 2)),
-    "D4-triality": ((2, -1), (-3, 2)),
-    "D4-swap": ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
-}
+FAMILIES = {family.name: family for family in harness.default_families()}
 
 
 def folded_data(name):
-    label, perm = FAMILIES[name]
-    data = fold(cartan_matrix(label), perm)
+    family = FAMILIES[name]
+    data = fold(cartan_matrix(family.gcm), family.automorphism)
     return data.gcm, data.auto, data
 
 
@@ -74,10 +59,10 @@ def report(number, elapsed, detail):
 
 def test_criterion_1_folding_battery():
     start = time.perf_counter()
-    for name, expected in EXPECTED_FOLDED.items():
+    for name in FAMILIES:
         t0 = time.perf_counter()
         gcm, auto, data = folded_data(name)
-        assert data.folded.entries == expected, name
+        assert data.folded.entries == FOLDED[name], name
 
         # representative independence of every folded entry
         for k, orbit_k in enumerate(data.orbits):
@@ -107,7 +92,7 @@ def test_criterion_1_folding_battery():
            f"5 foldings, folded matrices and all folding invariants verified")
 
 
-ROOT_LAYER = {"root_data", "linalg", "errors", "weyl"}
+ROOT_LAYER = {"root_data", "linalg", "errors"}
 
 
 def import_closure(*modules):
@@ -146,8 +131,8 @@ def test_criterion_2_routes_share_only_the_root_layer():
     direct = import_closure("word_model")
     folded = import_closure("characters", "folding")
     assert direct & folded <= ROOT_LAYER, direct & folded
-    # the word model factors w itself: of the root layer it reads no Weyl group code
-    assert direct == {"word_model", "root_data", "linalg", "errors"}, direct
+    # the word model factors w itself: it reads the root layer and no Weyl group code
+    assert direct == ROOT_LAYER | {"word_model"}, direct
     assert not direct & {"characters", "folding"}, direct
     assert "word_model" not in folded, folded
 
@@ -175,11 +160,11 @@ def test_criterion_3_longest_element_regression():
     start = time.perf_counter()
     frozen = {("A2-flip", (1,)): 2, ("D4-triality", (0, 1)): 7}
     seen = {}
-    for name, (label, perm) in FAMILIES.items():
+    for name, family in FAMILIES.items():
         _, _, data = folded_data(name)
         w0_hat = longest_element(data.folded)
         identity = tuple(range(data.folded.n))
-        for lam_hat in _battery_lambda_hats(name):
+        for lam_hat in family.lambda_hats:
             rhs = map_character(data, demazure_character(data.folded, lam_hat, w0_hat))
             dim = weyl_dimension(data.folded, lam_hat)
             assert rhs.coefficient_sum() == dim, (name, lam_hat)
@@ -193,13 +178,6 @@ def test_criterion_3_longest_element_regression():
     report(3, time.perf_counter() - start,
            f"{len(seen)} longest-element instances, dims include "
            f"A2-flip(1)->2 and D4-triality(0,1)->7")
-
-
-def _battery_lambda_hats(name):
-    for family in harness.default_families():
-        if family.name == name:
-            return family.lambda_hats
-    raise KeyError(name)
 
 
 def test_criterion_4_demazure_formula_cross_check():
@@ -224,9 +202,9 @@ def test_criterion_4_demazure_formula_cross_check():
 def test_criterion_5_oracle_agreement():
     start = time.perf_counter()
     pairs = []
-    for name in FAMILIES:
+    for name, family in FAMILIES.items():
         _, _, data = folded_data(name)
-        for lam_hat in _battery_lambda_hats(name):
+        for lam_hat in family.lambda_hats:
             pairs.append((data.gcm, unfold_weight(data, lam_hat)))
     checked = skipped = 0
     seen = set()
@@ -306,7 +284,7 @@ def test_criterion_6_operator_properties():
 def test_criterion_7_twist_properties():
     start = time.perf_counter()
     rng = random.Random(97)
-    for name, (label, perm) in FAMILIES.items():
+    for name in FAMILIES:
         gcm, auto, data = folded_data(name)
         lam = unfold_weight(data, (1,) * data.n_folded)
         # 100 sampled pairs: isometry and finite order of the twist
@@ -353,7 +331,7 @@ def test_criterion_8_mutation_sensitivity():
     # (a) corrupt one entry of the folded matrix (keeping it finite type)
     bad_folded = validate_gcm([[2, -1], [-1, 2]])
     flipped = []
-    for what, _ in enumerate_weyl(validate_gcm([[2, -1], [-2, 2]])):
+    for what, _ in enumerate_weyl(validate_gcm(FOLDED["A3-flip"])):
         prep = harness.prepare(harness.parse_instance(
             {"gcm": "A3", "automorphism": [2, 1, 0],
              "lambda_hat": [1, 1], "w_hat": list(what)}))
@@ -383,7 +361,7 @@ def test_corrupted_folded_matrix_misses_the_warm_lift():
     harness.run_battery()
     bad_folded = validate_gcm([[2, -1], [-1, 2]])
     flipped = []
-    for what, _ in enumerate_weyl(validate_gcm([[2, -1], [-2, 2]])):
+    for what, _ in enumerate_weyl(validate_gcm(FOLDED["A3-flip"])):
         prep = harness.prepare(harness.parse_instance(
             {"gcm": "A3", "automorphism": [2, 1, 0],
              "lambda_hat": [1, 1], "w_hat": list(what)}))

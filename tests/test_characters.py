@@ -19,7 +19,7 @@ from twinchar.folding import fold
 from twinchar.root_data import CharacterPolynomial, cartan_matrix, validate_gcm, weyl_dimension
 from twinchar.weyl import element_of, enumerate_weyl, longest_element
 
-from oracles import freudenthal_character, reduced_word_demazure_character
+from oracles import AFFINE_FAMILIES, freudenthal_character, reduced_word_demazure_character
 
 A2 = cartan_matrix("A2")
 B2 = cartan_matrix("B2")
@@ -152,7 +152,7 @@ def test_recursion_on_the_extremal_weight_matches_the_reduced_word_reference(
 def test_the_recursion_needs_no_finite_type():
     # affine A1: every alternating word is reduced, and peeling the extremal weight
     # applies the same operators as the word
-    affine = validate_gcm([[2, -2], [-2, 2]])
+    affine = validate_gcm(AFFINE_FAMILIES["A1^(1)"].gcm)
     for word in [(0,), (1, 0), (0, 1, 0), (1, 0, 1, 0), (0, 1, 0, 1, 0)]:
         expected = CharacterPolynomial.monomial((1, 2))
         for i in reversed(word):

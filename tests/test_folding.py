@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinchar import word_model
+from twinchar import harness, word_model
 from twinchar.errors import (
     LinkingConditionFailed,
     NotDiagramAutomorphism,
@@ -42,6 +42,9 @@ from twinchar.weyl import (
 )
 
 from oracles import (
+    AFFINE_FAMILIES,
+    E6_FLIP,
+    FOLDED,
     is_dominant,
     leading_principal_minors,
     length,
@@ -52,13 +55,7 @@ from oracles import (
     small_gcms,
 )
 
-BATTERY = [
-    ("A2", (1, 0)),
-    ("A3", (2, 1, 0)),
-    ("A4", (3, 2, 1, 0)),
-    ("D4", (2, 1, 3, 0)),
-    ("D4", (0, 1, 3, 2)),
-]
+BATTERY = [(family.gcm, family.automorphism) for family in harness.default_families()]
 
 
 def folded(label, perm):
@@ -90,37 +87,21 @@ def test_automorphism_orders():
 
 
 def test_folded_matrices_frozen():
-    assert folded("A2", (1, 0)).folded.entries == ((2,),)
-    assert folded("A3", (2, 1, 0)).folded.entries == ((2, -1), (-2, 2))
-    # mixed orbit row sums put the scale on the column orbit
-    assert folded("A4", (3, 2, 1, 0)).folded.entries == ((2, -2), (-1, 2))
-    assert folded("D4", (2, 1, 3, 0)).folded.entries == ((2, -1), (-3, 2))
-    assert folded("D4", (0, 1, 3, 2)).folded.entries == (
-        (2, -1, 0), (-1, 2, -2), (0, -1, 2))
-    # E6 folds to F4
-    assert folded("E6", (5, 1, 4, 3, 2, 0)).folded.entries == (
-        (2, 0, -1, 0), (0, 2, 0, -1), (-1, 0, 2, -1), (0, -1, -2, 2))
-    # affine folds give twisted affine matrices; A2^(1) folds to A2^(2)
-    for matrix, perm, entries in [
-        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], (0, 2, 1), ((2, -4), (-1, 2))),
-        ([[2, -1, 0], [-2, 2, -2], [0, -1, 2]], (2, 1, 0), ((2, -1), (-4, 2))),
-        ([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]], (0, 3, 2, 1),
-         ((2, -2, 0), (-1, 2, -1), (0, -2, 2))),
-        ([[2, 0, -1, 0, 0], [0, 2, -1, 0, 0], [-1, -1, 2, -1, -1], [0, 0, -1, 2, 0],
-          [0, 0, -1, 0, 2]], (1, 0, 2, 3, 4),
-         ((2, -1, 0, 0), (-2, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))),
-        ([[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -2, 2]], (1, 0, 2, 3),
-         ((2, -1, 0), (-2, 2, -1), (0, -2, 2))),
-    ]:
-        assert fold(validate_gcm(matrix), perm).folded.entries == entries
+    # the default battery, the E6 flip, which folds to F4, and the affine folds, which
+    # give twisted affine matrices
+    families = {family.name: family
+                for family in (*harness.default_families(), E6_FLIP, *AFFINE_FAMILIES.values())}
+    for name, entries in FOLDED.items():
+        family = families[name]
+        assert fold(harness.build_gcm(family.gcm), family.automorphism).folded.entries == entries
 
 
 def test_linking_condition_failure():
     # cyclic rotation of the affine 3-cycle: orbit row sum 0
-    affine = validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    affine = validate_gcm(AFFINE_FAMILIES["A2^(1)"].gcm)
     with pytest.raises(LinkingConditionFailed, match=r"orbit \(0, 1, 2\) has row sum 0;"):
         fold(affine, (1, 2, 0))
-    doubled = validate_gcm([[2, -2], [-2, 2]])
+    doubled = validate_gcm(AFFINE_FAMILIES["A1^(1)"].gcm)
     with pytest.raises(LinkingConditionFailed):
         fold(doubled, (1, 0))
 

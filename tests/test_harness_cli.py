@@ -47,6 +47,8 @@ from twinchar.weyl import enumerate_weyl
 from twinchar.word_model import demazure_subspaces, twining_character
 
 from oracles import (
+    AFFINE_FAMILIES,
+    FOLDED,
     freudenthal_character,
     leading_principal_minors,
     small_fold_counts,
@@ -195,14 +197,26 @@ def test_battery_instances_are_built_lazily(monkeypatch):
 
 
 def test_default_battery_folds_once_per_family(monkeypatch):
+    # the family cache is the one cache that holds matrices: a first pass builds each
+    # family's matrix and its folded matrix once, and a second pass builds none
     harness._family.cache_clear()
-    calls = []
-    real_fold = harness.fold
+    folds, builds = [], []
+    real_fold, real_validate = harness.fold, root_data.validate_gcm
     monkeypatch.setattr(harness, "fold",
-                        lambda gcm, perm: calls.append(perm) or real_fold(gcm, perm))
+                        lambda gcm, perm: folds.append(perm) or real_fold(gcm, perm))
+    for info in pkgutil.iter_modules(twinchar.__path__):
+        module = importlib.import_module(f"twinchar.{info.name}")
+        if getattr(module, "validate_gcm", None) is real_validate:
+            monkeypatch.setattr(module, "validate_gcm",
+                                lambda matrix: builds.append(matrix) or real_validate(matrix))
     summary = harness.run_battery()
     assert summary.counts == {"equal": 104, "unequal": 0, "skipped": 0}
-    assert len(calls) == len(harness.default_families()) == 5
+    assert len(folds) == len(harness.default_families()) == 5
+    assert len(builds) == 2 * len(folds)
+    folds.clear()
+    builds.clear()
+    assert harness.run_battery().counts == summary.counts
+    assert folds == builds == []
 
 
 def test_cached_family_equals_a_fresh_fold():
@@ -295,7 +309,7 @@ A2_FLIP = {"gcm": "A2", "automorphism": [1, 0], "lambda_hat": [1], "w_hat": [0]}
     ({"w_hat": [1]}, 650, InvalidInput),
     ({"w_hat": None, "w": [0]}, 650, NotInWTilde),
     ({"automorphism": [0, 0]}, 650, NotDiagramAutomorphism),
-    ({"gcm": [[2, -2], [-2, 2]], "automorphism": [0, 1], "lambda_hat": [1, -1]}, 650,
+    ({"gcm": AFFINE_FAMILIES["A1^(1)"].gcm, "automorphism": [0, 1], "lambda_hat": [1, -1]}, 650,
      NotDominant),
     ({}, 0, InvalidInput),
     ({}, True, InvalidInput),
@@ -529,30 +543,6 @@ def test_battery_output_is_frozen(config, digest):
     assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == digest
 
 
-# affine families by their matrices (determinant 0, proper leading minors positive):
-# the orbit Lie algebra of each fold is twisted affine, A2^(1) folds to A2^(2)
-AFFINE_FAMILIES = {family.name: family for family in (
-    harness.BatteryFamily("A1^(1)", ((2, -2), (-2, 2)), (0, 1), ()),
-    harness.BatteryFamily("A2^(1)", ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (0, 2, 1), ()),
-    harness.BatteryFamily("C2^(1)", ((2, -1, 0), (-2, 2, -2), (0, -1, 2)), (2, 1, 0), ()),
-    harness.BatteryFamily("A3^(1)", ((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1),
-                                     (-1, 0, -1, 2)), (0, 3, 2, 1), ()),
-    harness.BatteryFamily("D4^(1)", ((2, 0, -1, 0, 0), (0, 2, -1, 0, 0), (-1, -1, 2, -1, -1),
-                                     (0, 0, -1, 2, 0), (0, 0, -1, 0, 2)), (1, 0, 2, 3, 4), ()),
-    harness.BatteryFamily("B3^(1)", ((2, 0, -1, 0), (0, 2, -1, 0), (-1, -1, 2, -1),
-                                     (0, 0, -2, 2)), (1, 0, 2, 3), ()),
-)}
-
-
-# the identity automorphism on each affine matrix and on the twisted A2^(2) that A2^(1)
-# folds to: the twining character is then the full character, so every content of the
-# module, not only the tau-fixed ones, meets the Demazure operators of the same matrix
-AFFINE_FAMILIES.update({
-    f"{name} identity": harness.BatteryFamily(f"{name} identity", gcm, tuple(range(len(gcm))), ())
-    for name, gcm in [*((family.name, family.gcm) for family in AFFINE_FAMILIES.values()),
-                      ("A2^(2)", ((2, -4), (-1, 2)))]})
-
-
 def _affine_box_1(name):
     return harness.BatteryConfig(families=(AFFINE_FAMILIES[name],), lambda_box=1,
                                  max_word_len=3)
@@ -622,7 +612,7 @@ def test_family_cache_does_not_hide_construction_checks(tmp_path, monkeypatch, c
 def test_corrupted_folded_matrix_is_detected():
     # mutate one entry of the folded matrix; some battery instance must flip
     bad_folded = validate_gcm([[2, -1], [-1, 2]])
-    true_folded = validate_gcm([[2, -1], [-2, 2]])
+    true_folded = validate_gcm(FOLDED["A3-flip"])
     statuses = []
     for what, _ in enumerate_weyl(true_folded):
         prep = harness.prepare(harness.parse_instance(
@@ -722,7 +712,7 @@ def test_cli_validate_rejects_non_automorphism(tmp_path, capsys):
 
 def test_cli_validate_linking_failure_is_unsupported(tmp_path, capsys):
     bad = write_instance(tmp_path, {
-        "gcm": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+        "gcm": AFFINE_FAMILIES["A2^(1)"].gcm,
         "automorphism": [1, 2, 0], "lambda_hat": [0], "w_hat": []})
     assert main(["validate", "-i", bad]) == 3
     capsys.readouterr()
@@ -737,8 +727,9 @@ def test_cli_validate_agrees_with_verify(tmp_path, capsys):
         assert main([command, "-i", bad]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "weight (-1, -1) is not dominant" in captured.err
-    affine = write_instance(tmp_path, {"gcm": [[2, -2], [-2, 2]], "automorphism": [0, 1],
-                                       "lambda_hat": [1, 0], "w_hat": [0, 1]})
+    affine = write_instance(tmp_path, {"gcm": AFFINE_FAMILIES["A1^(1)"].gcm,
+                                       "automorphism": [0, 1], "lambda_hat": [1, 0],
+                                       "w_hat": [0, 1]})
     assert main(["validate", "-i", affine]) == 0
     assert main(["fold", "-i", affine]) == 0
     assert main(["verify", "-i", affine]) == 0
@@ -1003,14 +994,19 @@ def test_every_import_is_read():
 
 
 def test_every_cache_is_bounded():
-    # an unbounded lru_cache grows for the life of the process, as a long battery does
-    caches = []
+    # an unbounded cache grows for the life of the process, as a long battery does; the
+    # whole inventory is pinned, so a new cache comes with an edit here
+    lru, bounded = [], []
     for info in pkgutil.iter_modules(twinchar.__path__):
         module = importlib.import_module(f"twinchar.{info.name}")
-        caches += [(info.name, name, value.cache_info().maxsize)
-                   for name, value in vars(module).items() if hasattr(value, "cache_info")]
-    assert ("harness", "_family", 64) in caches
-    assert [c for c in caches if c[2] is None] == []
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                lru.append((info.name, name, value.cache_info().maxsize))
+            elif isinstance(value, root_data.BoundedCache):
+                bounded.append((info.name, name, value.limit))
+    assert lru == [("harness", "_family", 64)]
+    assert bounded == [("characters", "_characters", characters.CACHE_CHARACTERS),
+                       ("word_model", "_modules", word_model.CACHE_VECTORS)]
 
 
 def test_only_a_record_with_a_field_out_of_equality_is_a_dataclass():

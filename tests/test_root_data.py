@@ -24,7 +24,7 @@ from twinchar.root_data import (
 )
 from twinchar.word_model import demazure_subspaces, twining_character
 
-from oracles import leading_principal_minors, root_coords, weight_space
+from oracles import AFFINE_FAMILIES, leading_principal_minors, root_coords, weight_space
 
 CATALOG = ["A2", "A3", "A4", "B2", "C3", "D4", "G2"]
 
@@ -150,7 +150,7 @@ def test_symmetrizer_makes_da_symmetric():
 
 def test_finite_type_detection():
     assert cartan_matrix("A2").finite
-    assert not validate_gcm([[2, -2], [-2, 2]]).finite
+    assert not validate_gcm(AFFINE_FAMILIES["A1^(1)"].gcm).finite
     assert validate_gcm([[2]]).finite
     for label in CATALOG:
         assert cartan_matrix(label).finite, label
@@ -191,7 +191,7 @@ def test_root_coords_off_the_root_lattice():
 
 def test_root_coords_of_singular_matrix():
     with pytest.raises(ValueError, match="singular"):
-        root_coords(validate_gcm([[2, -2], [-2, 2]]), (0, 0))
+        root_coords(validate_gcm(AFFINE_FAMILIES["A1^(1)"].gcm), (0, 0))
 
 
 square_matrices = st.integers(1, 5).flatmap(
@@ -205,7 +205,7 @@ square_matrices = st.integers(1, 5).flatmap(
 @example([[0, 1], [1, 2]])                       # zero first pivot
 @example([[1, 2, 0], [2, 4, 1], [0, 1, 3]])      # zero later pivot
 @example([[2, 3, 1], [1, 1, 0], [0, 1, 2]])      # negative pivot after a positive one
-@example([[2, -2], [-2, 2]])                     # affine A1: positive, then zero
+@example([list(row) for row in AFFINE_FAMILIES["A1^(1)"].gcm])   # positive, then zero
 @example([[1, 2, 3], [2, 4, 6], [0, 1, -1]])
 @example([list(row) for row in cartan_matrix("E6").entries])
 def test_leading_minors_positive_matches_laplace_minors(m):
@@ -231,7 +231,7 @@ def test_positive_root_counts_catalog():
 
 def test_positive_roots_refuse_affine():
     with pytest.raises(NotFiniteType):
-        positive_roots(validate_gcm([[2, -2], [-2, 2]]))
+        positive_roots(validate_gcm(AFFINE_FAMILIES["A1^(1)"].gcm))
 
 
 def test_weyl_dimension_values():

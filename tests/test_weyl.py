@@ -31,6 +31,7 @@ from twinchar.weyl import (
 )
 
 from oracles import (
+    AFFINE_FAMILIES,
     identity_matrix,
     length,
     mat_mul,
@@ -135,7 +136,7 @@ def test_longest_element_examples():
     assert longest_element(validate_gcm([[2]])) == (0,)
     assert len(longest_element(cartan_matrix("B2"))) == 4
     with pytest.raises(NotFiniteType):
-        longest_element(validate_gcm([[2, -2], [-2, 2]]))
+        longest_element(validate_gcm(AFFINE_FAMILIES["A1^(1)"].gcm))
 
 
 def test_longest_element_sends_all_simple_roots_negative():
@@ -182,7 +183,7 @@ def test_enumerate_weyl_with_length_cap():
     capped = enumerate_weyl(a2, max_length=1)
     assert [w for w, _ in capped] == [(), (0,), (1,)]
     with pytest.raises(NotFiniteType):
-        enumerate_weyl(validate_gcm([[2, -2], [-2, 2]]))
+        enumerate_weyl(validate_gcm(AFFINE_FAMILIES["A1^(1)"].gcm))
     # a size must be a true int: 2.5 would act as 3 and True as 1
     for cap in (2.5, True, -1, "2"):
         with pytest.raises(InvalidInput):
@@ -194,7 +195,7 @@ def test_finite_walks_stop_when_finite_is_wrong(call):
     # affine A1 read as finite type, as a broken finiteness test would read it: the
     # walks stop once a length passes 2 max(2, 15) = 30; the matrix is fresh and
     # reaches no cache, so no other test sees the wrong flag
-    gcm = GeneralizedCartanMatrix(((2, -2), (-2, 2)), (1, 1))
+    gcm = GeneralizedCartanMatrix(AFFINE_FAMILIES["A1^(1)"].gcm, (1, 1))
     object.__setattr__(gcm, "finite", True)
     start = time.perf_counter()
     with pytest.raises(NotFiniteType, match="not finite"):
@@ -216,8 +217,8 @@ def test_the_length_bound_admits_the_longest_finite_elements():
 
 
 @pytest.mark.parametrize("matrix", [
-    [[2, -2], [-2, 2]],
-    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    AFFINE_FAMILIES["A1^(1)"].gcm,
+    AFFINE_FAMILIES["A2^(1)"].gcm,
     [[2, -3], [-3, 2]],
 ], ids=["affine-A1", "affine-3-cycle", "hyperbolic-3-3"])
 def test_capped_enumeration_of_infinite_groups_matches_matrix_oracle(matrix):

@@ -38,6 +38,7 @@ from twinchar.word_model import (
 )
 
 from oracles import (
+    A2XA2_CYCLE,
     all_words_subspaces,
     all_words_twining_character,
     content_word_count,
@@ -590,12 +591,9 @@ def test_a_twist_need_not_close_up_on_a_moved_orbit():
     # content (1, 1, 0, 0) of V_w0(1, 1, 1, 1) has a tau-orbit of size 2, yet tau^2,
     # the flip of each A2, traces 0 on its 2 dimensions: tau^m is not 1 on the weight
     # spaces of an orbit of size m
-    a2a2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]
-    perm = (2, 3, 1, 0)
-    family = harness.BatteryFamily("A2xA2-cycle", a2a2, perm, ())
-    config = harness.BatteryConfig(families=(family,), lambda_box=1)
+    config = harness.BatteryConfig(families=(A2XA2_CYCLE,), lambda_box=1)
     assert harness.run_battery(config).counts == {"equal": 4, "unequal": 0, "skipped": 0}
-    gcm = validate_gcm(a2a2)
+    gcm, perm = validate_gcm(A2XA2_CYCLE.gcm), A2XA2_CYCLE.automorphism
     beta = (1, 1, 0, 0)
     moved = word_model._permuted(beta, perm)
     assert moved != beta and word_model._permuted(moved, perm) == beta
