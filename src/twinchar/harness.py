@@ -7,11 +7,12 @@ side) and the folded Demazure character pushed through the weight lift
 (right side) and compares them exactly; a mismatch is a report, not a
 crash, so the harness doubles as a falsification tool.
 
-Each check runs once per instance.  ``Instance`` checks the types of its
-fields however it is built; ``parse_instance`` adds only the checks of the
-dict's keys.  ``prepare`` checks the values, and ``verify_prepared`` then
-runs the route cores, which keep every mathematical check.  Every record
-here is a NamedTuple (``Instance``, ``PreparedInstance``,
+Each type check runs once per ``Instance`` built, however it is built, and
+each value check once per distinct instance while its family is cached.
+``parse_instance`` adds only the checks of the dict's keys.  ``prepare``
+checks the values and keeps the prepared record, and ``verify_prepared``
+runs the route cores, which keep every mathematical check on every call.
+Every record here is a NamedTuple (``Instance``, ``PreparedInstance``,
 ``VerificationReport``, ``BatteryFamily``, ``BatteryConfig`` and
 ``BatterySummary``): immutable, changed with ``_replace``, which for an
 ``Instance`` checks as its constructor does.  Each family, one matrix with
@@ -20,7 +21,7 @@ cache ``_family``.  Its key is the catalog label or the strict-int rows and
 the strict-int permutation, never raw fields: ``Instance`` makes that key
 for ``prepare``, and ``_folding`` makes it for a battery family.  On a miss
 the matrix is built and ``fold`` checks the permutation; a failed build or
-fold is not cached.
+fold is not cached, and neither is a failed ``prepare``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .folding import (
     unfold_weight,
 )
 from .root_data import (
+    BoundedCache,
     CharacterPolynomial,
     GeneralizedCartanMatrix,
     Weight,
@@ -109,16 +111,10 @@ class Instance(_InstanceFields):
 
     def to_dict(self) -> dict:
         out: dict = {"gcm": self.gcm if isinstance(self.gcm, str)
-                     else [list(r) for r in self.gcm],
-                     "automorphism": list(self.automorphism)}
-        if self.lambda_hat is not None:
-            out["lambda_hat"] = list(self.lambda_hat)
-        if self.lam is not None:
-            out["lambda"] = list(self.lam)
-        if self.w_hat is not None:
-            out["w_hat"] = list(self.w_hat)
-        if self.w is not None:
-            out["w"] = list(self.w)
+                     else [list(r) for r in self.gcm]}
+        for key, value in zip(("automorphism", "lambda_hat", "lambda", "w_hat", "w"), self[1:]):
+            if value is not None:
+                out[key] = list(value)
         return out
 
 
@@ -183,16 +179,26 @@ def _folding(gcm_source, automorphism) -> FoldingData:
     return _family(key, int_tuple(automorphism, "automorphism"))
 
 
+# prepared instances kept before the oldest drops; no benchmark pool has more than 563
+CACHE_PREPARED = 1024
+_prepared = BoundedCache(CACHE_PREPARED)
+
+
 def prepare(instance: Instance) -> PreparedInstance:
     """Check the values of an instance once and convert it to both sides.
 
-    ``Instance`` has checked the types, so the cache keys are strict ints
-    and no type is checked again.  This is the one value check of
-    ``verify``: the matrix and the automorphism, the size and symmetry of
-    the weight, the letters of the word and, last, the dominance of the
-    weight, so the first error of an instance with two faults stays the same.
+    ``Instance`` has checked the types, so the cache keys are strict ints;
+    anything else, even an equal tuple, is refused.  This is the one value
+    check of ``verify``: the matrix and the automorphism, the size and
+    symmetry of the weight, the letters of the word and, last, the
+    dominance of the weight, so the first of two faults is reported.  The
+    record is served again while ``_family`` holds its folding data.
     """
+    if not isinstance(instance, Instance):
+        raise InvalidInput(f"prepare needs an Instance, not {type(instance).__name__}")
     data = _family(instance.gcm, instance.automorphism)
+    if (prep := _prepared.get(instance)) is not None and prep.folding is data:
+        return prep
     if instance.lam is not None:
         lam = instance.lam
         lambda_hat = fold_weight(data, lam)
@@ -205,8 +211,10 @@ def prepare(instance: Instance) -> PreparedInstance:
     else:
         w_hat = _letters(data.folded, instance.w_hat)
         w = _unfold_letters(data, w_hat)
-    return _record(PreparedInstance, (data, _dominant(data.gcm, lam), lambda_hat, w, w_hat,
+    prep = _record(PreparedInstance, (data, _dominant(data.gcm, lam), lambda_hat, w, w_hat,
                                       instance))
+    _prepared.add(instance, prep)
+    return prep
 
 
 class VerificationReport(NamedTuple):
@@ -263,7 +271,12 @@ def verify_prepared(prep: PreparedInstance,
 
 def verify(instance: Instance | dict,
            word_cap: int = word_model.DEFAULT_WORD_CAP) -> VerificationReport:
-    if isinstance(instance, dict):
+    """Check one instance by both routes and report both sides.
+
+    Takes an ``Instance`` or a dict as read from an instance file; anything
+    else goes through ``parse_instance``, which refuses it as invalid input.
+    """
+    if not isinstance(instance, Instance):
         instance = parse_instance(instance)
     return verify_prepared(prepare(instance), word_cap)
 

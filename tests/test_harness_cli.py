@@ -10,6 +10,7 @@ import json
 import pkgutil
 import re
 import sys
+import threading
 from collections import Counter
 from itertools import combinations
 from operator import mul
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinchar
-from twinchar import characters, errors, harness, root_data, weyl, word_model
+from twinchar import characters, errors, folding, harness, root_data, weyl, word_model
 from twinchar.characters import canonical_serialize, demazure_character, map_character
 from twinchar.cli import main
 from twinchar.errors import (
@@ -489,6 +490,109 @@ def test_warm_verify_keeps_the_lift():
     characters._characters.cache_clear()
     calls, summary = _calls(map_character, harness.run_battery)
     assert calls >= 1 and summary.counts == {"equal": 104, "unequal": 0, "skipped": 0}
+
+
+def _battery_json(config):
+    """The battery JSON as twinchar battery --json prints it, without the timings."""
+    data = harness.run_battery(config).to_dict()
+    for record in data["records"]:
+        record.pop("ms", None)
+        record.get("report", {}).pop("ms", None)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("config", [harness.BatteryConfig(), BOX_1], ids=["default", "box-1"])
+def test_warm_battery_prepares_nothing(config):
+    # a second pass serves every prepared instance from the cache: it unfolds no word
+    # and checks no dominance again, and prints the same battery
+    harness._prepared.cache_clear()
+    calls, first = _calls(folding._unfold_letters, lambda: _battery_json(config))
+    assert calls >= 1
+    assert _calls(folding._unfold_letters, lambda: _battery_json(config)) == (0, first)
+    assert _calls(root_data._dominant, lambda: _battery_json(config)) == (0, first)
+
+
+def test_warm_battery_keeps_every_fault():
+    # a failed prepare stores nothing, so after a warm pass each faulty instance still
+    # raises its first fault, by class and message, on every call
+    harness.run_battery()
+    for name, (_, changes, error, message) in FAULTS.items():
+        for _ in range(2):
+            with pytest.raises(error) as raised:
+                harness.verify({**TWO_SIDED, **changes})
+            assert (raised.type, str(raised.value)) == (error, message), name
+
+
+def test_cleared_family_refolds_the_prepared_instance():
+    # a hit is served only while its folding data is the family's: clearing the family
+    # makes the next prepare refold and store a new record
+    instance = harness.parse_instance(TWO_SIDED)
+    prep = harness.prepare(instance)
+    assert harness.prepare(instance) is prep
+    harness._family.cache_clear()
+    again = harness.prepare(instance)
+    assert again is not prep and again.folding is not prep.folding
+    assert again.folding is harness._family(instance.gcm, instance.automorphism)
+    assert harness.prepare(instance) is again and again == prep
+
+
+A2_CACHED = harness.Instance(gcm="A2", automorphism=(1, 0), lambda_hat=(1,), w_hat=(0,))
+
+
+@pytest.mark.parametrize("bad", [
+    [*A2_CACHED], None, ("A2", (True, False), (1,), None, (0,), None),
+    harness._InstanceFields(*A2_CACHED),
+], ids=["list", "None", "tuple", "fields"])
+def test_only_an_instance_is_prepared(bad):
+    # verify parses whatever is not an Instance, and prepare refuses it, even a tuple
+    # equal to a cached instance and hashing alike
+    assert harness.verify(A2_CACHED).equal
+    assert A2_CACHED in harness._prepared
+    if isinstance(bad, tuple):
+        assert bad in harness._prepared
+    with pytest.raises(InvalidInput, match="^instance must be a JSON object$") as raised:
+        harness.verify(bad)
+    assert raised.type is InvalidInput
+    with pytest.raises(InvalidInput, match="^prepare needs an Instance") as raised:
+        harness.prepare(bad)
+    assert raised.type is InvalidInput
+
+
+def test_threads_share_the_prepared_cache(monkeypatch):
+    # a cache so small that records drop while other threads read them, and one thread
+    # that keeps clearing the family cache: every verify gives its sequential result
+    monkeypatch.setattr(harness._prepared, "limit", 3)
+    family = harness.BatteryFamily("A3-flip", "A3", (2, 1, 0), ((1, 1), (1, 0)))
+    instances = [inst for _, inst in harness.battery_instances(
+        harness.BatteryConfig(families=(family,)))]
+    expected = [(report.lhs, report.rhs) for report in map(harness.verify, instances)]
+    results, failures = [], []
+
+    def work(offset):
+        try:
+            for k in range(5 * len(instances)):
+                j = (k + offset) % len(instances)
+                if offset == 0 and k % 7 == 0:
+                    harness._family.cache_clear()
+                report = harness.verify(instances[j])
+                results.append((report.lhs, report.rhs) == expected[j])
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == [] and len(results) == 4 * 5 * len(instances) and all(results)
+    assert harness._prepared.held == len(harness._prepared) <= 3
+    harness._prepared.cache_clear()
 
 
 def test_battery_reports_are_frozen():
@@ -1006,6 +1110,7 @@ def test_every_cache_is_bounded():
                 bounded.append((info.name, name, value.limit))
     assert lru == [("harness", "_family", 64)]
     assert bounded == [("characters", "_characters", characters.CACHE_CHARACTERS),
+                       ("harness", "_prepared", harness.CACHE_PREPARED),
                        ("word_model", "_modules", word_model.CACHE_VECTORS)]
 
 
