@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / verified, 1 falsification, 2 invalid input,
-3 unsupported (linking condition failed, non-finite type, instance too
-large), 4 internal invariant violated (a library bug).
+3 unsupported (linking condition failed, instance too large), 4 internal
+invariant violated (a library bug).
 """
 
 from __future__ import annotations
@@ -11,19 +11,17 @@ import argparse
 import json
 import sys
 
-from . import harness, weyl, word_model
+from . import harness, word_model
 from .characters import canonical_serialize, demazure_character
-from .errors import TwiningError
+from .errors import InvalidInput, TwiningError
 from .folding import fold
-from .root_data import weyl_dimension
+from .root_data import GeneralizedCartanMatrix, cartan_matrix, parse_label
 from .weyl import format_word, parse_word
 
 
 def _print_poly(poly, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps([[c, list(w)] for w, c in poly.sorted_terms()]))
-    else:
-        print(canonical_serialize(poly))
+    print(json.dumps([[c, list(w)] for w, c in poly.sorted_terms()]) if as_json
+          else canonical_serialize(poly))
 
 
 def _cmd_validate(args) -> int:
@@ -38,7 +36,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_fold(args) -> int:
     instance = harness.load_instance(args.instance)
-    data = fold(harness.build_gcm(instance.gcm), instance.automorphism)
+    data = fold(harness.build_gcm(instance.gcm, instance.automorphism), instance.automorphism)
     lift = [[1 if k == o else 0 for k in range(data.n_folded)] for o in data.node_orbit]
     if args.json:
         print(json.dumps({
@@ -61,35 +59,30 @@ def _cmd_fold(args) -> int:
     return 0
 
 
-def _cmd_character(args) -> int:
-    gcm = harness.build_gcm(args.gcm)
-    lam = parse_word(args.lam)
-    poly = demazure_character(gcm, lam, weyl.longest_element(gcm))
-    _print_poly(poly, args.json)
-    if not args.json:
-        print(f"# dim {poly.coefficient_sum()} (weyl {weyl_dimension(gcm, lam)})")
-    return 0
+def _label_matrix(label: str, rank: int, lam) -> GeneralizedCartanMatrix:
+    # a weight of another rank raises as dominant_weight would, before the matrix is built
+    if len(lam) != rank:
+        raise InvalidInput(f"weight {lam} has size {len(lam)}, expected {rank}")
+    return cartan_matrix(label)
 
 
 def _cmd_demazure(args) -> int:
-    gcm = harness.build_gcm(args.gcm)
-    poly = demazure_character(gcm, parse_word(args.lam), parse_word(args.word))
-    _print_poly(poly, args.json)
+    rank, lam, word = parse_label(args.gcm)[1], parse_word(args.lam), parse_word(args.word)
+    _print_poly(demazure_character(_label_matrix(args.gcm, rank, lam), lam, word), args.json)
     return 0
 
 
 def _cmd_twining(args) -> int:
-    gcm = harness.build_gcm(args.gcm)
-    poly = word_model.twining_character(
-        gcm, parse_word(args.lam), parse_word(args.word), parse_word(args.auto),
-        word_cap=args.word_cap)
+    rank, lam, word, auto = (parse_label(args.gcm)[1], parse_word(args.lam),
+                             parse_word(args.word), parse_word(args.auto))
+    poly = word_model.twining_character(_label_matrix(args.gcm, rank, lam), lam, word, auto,
+                                        word_cap=args.word_cap)
     _print_poly(poly, args.json)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    report = harness.verify(harness.load_instance(args.instance),
-                            word_cap=args.word_cap)
+    report = harness.verify(harness.load_instance(args.instance), word_cap=args.word_cap)
     if args.json:
         print(json.dumps(report.to_dict()))
     else:
@@ -98,8 +91,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_battery(args) -> int:
-    config = harness.BatteryConfig(word_cap=args.word_cap,
-                                   max_word_len=args.max_word_len,
+    config = harness.BatteryConfig(word_cap=args.word_cap, max_word_len=args.max_word_len,
                                    lambda_box=args.lambda_box)
     summary = harness.run_battery(config)
     if args.json:
@@ -137,15 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fold)
 
-    p = sub.add_parser("character", help="full irreducible character")
+    p = sub.add_parser("demazure", help="Demazure character for a word")
     p.add_argument("--gcm", required=True, help="catalog label, e.g. A2")
     p.add_argument("--lambda", dest="lam", required=True, help="weight CSV, e.g. 1,1")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_character)
-
-    p = sub.add_parser("demazure", help="Demazure character for a word")
-    p.add_argument("--gcm", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--word", required=True, help="word CSV, e.g. 0,1,0 ('' = identity)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_demazure)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from . import weyl, word_model
 from .characters import canonical_serialize, lifted_core
-from .errors import InvalidInput, TooLarge
+from .errors import InvalidInput, NotDiagramAutomorphism, TooLarge
 from .folding import (
     DiagramAutomorphism,
     FoldingData,
@@ -55,6 +55,7 @@ from .root_data import (
     cartan_matrix,
     int_at_least,
     int_tuple,
+    parse_label,
     validate_gcm,
     weight_box,
 )
@@ -160,16 +161,21 @@ class PreparedInstance(NamedTuple):
         return self.folding.auto
 
 
-def build_gcm(source) -> GeneralizedCartanMatrix:
+def build_gcm(source, perm=None) -> GeneralizedCartanMatrix:
     """The matrix of a catalog label or of rows, checked on every call."""
-    return cartan_matrix(source) if isinstance(source, str) else validate_gcm(source)
+    if not isinstance(source, str):
+        return validate_gcm(source)
+    # before any matrix is built, a label of another rank than perm raises as fold would
+    if perm is not None and (n := parse_label(source)[1]) != len(perm):
+        raise NotDiagramAutomorphism(f"{list(perm)} is not a bijection of 0..{n - 1}")
+    return cartan_matrix(source)
 
 
 @lru_cache(maxsize=64)
 def _family(source, perm: tuple[int, ...]) -> FoldingData:
     # keyed on a label or strict-int rows and a strict-int perm, as (True, False) == (1, 0)
     # hashes alike; the matrix is built and fold checks perm on a miss
-    return fold(build_gcm(source), perm)
+    return fold(build_gcm(source, perm), perm)
 
 
 def _folding(gcm_source, automorphism) -> FoldingData:

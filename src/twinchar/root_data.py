@@ -288,6 +288,23 @@ _EXCEPTIONAL = {
 }
 
 
+def parse_label(label: str) -> tuple[str, int]:
+    """The type ("A" to "D", "E6" or "G2") and rank of a catalog label; no matrix is built."""
+    if not isinstance(label, str):
+        raise InvalidInput(f"Cartan type label {label!r} is not a string")
+    lab = label.strip().upper()
+    if lab in _EXCEPTIONAL:
+        return lab, len(_EXCEPTIONAL[lab])
+    family, rank_text = lab[:1], lab[1:]
+    if family not in "ABCD" or not rank_text.isdigit():
+        raise InvalidInput(f"unknown Cartan type label {label!r}")
+    n = int(rank_text)
+    minimum = {"A": 1, "B": 2, "C": 2, "D": 3}[family]
+    if n < minimum:
+        raise InvalidInput(f"type {family} needs rank >= {minimum}")
+    return family, n
+
+
 def cartan_matrix(label: str) -> GeneralizedCartanMatrix:
     """Catalog constructor by type label: "A2", "A3", "A4", "B2", "C3", "D4", "E6", "G2", ...
 
@@ -296,18 +313,9 @@ def cartan_matrix(label: str) -> GeneralizedCartanMatrix:
     n-2 and n-1 to node n-3; E6 is the chain 0-2-3-4-5 with node 1 on
     node 3.  Each call builds the matrix and checks it.
     """
-    if not isinstance(label, str):
-        raise InvalidInput(f"Cartan type label {label!r} is not a string")
-    lab = label.strip().upper()
-    if lab in _EXCEPTIONAL:
-        return validate_gcm(_EXCEPTIONAL[lab])
-    family, rank_text = lab[:1], lab[1:]
-    if family not in "ABCD" or not rank_text.isdigit():
-        raise InvalidInput(f"unknown Cartan type label {label!r}")
-    n = int(rank_text)
-    minimum = {"A": 1, "B": 2, "C": 2, "D": 3}[family]
-    if n < minimum:
-        raise InvalidInput(f"type {family} needs rank >= {minimum}")
+    family, n = parse_label(label)
+    if family in _EXCEPTIONAL:
+        return validate_gcm(_EXCEPTIONAL[family])
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def join(i, j, aij=-1, aji=-1):

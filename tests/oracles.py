@@ -23,12 +23,17 @@ operators applied along that word: the reference for the folded route's
 recursion on the extremal weight.
 The small matrices, every GCM of rank at most 3 with small entries, and
 the battery of every fold of them, counted by the type of the matrix.
-The battery families that the tests and CI run beside the default
+The battery families that the tests and the pins run beside the default
 battery, the E6 flip, the A2xA2 4-cycle and the affine folds, with the
 folded matrix of each family, default ones included.
+Two helpers of the tests: a battery or report dict without its ms timing
+fields, the bytes that the frozen outputs pin, and four threads run at a
+one-microsecond switch interval, for the tests that share a cache.
 """
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -751,3 +756,45 @@ AFFINE_FAMILIES.update({
     f"{name} identity": harness.BatteryFamily(f"{name} identity", gcm, tuple(range(len(gcm))), ())
     for name, gcm in [*((family.name, family.gcm) for family in AFFINE_FAMILIES.values()),
                       ("A2^(2)", FOLDED["A2^(1)"])]})
+
+
+def without_ms(data):
+    """The battery or report dict, changed in place to drop its ms timing fields.
+
+    A report drops its own.  A battery drops those of its records and of the
+    reports of its unequal records; a skipped record has none.
+    """
+    for record in data.get("records", [data]):
+        record.pop("ms", None)
+        record.get("report", {}).pop("ms", None)
+    return data
+
+
+def stress_threads(work):
+    """Run work(k) for k in 0..3 on four threads at a one-microsecond switch interval.
+
+    Raises AssertionError unless each thread ended within two minutes and
+    none raised; an ``assert`` here would vanish under ``python -O``.
+    """
+    failures = []
+
+    def run(k):
+        try:
+            work(k)
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    if any(thread.is_alive() for thread in threads):
+        raise AssertionError("a thread did not end within two minutes")
+    if failures:
+        raise AssertionError(f"the threads raised {failures!r}")

@@ -10,7 +10,6 @@ import json
 import pkgutil
 import re
 import sys
-import threading
 from collections import Counter
 from itertools import combinations
 from operator import mul
@@ -53,7 +52,9 @@ from oracles import (
     freudenthal_character,
     leading_principal_minors,
     small_fold_counts,
+    stress_threads,
     weight_space,
+    without_ms,
 )
 
 
@@ -114,8 +115,7 @@ def test_report_round_trip_is_deterministic():
         json.loads(json.dumps(instance))))
     blob2 = json.dumps(second.to_dict(), sort_keys=True)
     # timing may differ; everything else must be byte-identical
-    d1, d2 = json.loads(blob), json.loads(blob2)
-    d1.pop("ms"), d2.pop("ms")
+    d1, d2 = without_ms(json.loads(blob)), without_ms(json.loads(blob2))
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
@@ -494,11 +494,7 @@ def test_warm_verify_keeps_the_lift():
 
 def _battery_json(config):
     """The battery JSON as twinchar battery --json prints it, without the timings."""
-    data = harness.run_battery(config).to_dict()
-    for record in data["records"]:
-        record.pop("ms", None)
-        record.get("report", {}).pop("ms", None)
-    return json.dumps(data)
+    return json.dumps(without_ms(harness.run_battery(config).to_dict()))
 
 
 @pytest.mark.parametrize("config", [harness.BatteryConfig(), BOX_1], ids=["default", "box-1"])
@@ -566,31 +562,18 @@ def test_threads_share_the_prepared_cache(monkeypatch):
     instances = [inst for _, inst in harness.battery_instances(
         harness.BatteryConfig(families=(family,)))]
     expected = [(report.lhs, report.rhs) for report in map(harness.verify, instances)]
-    results, failures = [], []
+    results = []
 
     def work(offset):
-        try:
-            for k in range(5 * len(instances)):
-                j = (k + offset) % len(instances)
-                if offset == 0 and k % 7 == 0:
-                    harness._family.cache_clear()
-                report = harness.verify(instances[j])
-                results.append((report.lhs, report.rhs) == expected[j])
-        except Exception as exc:  # reported by the assertion below
-            failures.append(exc)
+        for k in range(5 * len(instances)):
+            j = (k + offset) % len(instances)
+            if offset == 0 and k % 7 == 0:
+                harness._family.cache_clear()
+            report = harness.verify(instances[j])
+            results.append((report.lhs, report.rhs) == expected[j])
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == [] and len(results) == 4 * 5 * len(instances) and all(results)
+    stress_threads(work)
+    assert len(results) == 4 * 5 * len(instances) and all(results)
     assert harness._prepared.held == len(harness._prepared) <= 3
     harness._prepared.cache_clear()
 
@@ -607,9 +590,7 @@ def test_battery_reports_are_frozen():
         assert report.dims == {"folded_demazure_dim": folded.coefficient_sum(),
                                "lhs_terms": len(report.lhs), "rhs_terms": len(report.rhs)}
         totals.update(report.dims)
-        data = report.to_dict()
-        data.pop("ms")
-        reports.append(data)
+        reports.append(without_ms(report.to_dict()))
     assert totals == {"folded_demazure_dim": 378, "lhs_terms": 367, "rhs_terms": 367}
     assert (hashlib.sha256(json.dumps(reports).encode()).hexdigest()
             == "94bd8bf4f4b3f4c45d357ffc30b7b8ad5862dcc4bbc69d627cae9418f79b5848")
@@ -640,11 +621,7 @@ def test_direct_lift_and_report_instance(config):
 ], ids=["default", "box-1"])
 def test_battery_output_is_frozen(config, digest):
     # the battery JSON as twinchar battery --json prints it, without the timings
-    data = harness.run_battery(config).to_dict()
-    for record in data["records"]:
-        record.pop("ms", None)
-        record.get("report", {}).pop("ms", None)
-    assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == digest
+    assert hashlib.sha256(_battery_json(config).encode()).hexdigest() == digest
 
 
 def _affine_box_1(name):
@@ -773,7 +750,7 @@ def test_battery_keeps_the_report_of_an_unequal_instance(monkeypatch):
         report = record["report"]
         assert report["instance"] == instance.to_dict() and report["equal"] is False
         expected = harness.verify_prepared(harness.prepare(instance)).to_dict()
-        assert dict(report, ms=None) == dict(expected, ms=None)
+        assert without_ms(dict(report)) == without_ms(expected)
 
 
 def test_report_keeps_an_instance_given_on_the_unfolded_side():
@@ -926,18 +903,24 @@ def test_cli_fold_output(tmp_path, capsys, family):
 
 
 def test_cli_character_and_demazure(capsys):
-    assert main(["character", "--gcm", "A2", "--lambda", "1,1"]) == 0
-    out = capsys.readouterr().out
-    assert "# dim 8" in out
-    assert main(["character", "--gcm", "A2", "--lambda", "1,1", "--json"]) == 0
-    terms = json.loads(capsys.readouterr().out)
+    # the longest word gives the full character, which the Freudenthal oracle computes
     oracle = freudenthal_character(cartan_matrix("A2"), (1, 1))
+    assert oracle.coefficient_sum() == 8
+    assert main(["demazure", "--gcm", "A2", "--lambda", "1,1", "--word", "0,1,0"]) == 0
+    assert capsys.readouterr().out == canonical_serialize(oracle) + "\n"
+    assert main(["demazure", "--gcm", "A2", "--lambda", "1,1", "--word", "0,1,0", "--json"]) == 0
+    terms = json.loads(capsys.readouterr().out)
     assert terms == [[c, list(w)] for w, c in oracle.sorted_terms()]
-    # the third route is a test oracle only: the CLI no longer offers it
+    # the third route is a test oracle only, and the full character is a Demazure
+    # character: the CLI offers neither the flag nor a command of its own
     with pytest.raises(SystemExit) as exit_info:
-        main(["character", "--gcm", "A2", "--lambda", "1,1", "--freudenthal"])
+        main(["demazure", "--gcm", "A2", "--lambda", "1,1", "--word", "0,1,0", "--freudenthal"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --freudenthal" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["character", "--gcm", "A2", "--lambda", "1,1"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'character'" in capsys.readouterr().err
     assert main(["demazure", "--gcm", "A2", "--lambda", "1,1", "--word", "0"]) == 0
     assert capsys.readouterr().out.strip() == "1*e[1,1]\n1*e[-1,2]"
     assert main(["demazure", "--gcm", "A2", "--lambda", "1,1", "--word", ""]) == 0
@@ -1019,8 +1002,8 @@ WORD_CAP_COMMANDS = (
 
 
 @pytest.mark.parametrize("argv", [
-    ["character", "--gcm", "A2", "--lambda", "a,b"],
-    ["character", "--gcm", "A2", "--lambda", "1,1,1"],
+    ["demazure", "--gcm", "A2", "--lambda", "a,b", "--word", "0,1,0"],
+    ["demazure", "--gcm", "A2", "--lambda", "1,1,1", "--word", "0,1,0"],
     ["demazure", "--gcm", "A2", "--lambda", "1,1,1", "--word", "0"],
     ["twining", "--gcm", "A2", "--auto", "1,0", "--lambda", "1", "--word", "0,1,0"],
     ["twining", "--gcm", "A2", "--auto", "1,0,2", "--lambda", "1,1", "--word", "0,1,0"],
@@ -1047,6 +1030,35 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("label, rank", [("A5", 5), ("E6", 6)])
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "-i", "{instance}"], "[1, 0] is not a bijection of 0..{last}"),
+    (["fold", "-i", "{instance}"], "[1, 0] is not a bijection of 0..{last}"),
+    (["verify", "-i", "{instance}"], "[1, 0] is not a bijection of 0..{last}"),
+    (["demazure", "--gcm", "{label}", "--lambda", "1", "--word", "0"],
+     "weight (1,) has size 1, expected {rank}"),
+    (["twining", "--gcm", "{label}", "--auto", "1,0", "--lambda", "1", "--word", "0"],
+     "weight (1,) has size 1, expected {rank}"),
+], ids=["validate", "fold", "verify", "demazure", "twining"])
+def test_a_label_of_another_rank_builds_no_matrix(tmp_path, monkeypatch, capsys, label, rank,
+                                                  argv, message):
+    # the rank of a label is compared with the size of the automorphism or the weight
+    # before its matrix is built, so a short instance cannot build a huge matrix; the
+    # error is the one that the check after the build gives
+    builds = []
+    real = root_data.validate_gcm
+    monkeypatch.setattr(root_data, "validate_gcm", lambda m: builds.append(len(m)) or real(m))
+    instance = write_instance(tmp_path, {"gcm": label, "automorphism": [1, 0],
+                                         "lambda_hat": [0], "w_hat": []})
+    harness._family.cache_clear()
+    fields = {"instance": instance, "label": label, "rank": rank, "last": rank - 1}
+    assert main([a.format(**fields) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**fields)}\n"
+    assert builds == []
+    harness.build_gcm(label)   # the spy sees a catalog build
+    assert builds == [rank]
 
 
 def test_twining_character_rejects_non_automorphism():

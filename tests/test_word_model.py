@@ -2,7 +2,6 @@
 
 import json
 import sys
-import threading
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -50,12 +49,14 @@ from oracles import (
     is_dominant,
     root_coords,
     shapovalov_pair,
+    stress_threads,
     tau_twist,
     upward_subspaces,
     upward_traces,
     upward_twining_character,
     vector_of_word,
     weight_space,
+    without_ms,
     word_content,
 )
 
@@ -727,8 +728,7 @@ def test_cache_state_never_changes_a_verdict():
             report = harness.verify(instance, word_cap=cap).to_dict()
         except TooLarge as exc:
             return "skipped: " + str(exc)
-        del report["ms"]
-        return json.dumps(report)
+        return json.dumps(without_ms(report))
 
     seen = {dim - 1: set(), dim: set()}
     for order in [(dim - 1, dim), (dim, dim - 1)]:
@@ -760,29 +760,16 @@ def test_threads_share_the_module_cache(monkeypatch):
                 for report in map(harness.verify, instances)]
     word_model._modules.cache_clear()
     characters._characters.cache_clear()
-    results, failures = [], []
+    results = []
 
     def work(offset):
-        try:
-            for k in range(5 * len(instances)):
-                j = (k + offset) % len(instances)
-                report = harness.verify(instances[j])
-                results.append((report.lhs, report.rhs, report.equal) == expected[j])
-        except Exception as exc:  # reported by the assertion below
-            failures.append(exc)
+        for k in range(5 * len(instances)):
+            j = (k + offset) % len(instances)
+            report = harness.verify(instances[j])
+            results.append((report.lhs, report.rhs, report.equal) == expected[j])
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == [] and len(results) == 4 * 5 * len(instances) and all(results)
+    stress_threads(work)
+    assert len(results) == 4 * 5 * len(instances) and all(results)
     cache = word_model._modules
     assert cache.held == sum(module.dimension for module in cache.values())
     assert cache.held <= 40 or len(cache) == 1
