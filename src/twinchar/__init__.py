@@ -34,9 +34,7 @@ from .root_data import (
     CharacterPolynomial,
     GeneralizedCartanMatrix,
     cartan_matrix,
-    positive_roots,
     validate_gcm,
-    weyl_dimension,
 )
 from .weyl import (
     enumerate_weyl,
@@ -72,12 +70,10 @@ __all__ = [
     "is_symmetric_weight",
     "longest_element",
     "map_character",
-    "positive_roots",
     "run_battery",
     "twining_character",
     "unfold_weight",
     "unfold_word",
     "validate_gcm",
     "verify",
-    "weyl_dimension",
 ]

@@ -14,14 +14,15 @@ import sys
 from . import harness, word_model
 from .characters import canonical_serialize, demazure_character
 from .errors import InvalidInput, TwiningError
-from .folding import fold
-from .root_data import GeneralizedCartanMatrix, cartan_matrix, parse_label
+from .root_data import cartan_matrix, parse_label
 from .weyl import format_word, parse_word
 
 
 def _print_poly(poly, as_json: bool) -> None:
-    print(json.dumps([[c, list(w)] for w, c in poly.sorted_terms()]) if as_json
-          else canonical_serialize(poly))
+    if as_json:
+        print(json.dumps([[c, list(w)] for w, c in poly.sorted_terms()]))
+    else:
+        print(canonical_serialize(poly))
 
 
 def _cmd_validate(args) -> int:
@@ -36,7 +37,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_fold(args) -> int:
     instance = harness.load_instance(args.instance)
-    data = fold(harness.build_gcm(instance.gcm, instance.automorphism), instance.automorphism)
+    data = harness._family(instance.gcm, instance.automorphism)
     lift = [[1 if k == o else 0 for k in range(data.n_folded)] for o in data.node_orbit]
     if args.json:
         print(json.dumps({
@@ -59,30 +60,35 @@ def _cmd_fold(args) -> int:
     return 0
 
 
-def _label_matrix(label: str, rank: int, lam) -> GeneralizedCartanMatrix:
-    # a weight of another rank raises as dominant_weight would, before the matrix is built
-    if len(lam) != rank:
-        raise InvalidInput(f"weight {lam} has size {len(lam)}, expected {rank}")
-    return cartan_matrix(label)
+def _gcm_and_weight(args):
+    # the matrix of --gcm and the weight of --lambda; a weight of another size than the
+    # rank raises as dominant_weight would, but before the matrix is built
+    n = parse_label(args.gcm)[1]
+    lam = parse_word(args.lam)
+    if len(lam) != n:
+        raise InvalidInput(f"weight {lam} has size {len(lam)}, expected {n}")
+    return cartan_matrix(args.gcm), lam
 
 
 def _cmd_demazure(args) -> int:
-    rank, lam, word = parse_label(args.gcm)[1], parse_word(args.lam), parse_word(args.word)
-    _print_poly(demazure_character(_label_matrix(args.gcm, rank, lam), lam, word), args.json)
+    gcm, lam = _gcm_and_weight(args)
+    poly = demazure_character(gcm, lam, parse_word(args.word))
+    _print_poly(poly, args.json)
     return 0
 
 
 def _cmd_twining(args) -> int:
-    rank, lam, word, auto = (parse_label(args.gcm)[1], parse_word(args.lam),
-                             parse_word(args.word), parse_word(args.auto))
-    poly = word_model.twining_character(_label_matrix(args.gcm, rank, lam), lam, word, auto,
-                                        word_cap=args.word_cap)
+    gcm, lam = _gcm_and_weight(args)
+    poly = word_model.twining_character(
+        gcm, lam, parse_word(args.word), parse_word(args.auto),
+        word_cap=args.word_cap)
     _print_poly(poly, args.json)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    report = harness.verify(harness.load_instance(args.instance), word_cap=args.word_cap)
+    report = harness.verify(harness.load_instance(args.instance),
+                            word_cap=args.word_cap)
     if args.json:
         print(json.dumps(report.to_dict()))
     else:
@@ -91,7 +97,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_battery(args) -> int:
-    config = harness.BatteryConfig(word_cap=args.word_cap, max_word_len=args.max_word_len,
+    config = harness.BatteryConfig(word_cap=args.word_cap,
+                                   max_word_len=args.max_word_len,
                                    lambda_box=args.lambda_box)
     summary = harness.run_battery(config)
     if args.json:

@@ -161,21 +161,19 @@ class PreparedInstance(NamedTuple):
         return self.folding.auto
 
 
-def build_gcm(source, perm=None) -> GeneralizedCartanMatrix:
+def build_gcm(source) -> GeneralizedCartanMatrix:
     """The matrix of a catalog label or of rows, checked on every call."""
-    if not isinstance(source, str):
-        return validate_gcm(source)
-    # before any matrix is built, a label of another rank than perm raises as fold would
-    if perm is not None and (n := parse_label(source)[1]) != len(perm):
-        raise NotDiagramAutomorphism(f"{list(perm)} is not a bijection of 0..{n - 1}")
-    return cartan_matrix(source)
+    return cartan_matrix(source) if isinstance(source, str) else validate_gcm(source)
 
 
 @lru_cache(maxsize=64)
 def _family(source, perm: tuple[int, ...]) -> FoldingData:
     # keyed on a label or strict-int rows and a strict-int perm, as (True, False) == (1, 0)
-    # hashes alike; the matrix is built and fold checks perm on a miss
-    return fold(build_gcm(source, perm), perm)
+    # hashes alike; the matrix is built and fold checks perm on a miss, but a label of
+    # another rank than perm raises as fold would before its matrix is built
+    if isinstance(source, str) and (n := parse_label(source)[1]) != len(perm):
+        raise NotDiagramAutomorphism(f"{list(perm)} is not a bijection of 0..{n - 1}")
+    return fold(build_gcm(source), perm)
 
 
 def _folding(gcm_source, automorphism) -> FoldingData:
@@ -382,11 +380,10 @@ def run_battery(config: BatteryConfig | None = None) -> BatterySummary:
 def format_report(report: VerificationReport) -> str:
     lines = [f"verdict: {'equal' if report.equal else 'UNEQUAL'}",
              f"elapsed: {report.ms:.3f} ms",
-             f"dims: {report.dims}",
-             "lhs:"]
-    lines.extend("  " + line for line in canonical_serialize(report.lhs).splitlines())
-    lines.append("rhs:")
-    lines.extend("  " + line for line in canonical_serialize(report.rhs).splitlines())
+             f"dims: {report.dims}"]
+    for side, poly in (("lhs", report.lhs), ("rhs", report.rhs)):
+        lines.append(f"{side}:")
+        lines.extend("  " + line for line in canonical_serialize(poly).splitlines())
     if not report.equal:
         lines.append("differing terms (weight, lhs, rhs):")
         lines.extend(f"  {list(w)}: {a} vs {b}" for w, a, b in report.differing_terms)

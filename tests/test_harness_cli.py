@@ -1061,6 +1061,23 @@ def test_a_label_of_another_rank_builds_no_matrix(tmp_path, monkeypatch, capsys,
     assert builds == [rank]
 
 
+@pytest.mark.parametrize("label", ["A5", "E6"])
+def test_a_label_of_another_rank_raises_the_message_of_the_built_check(capsys, label):
+    # the checks before the build restate a message of root_data each; the one that
+    # fold or dominant_weight gives once the matrix is built is the reference
+    gcm = cartan_matrix(label)
+    with pytest.raises(NotDiagramAutomorphism) as late:
+        root_data.diagram_permutation(gcm, (1, 0))
+    harness._family.cache_clear()
+    with pytest.raises(NotDiagramAutomorphism) as early:
+        harness._family(label, (1, 0))
+    assert str(early.value) == str(late.value)
+    with pytest.raises(InvalidInput) as late:
+        root_data.dominant_weight(gcm, (1,))
+    assert main(["demazure", "--gcm", label, "--lambda", "1", "--word", "0"]) == 2
+    assert capsys.readouterr().err == f"error: {late.value}\n"
+
+
 def test_twining_character_rejects_non_automorphism():
     for label, perm in [("A2", (0, 0)), ("B2", (1, 0))]:
         with pytest.raises(NotDiagramAutomorphism):
@@ -1177,6 +1194,8 @@ def test_broken_invariants_exit_4(tmp_path, monkeypatch, capsys):
         patched.setitem(module.sizes, top, 2)
         assert main(["verify", "-i", inst]) == 4
     assert "extremal vector" in capsys.readouterr().err
+    # fold reads the family cache, which the verify runs above filled
+    harness._family.cache_clear()
     with monkeypatch.context() as patched:
         patched.setattr(weyl, "is_in_w_tilde", lambda gcm, word, perm: False)
         assert main(["fold", "-i", inst]) == 4
