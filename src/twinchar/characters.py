@@ -13,13 +13,13 @@ root layer (``root_data``, ``linalg``, ``errors``).
 
 from __future__ import annotations
 
-from . import weyl
 from .errors import NoDescentFound
 from .root_data import (
     BoundedCache,
     CharacterPolynomial,
     GeneralizedCartanMatrix,
     Weight,
+    _walk,
     dominant_weight,
     weyl_word,
 )
@@ -78,7 +78,7 @@ def demazure_core(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> CharacterP
     e(lam), then applies one Demazure operator per step back up, caching
     each character it passes, e(lam) included.
     """
-    key = (gcm, lam, tuple(weyl._walk(gcm, reversed(word), list(lam))))
+    key = (gcm, lam, tuple(_walk(gcm, reversed(word), list(lam))))
     peeled = []
     while (poly := _characters.get(key)) is None and key[2] != lam:
         mu = key[2]
@@ -86,7 +86,7 @@ def demazure_core(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> CharacterP
         if i is None:
             raise NoDescentFound(f"the weight {mu} is dominant but not {lam}")
         peeled.append((key, i))
-        key = (gcm, lam, tuple(weyl._walk(gcm, (i,), list(mu))))
+        key = (gcm, lam, tuple(_walk(gcm, (i,), list(mu))))
     if poly is None:
         poly = CharacterPolynomial.monomial(lam)
         _characters.add(key, poly)
@@ -122,7 +122,7 @@ def lifted_core(folding, lam: Weight, word) -> CharacterPolynomial:
     miss lifts the character and stores the lift.
     """
     gcm = folding.folded
-    key = (gcm, lam, tuple(weyl._walk(gcm, reversed(word), list(lam))), folding.node_orbit)
+    key = (gcm, lam, tuple(_walk(gcm, reversed(word), list(lam))), folding.node_orbit)
     lifted = _characters.get(key)
     if lifted is None:
         lifted = map_character(folding, demazure_core(gcm, lam, word))

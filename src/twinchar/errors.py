@@ -83,4 +83,4 @@ class RankMismatch(InvariantViolation):
 
 
 class TooLarge(Unsupported):
-    """The Demazure module of an instance has more basis vectors than the word cap."""
+    """A Demazure module over the word cap, or a catalog label above ``MAX_CATALOG_RANK``."""

@@ -37,6 +37,7 @@ from .errors import (
 from .root_data import (
     GeneralizedCartanMatrix,
     Weight,
+    _walk,
     diagram_permutation,
     is_symmetric_weight,
     validate_gcm,
@@ -167,12 +168,12 @@ def fold_word(data: FoldingData, word: Word) -> Word:
 def _fold_letters(data: FoldingData, word: Word) -> Word:
     """``fold_word`` on an unfolded word whose letters are checked."""
     gcm = data.gcm
-    x = weyl._walk(gcm, word, list(gcm.rho()))
+    x = _walk(gcm, word, list(gcm.rho()))
     if not is_symmetric_weight(x, data.auto.perm):
         raise NotInWTilde(f"word {word} does not commute with the automorphism")
     x_hat = tuple(x[orbit[0]] for orbit in data.orbits)
     result = weyl._word_of_rho_vector(data.folded, x_hat)
-    if weyl._walk(gcm, _unfold_letters(data, result), list(gcm.rho())) != x:
+    if _walk(gcm, _unfold_letters(data, result), list(gcm.rho())) != x:
         raise NoDescentFound("descent peeling did not invert the word expansion; "
                              "folding data is inconsistent")
     return result

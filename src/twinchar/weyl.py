@@ -12,11 +12,12 @@ x = rho, at O(n) integer work per letter, and reads the peeled letters
 backwards; ``folding.fold_word`` on the identity fold returns it.
 
 This vector is the only representation of a Weyl element: ``element_of``
-returns it, ``enumerate_weyl`` runs its breadth-first search on it, and
+returns it, ``enumerate_weyl`` runs its breadth-first search on it,
 ``is_in_w_tilde`` and ``folding.fold_word`` read commutation with a
-diagram automorphism off it.  Only the word model walks w(rho) instead,
-in the one walk that also gives its module's content.  Matrices appear
-only in the tests, as an independent reference.
+diagram automorphism off it, and ``root_data._longest_word``, the one
+test of finite type, grows ``longest_element`` on it.  Only the word
+model walks w(rho) instead, in the one walk that also gives its module's
+content.  Matrices appear only in the tests, as an independent reference.
 """
 
 from __future__ import annotations
@@ -25,24 +26,14 @@ from .errors import InvalidInput, NoDescentFound, NotFiniteType
 from .root_data import (
     GeneralizedCartanMatrix,
     Weight,
-    _require_finite,
+    _longest_word,
+    _walk,
     int_at_least,
     is_symmetric_weight,
     weyl_word,
 )
 
 Word = tuple[int, ...]
-
-
-def _walk(gcm: GeneralizedCartanMatrix, letters, x: list[int]) -> list[int]:
-    """x <- s_i(x) in place for each letter i in turn, unchecked: the caller validates."""
-    roots = gcm.roots
-    for i in letters:
-        c = x[i]
-        if c:
-            for k, a in roots[i]:
-                x[k] -= c * a
-    return x
 
 
 def _apply(gcm: GeneralizedCartanMatrix, word, lam: Weight, inverse: bool = False) -> list[int]:
@@ -98,41 +89,18 @@ def _word_of_rho_vector(gcm: GeneralizedCartanMatrix, x: Weight) -> Word:
     return tuple(reversed(letters))
 
 
-def _length_bound(gcm: GeneralizedCartanMatrix) -> int:
-    """n max(n, 15): at least the positive roots of any finite root system of rank n.
-
-    That is 120 for E8 and n^2 for B_n and C_n, the most of any rank, and
-    the bound is superadditive, so it covers a sum of components too.  A
-    finite-type walk that passes it has met a matrix whose ``finite`` is wrong.
-    """
-    return gcm.n * max(gcm.n, 15)
-
-
 def longest_element(gcm: GeneralizedCartanMatrix) -> Word:
-    """Reduced word of the longest element, grown by smallest-index ascents.
-
-    An ascent of w is a positive coordinate of w^-1(rho); the longest
-    element is the one without ascents.  Its length is the number of
-    positive roots, so a word longer than ``_length_bound`` raises
-    NotFiniteType.
+    """Reduced word of the longest element, by ``root_data._longest_word``, the one
+    test of finite type; an infinite Weyl group raises NotFiniteType.
 
     >>> from twinchar.root_data import cartan_matrix
     >>> longest_element(cartan_matrix("A2"))
     (0, 1, 0)
     """
-    _require_finite(gcm)
-    bound = _length_bound(gcm)
-    x = list(gcm.rho())
-    letters = []
-    while True:
-        i = next((k for k, c in enumerate(x) if c > 0), None)
-        if i is None:
-            return tuple(letters)
-        if len(letters) == bound:
-            raise NotFiniteType(f"no longest element of length at most {bound}: "
-                                "the Weyl group is not finite")
-        letters.append(i)
-        _walk(gcm, (i,), x)
+    word = _longest_word(gcm)
+    if word is None:
+        raise NotFiniteType("the Weyl group is not finite: it has no longest element")
+    return word
 
 
 def is_in_w_tilde(gcm: GeneralizedCartanMatrix, word: Word, perm: tuple[int, ...]) -> bool:
@@ -156,8 +124,8 @@ def enumerate_weyl(gcm: GeneralizedCartanMatrix,
     That word need not be the canonical one of ``folding.fold_word`` on the
     identity fold: for A3 the breadth-first word (0, 2) has the canonical
     word (2, 0).
-    With ``max_length=None`` the group must be finite, and an element longer
-    than ``_length_bound`` raises NotFiniteType; the result is sorted by
+    With ``max_length=None`` the matrix must be of finite type
+    (``gcm.finite``), else NotFiniteType is raised; the result is sorted by
     (length, word).
 
     >>> from twinchar.root_data import cartan_matrix
@@ -166,7 +134,7 @@ def enumerate_weyl(gcm: GeneralizedCartanMatrix,
     """
     if max_length is not None:
         int_at_least(max_length, 0, "length cap")
-    if max_length is None and not gcm.finite:
+    elif not gcm.finite:
         raise NotFiniteType("cannot enumerate an infinite Weyl group without a length cap")
     rho = gcm.rho()
     found: dict[Weight, Word] = {rho: ()}
@@ -182,9 +150,6 @@ def enumerate_weyl(gcm: GeneralizedCartanMatrix,
                     found[y] = word + (i,)
                     fresh.append((word + (i,), y))
         frontier = fresh
-        if fresh and max_length is None and depth > _length_bound(gcm):
-            raise NotFiniteType(f"an element of length {depth} passes {_length_bound(gcm)}: "
-                                "the Weyl group is not finite")
     return sorted(((w, x) for x, w in found.items()), key=lambda t: (len(t[0]), t[0]))
 
 

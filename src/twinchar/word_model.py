@@ -84,9 +84,16 @@ def _permuted(beta: RootVector, perm: tuple[int, ...]) -> RootVector:
 
 
 def _product(rows, matrix) -> list[list[int]]:
-    """Each row vector times the matrix; a row shorter than the matrix is padded with zeros."""
-    columns = list(zip(*matrix))
-    return [[sum(map(mul, row, column)) for column in columns] for row in rows]
+    """Each row vector times the rectangular matrix, skipping the zero entries of both;
+    a row (of a raising table) shorter than the matrix has rows is padded with zeros."""
+    out = [[0] * len(matrix[0] if matrix else ()) for _ in rows]
+    for acc, row in zip(out, rows):
+        for a, m_row in zip(row, matrix):
+            if a:
+                for k, b in enumerate(m_row):
+                    if b:
+                        acc[k] += a * b
+    return out
 
 
 def _table(rows) -> Table:
@@ -333,10 +340,10 @@ def _walked(gcm: GeneralizedCartanMatrix, lam: Weight,
             word) -> tuple[RootVector, Weight, Weight]:
     """lam - w(lam) in root coordinates, w(lam) and w(rho), for any word of w.
 
-    One unchecked walk of both weights, ``weyl._walk`` inlined.  Reflecting
+    One unchecked walk of both weights, ``root_data._walk`` inlined.  Reflecting
     lam down the word telescopes: beta sums the steps of lam, so lam - w(lam)
     is the sum over t of <s_{i_{t+1}} ... s_{i_k}(lam), alpha_{i_t}^vee> alpha_{i_t}.
-    A zero step leaves lam and beta as they are and is skipped, as ``weyl._walk``
+    A zero step leaves lam and beta as they are and is skipped, as ``root_data._walk``
     skips it; rho is regular, so its steps never vanish and each is taken.
     """
     roots = gcm.roots

@@ -749,6 +749,10 @@ AFFINE_FAMILIES = {family.name: family for family in (
                                      (0, 0, -2, 2)), (1, 0, 2, 3), ()),
 )}
 
+# a finite block beside an affine one, of infinite type: the walk up from rho reaches the
+# longest element of the A2 block, then ascends in the A1^(1) block without end
+A2_PLUS_AFFINE_A1 = ((2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -2), (0, 0, -2, 2))
+
 # the identity automorphism on each affine matrix and on the twisted A2^(2) that A2^(1)
 # folds to: the twining character is then the full character, so every content of the
 # module, not only the tau-fixed ones, meets the Demazure operators of the same matrix

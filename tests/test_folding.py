@@ -42,6 +42,7 @@ from twinchar.weyl import (
 )
 
 from oracles import (
+    A2_PLUS_AFFINE_A1,
     AFFINE_FAMILIES,
     E6_FLIP,
     FOLDED,
@@ -111,9 +112,11 @@ SMALL_GCMS = list(small_gcms())
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(SMALL_GCMS + [cartan_matrix(label) for label in ("D4", "E6", "G2")]
-                       + [folded(label, perm).folded for label, perm in BATTERY]))
+                       + [folded(label, perm).folded for label, perm in BATTERY]
+                       + [validate_gcm(A2_PLUS_AFFINE_A1)]))
 def test_matrix_derived_fields(gcm):
-    # computed once at construction, and no part of equality, hashing or pickling
+    # computed once at construction, finite when read, and no part of equality, hashing
+    # or pickling
     entries, n = gcm.entries, len(gcm.entries)
     assert gcm.n == n
     assert gcm.finite == all(m > 0 for m in leading_principal_minors(entries))
@@ -122,8 +125,7 @@ def test_matrix_derived_fields(gcm):
     assert gcm.coroots == tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in entries)
     rebuilt = GeneralizedCartanMatrix(entries, gcm.symmetrizer)
     assert rebuilt == gcm and hash(rebuilt) == hash(gcm) == hash((entries, gcm.symmetrizer))
-    for name, value in (("finite", not gcm.finite), ("roots", ()), ("coroots", ()),
-                        ("_hash", 0)):
+    for name, value in (("roots", ()), ("coroots", ()), ("_hash", 0)):
         object.__setattr__(rebuilt, name, value)
     assert rebuilt == gcm
     assert GeneralizedCartanMatrix(entries, tuple(2 * d for d in gcm.symmetrizer)) != gcm

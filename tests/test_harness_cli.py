@@ -10,6 +10,7 @@ import json
 import pkgutil
 import re
 import sys
+import time
 from collections import Counter
 from itertools import combinations
 from operator import mul
@@ -37,6 +38,7 @@ from twinchar.errors import (
 from twinchar.folding import fold
 from twinchar.linalg import exact_quotient
 from twinchar.root_data import (
+    MAX_CATALOG_RANK,
     CharacterPolynomial,
     GeneralizedCartanMatrix,
     cartan_matrix,
@@ -1061,6 +1063,29 @@ def test_a_label_of_another_rank_builds_no_matrix(tmp_path, monkeypatch, capsys,
     assert builds == [rank]
 
 
+def test_a_label_above_the_catalog_rank_is_too_large(tmp_path, monkeypatch, capsys):
+    # A30000 with an automorphism of its rank passes the rank check, and would build
+    # and check 900 million entries; the rank bound refuses it before any matrix
+    builds = []
+    real = root_data.validate_gcm
+    monkeypatch.setattr(root_data, "validate_gcm", lambda m: builds.append(len(m)) or real(m))
+    instance = write_instance(tmp_path, {"gcm": "A30000", "automorphism": list(range(30000))[::-1],
+                                         "lambda_hat": [0] * 15000, "w_hat": []})
+    harness._family.cache_clear()
+    start = time.perf_counter()
+    assert main(["validate", "-i", instance]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: type A needs rank <= {MAX_CATALOG_RANK}\n"
+    assert builds == []
+    assert root_data.parse_label(f"A{MAX_CATALOG_RANK}") == ("A", MAX_CATALOG_RANK)
+    assert root_data.parse_label(f"d000{MAX_CATALOG_RANK}") == ("D", MAX_CATALOG_RANK)
+    # a rank past int()'s 4,300 digits is too large too, and a superscript digit is no rank
+    for label, error in [(f"A{MAX_CATALOG_RANK + 1}", TooLarge), ("B" + "9" * 5000, TooLarge),
+                         ("A\u00b2", InvalidInput)]:
+        with pytest.raises(error):
+            cartan_matrix(label)
+
+
 @pytest.mark.parametrize("label", ["A5", "E6"])
 def test_a_label_of_another_rank_raises_the_message_of_the_built_check(capsys, label):
     # the checks before the build restate a message of root_data each; the one that
@@ -1102,6 +1127,19 @@ def test_library_has_no_assert_statements():
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == [], path.name
+
+
+# the standing budget of src/: a change that adds lines to it removes as many
+SRC_LINE_BUDGET = 2225
+
+
+def test_src_stays_within_its_line_budget():
+    # counted as verifybench/run.py::source_size counts them: every line of every
+    # Python file under src/
+    src = Path(__file__).resolve().parent.parent / "src"
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in sorted(src.rglob("*.py")))
+    assert lines <= SRC_LINE_BUDGET, lines
 
 
 def test_every_import_is_read():

@@ -5,14 +5,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinchar import weyl
 from twinchar.characters import demazure_character
 from twinchar.errors import InvalidInput, NotDominant, NotFiniteType, NotGCM, NotSymmetrizable
 from twinchar.folding import fold, fold_word, unfold_word
-from twinchar.linalg import leading_minors_positive
 from twinchar.root_data import (
     cartan_matrix,
     diagram_permutation,
@@ -24,7 +23,13 @@ from twinchar.root_data import (
 )
 from twinchar.word_model import demazure_subspaces, twining_character
 
-from oracles import AFFINE_FAMILIES, leading_principal_minors, root_coords, weight_space
+from oracles import (
+    A2_PLUS_AFFINE_A1,
+    AFFINE_FAMILIES,
+    leading_principal_minors,
+    root_coords,
+    weight_space,
+)
 
 CATALOG = ["A2", "A3", "A4", "B2", "C3", "D4", "G2"]
 
@@ -154,6 +159,16 @@ def test_finite_type_detection():
     assert validate_gcm([[2]]).finite
     for label in CATALOG:
         assert cartan_matrix(label).finite, label
+    # a block sum is finite exactly when every block is, in either order of the blocks
+    affine_first = [row[2:] + row[:2] for row in A2_PLUS_AFFINE_A1[2:] + A2_PLUS_AFFINE_A1[:2]]
+    a2_b2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -2], [0, 0, -1, 2]]
+    blocks = [validate_gcm(m) for m in (A2_PLUS_AFFINE_A1, affine_first, a2_b2)]
+    assert [gcm.finite for gcm in blocks] == [False, False, True]
+    # the walk against Sylvester's criterion on the symmetrizable matrix: finite type
+    # exactly when every leading principal minor, by cofactor expansion, is positive
+    for gcm in blocks + [cartan_matrix(label) for label in CATALOG + ["E6"]] + [
+            validate_gcm(family.gcm) for family in AFFINE_FAMILIES.values()]:
+        assert gcm.finite == all(m > 0 for m in leading_principal_minors(gcm.entries))
 
 
 def test_simple_root_and_reflection_examples():
@@ -192,27 +207,6 @@ def test_root_coords_off_the_root_lattice():
 def test_root_coords_of_singular_matrix():
     with pytest.raises(ValueError, match="singular"):
         root_coords(validate_gcm(AFFINE_FAMILIES["A1^(1)"].gcm), (0, 0))
-
-
-square_matrices = st.integers(1, 5).flatmap(
-    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                       min_size=n, max_size=n))
-
-
-@settings(max_examples=400, deadline=None)
-@given(square_matrices)
-@example([[0, 0], [0, 0]])
-@example([[0, 1], [1, 2]])                       # zero first pivot
-@example([[1, 2, 0], [2, 4, 1], [0, 1, 3]])      # zero later pivot
-@example([[2, 3, 1], [1, 1, 0], [0, 1, 2]])      # negative pivot after a positive one
-@example([list(row) for row in AFFINE_FAMILIES["A1^(1)"].gcm])   # positive, then zero
-@example([[1, 2, 3], [2, 4, 6], [0, 1, -1]])
-@example([list(row) for row in cartan_matrix("E6").entries])
-def test_leading_minors_positive_matches_laplace_minors(m):
-    # elimination without row swaps meets only positive pivots exactly when every
-    # leading principal minor, by cofactor expansion, is positive
-    assert leading_minors_positive(tuple(map(tuple, m))) == all(
-        d > 0 for d in leading_principal_minors(m))
 
 
 def test_positive_roots_a2():

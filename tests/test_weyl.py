@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from twinchar.errors import InvalidInput, NotFiniteType
 from twinchar.root_data import (
-    GeneralizedCartanMatrix,
     cartan_matrix,
     positive_roots,
     validate_gcm,
+    weyl_dimension,
 )
 from twinchar.weyl import (
     act,
@@ -31,8 +31,10 @@ from twinchar.weyl import (
 )
 
 from oracles import (
+    A2_PLUS_AFFINE_A1,
     AFFINE_FAMILIES,
     identity_matrix,
+    leading_principal_minors,
     length,
     mat_mul,
     mat_vec,
@@ -40,6 +42,7 @@ from oracles import (
     matrix_of,
     reduced_word,
     root_coords,
+    small_gcms,
 )
 
 WEYL_ORDERS = {"A2": 6, "A3": 24, "B2": 8, "G2": 12, "C3": 48, "A4": 120, "D4": 192}
@@ -190,17 +193,24 @@ def test_enumerate_weyl_with_length_cap():
             enumerate_weyl(a2, max_length=cap)
 
 
-@pytest.mark.parametrize("call", [longest_element, enumerate_weyl])
-def test_finite_walks_stop_when_finite_is_wrong(call):
-    # affine A1 read as finite type, as a broken finiteness test would read it: the
-    # walks stop once a length passes 2 max(2, 15) = 30; the matrix is fresh and
-    # reaches no cache, so no other test sees the wrong flag
-    gcm = GeneralizedCartanMatrix(AFFINE_FAMILIES["A1^(1)"].gcm, (1, 1))
-    object.__setattr__(gcm, "finite", True)
+# every matrix of infinite type that the tests build, by its leading principal minors
+INFINITE_GCMS = [gcm for gcm in small_gcms()
+                 if not all(m > 0 for m in leading_principal_minors(gcm.entries))] + [
+    validate_gcm(matrix) for matrix in [family.gcm for family in AFFINE_FAMILIES.values()]
+    + [A2_PLUS_AFFINE_A1, [[2, -3], [-3, 2]]]]
+
+
+@pytest.mark.parametrize("call", [
+    longest_element, enumerate_weyl, positive_roots, lambda gcm: weyl_dimension(gcm, gcm.rho()),
+], ids=["longest_element", "enumerate_weyl", "positive_roots", "weyl_dimension"])
+def test_finite_type_calls_raise_on_every_infinite_case(call):
+    # the walk up from rho passes n max(n, 15) ascents on an infinite Weyl group, so each
+    # call that needs the whole finite group or its positive roots refuses it at once
     start = time.perf_counter()
-    with pytest.raises(NotFiniteType, match="not finite"):
-        call(gcm)
-    assert time.perf_counter() - start < 1
+    for gcm in INFINITE_GCMS:
+        with pytest.raises(NotFiniteType):
+            call(gcm)
+    assert time.perf_counter() - start < 5
 
 
 def test_the_length_bound_admits_the_longest_finite_elements():
