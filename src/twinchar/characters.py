@@ -13,7 +13,7 @@ root layer (``root_data``, ``linalg``, ``errors``).
 
 from __future__ import annotations
 
-from .errors import NoDescentFound
+from .errors import InvalidInput, NoDescentFound
 from .root_data import (
     BoundedCache,
     CharacterPolynomial,
@@ -48,7 +48,10 @@ def demazure_op(gcm: GeneralizedCartanMatrix, poly: CharacterPolynomial,
 
     With m = <mu, alpha_i^vee>:  m >= 0 gives the string from e(mu) down to
     e(s_i mu); m = -1 gives 0; m <= -2 gives minus the interior string.
+    A letter i that is not a node raises InvalidInput.
     """
+    if type(i) is not int or not 0 <= i < gcm.n:
+        raise InvalidInput(f"letter {i!r} is not a node of rank {gcm.n}")
     alpha = gcm.simple_root(i)
     terms: list[tuple[Weight, int]] = []
     for mu, c in poly._terms.items():
@@ -64,20 +67,16 @@ def demazure_op(gcm: GeneralizedCartanMatrix, poly: CharacterPolynomial,
 
 def demazure_character(gcm: GeneralizedCartanMatrix, lam: Weight,
                        word) -> CharacterPolynomial:
-    """Demazure character of the element of any word, reduced or not, at lam; checked."""
-    return demazure_core(gcm, dominant_weight(gcm, lam), weyl_word(gcm, word))
+    """Demazure character of the element of any word, reduced or not, at lam; checked.
 
-
-def demazure_core(gcm: GeneralizedCartanMatrix, lam: Weight, word) -> CharacterPolynomial:
-    """``demazure_character`` on a dominant weight tuple and a checked word.
-
-    chi_w(lam) depends only on mu = w(lam), one unchecked walk of the word.
+    chi_w(lam) depends only on mu = w(lam), one walk of the checked word.
     A miss peels the smallest i with mu_i < 0, a left descent of the
     shortest element of w W_lam, so chi_w = D_i chi_{s_i w}; it peels down
     to the first cached weight or to mu = lam, where the character is
     e(lam), then applies one Demazure operator per step back up, caching
     each character it passes, e(lam) included.
     """
+    lam, word = dominant_weight(gcm, lam), weyl_word(gcm, word)
     key = (gcm, lam, tuple(_walk(gcm, reversed(word), list(lam))))
     peeled = []
     while (poly := _characters.get(key)) is None and key[2] != lam:
@@ -106,7 +105,7 @@ def map_character(folding, poly: CharacterPolynomial) -> CharacterPolynomial:
     injective on supports, and poly holds no zero coefficient.
     """
     if poly.n != folding.n_folded:
-        raise ValueError(f"character rank {poly.n} does not match folded rank {folding.n_folded}")
+        raise InvalidInput(f"character rank {poly.n} does not match folded rank {folding.n_folded}")
     node_orbit = folding.node_orbit
     lifted = CharacterPolynomial(len(node_orbit))
     lifted._terms = {tuple(map(w.__getitem__, node_orbit)): c for w, c in poly._terms.items()}
@@ -114,17 +113,17 @@ def map_character(folding, poly: CharacterPolynomial) -> CharacterPolynomial:
 
 
 def lifted_core(folding, lam: Weight, word) -> CharacterPolynomial:
-    """``map_character(folding, demazure_core(folding.folded, lam, word))``, kept.
+    """``map_character(folding, demazure_character(folding.folded, lam, word))``, kept.
 
     The lift of chi_w(lam) depends on the folded matrix, lam, mu = w(lam)
     and the weight lift ``node_orbit``, which key it in the character
     cache: a hit is one unchecked walk of the word and one lookup, and a
-    miss lifts the character and stores the lift.
+    miss checks lam and the word, lifts the character and stores the lift.
     """
     gcm = folding.folded
     key = (gcm, lam, tuple(_walk(gcm, reversed(word), list(lam))), folding.node_orbit)
     lifted = _characters.get(key)
     if lifted is None:
-        lifted = map_character(folding, demazure_core(gcm, lam, word))
+        lifted = map_character(folding, demazure_character(gcm, lam, word))
         _characters.add(key, lifted)
     return lifted

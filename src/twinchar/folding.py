@@ -39,6 +39,7 @@ from .root_data import (
     Weight,
     _walk,
     diagram_permutation,
+    int_tuple,
     is_symmetric_weight,
     validate_gcm,
     weyl_word,
@@ -128,14 +129,16 @@ def fold(gcm: GeneralizedCartanMatrix, perm) -> FoldingData:
 
 
 def unfold_weight(data: FoldingData, mu_hat: Weight) -> Weight:
-    """Lift a folded weight to the symmetric weight constant on each orbit."""
+    """Lift an integral folded weight to the symmetric weight constant on each orbit."""
+    mu_hat = int_tuple(mu_hat, "folded weight")
     if len(mu_hat) != len(data.orbits):
         raise InvalidInput(f"folded weight {mu_hat} has wrong size {len(mu_hat)}")
     return tuple(map(mu_hat.__getitem__, data.node_orbit))
 
 
 def fold_weight(data: FoldingData, lam: Weight) -> Weight:
-    """Inverse of unfold_weight; defined only on symmetric weights."""
+    """Inverse of unfold_weight; defined only on symmetric integral weights."""
+    lam = int_tuple(lam, "weight")
     if len(lam) != data.gcm.n:
         raise InvalidInput(f"weight {lam} has wrong size {len(lam)}")
     if not is_symmetric_weight(lam, data.auto.perm):
@@ -145,11 +148,7 @@ def fold_weight(data: FoldingData, lam: Weight) -> Weight:
 
 def unfold_word(data: FoldingData, word_hat: Word) -> Word:
     """Expand a folded word letterwise through the per-orbit Weyl words."""
-    return _unfold_letters(data, weyl_word(data.folded, word_hat))
-
-
-def _unfold_letters(data: FoldingData, word_hat: Word) -> Word:
-    """``unfold_word`` on a folded word whose letters are checked."""
+    word_hat = weyl_word(data.folded, word_hat)
     return tuple(chain.from_iterable(map(data.orbit_words.__getitem__, word_hat)))
 
 
@@ -162,18 +161,14 @@ def fold_word(data: FoldingData, word: Word) -> Word:
     is peeled on the folded side.  The result is checked to re-expand to
     the same element.
     """
-    return _fold_letters(data, weyl_word(data.gcm, word))
-
-
-def _fold_letters(data: FoldingData, word: Word) -> Word:
-    """``fold_word`` on an unfolded word whose letters are checked."""
     gcm = data.gcm
+    word = weyl_word(gcm, word)
     x = _walk(gcm, word, list(gcm.rho()))
     if not is_symmetric_weight(x, data.auto.perm):
         raise NotInWTilde(f"word {word} does not commute with the automorphism")
     x_hat = tuple(x[orbit[0]] for orbit in data.orbits)
     result = weyl._word_of_rho_vector(data.folded, x_hat)
-    if _walk(gcm, _unfold_letters(data, result), list(gcm.rho())) != x:
+    if _walk(gcm, unfold_word(data, result), list(gcm.rho())) != x:
         raise NoDescentFound("descent peeling did not invert the word expansion; "
                              "folding data is inconsistent")
     return result

@@ -7,11 +7,12 @@ side) and the folded Demazure character pushed through the weight lift
 (right side) and compares them exactly; a mismatch is a report, not a
 crash, so the harness doubles as a falsification tool.
 
-Each type check runs once per ``Instance`` built, however it is built, and
-each value check once per distinct instance while its family is cached.
+``Instance`` checks the types when it is built, however it is built, and
 ``parse_instance`` adds only the checks of the dict's keys.  ``prepare``
-checks the values and keeps the prepared record, and ``verify_prepared``
-runs the route cores, which keep every mathematical check on every call.
+checks the values through the public entries, each the one check of its
+input, so a miss scans the types once more; it keeps the prepared record,
+and a hit checks nothing.  ``verify_prepared`` runs the route cores,
+which keep every mathematical check on every call.
 Every record here is a NamedTuple (``Instance``, ``PreparedInstance``,
 ``VerificationReport``, ``BatteryFamily``, ``BatteryConfig`` and
 ``BatterySummary``): immutable, changed with ``_replace``, which for an
@@ -38,21 +39,20 @@ from .errors import InvalidInput, NotDiagramAutomorphism, TooLarge
 from .folding import (
     DiagramAutomorphism,
     FoldingData,
-    _fold_letters,
-    _unfold_letters,
     fold,
     fold_weight,
+    fold_word,
     unfold_weight,
+    unfold_word,
 )
 from .root_data import (
     BoundedCache,
     CharacterPolynomial,
     GeneralizedCartanMatrix,
     Weight,
-    _dominant,
-    _letters,
     _sequence,
     cartan_matrix,
+    dominant_weight,
     int_at_least,
     int_tuple,
     parse_label,
@@ -210,13 +210,11 @@ def prepare(instance: Instance) -> PreparedInstance:
         lambda_hat = instance.lambda_hat
         lam = unfold_weight(data, lambda_hat)
     if instance.w is not None:
-        w = _letters(data.gcm, instance.w)
-        w_hat = _fold_letters(data, w)
+        w, w_hat = instance.w, fold_word(data, instance.w)
     else:
-        w_hat = _letters(data.folded, instance.w_hat)
-        w = _unfold_letters(data, w_hat)
-    prep = _record(PreparedInstance, (data, _dominant(data.gcm, lam), lambda_hat, w, w_hat,
-                                      instance))
+        w, w_hat = unfold_word(data, instance.w_hat), instance.w_hat
+    prep = _record(PreparedInstance, (data, dominant_weight(data.gcm, lam), lambda_hat, w,
+                                      w_hat, instance))
     _prepared.add(instance, prep)
     return prep
 

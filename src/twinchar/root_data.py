@@ -194,9 +194,11 @@ def _longest_word(gcm: GeneralizedCartanMatrix) -> tuple[int, ...] | None:
     return None
 
 
-def _require_finite(gcm: GeneralizedCartanMatrix) -> None:
-    if not gcm.finite:
-        raise NotFiniteType("operation requires a finite-type Cartan matrix")
+def _require_finite(gcm: GeneralizedCartanMatrix) -> tuple[int, ...]:
+    """The longest word of ``_longest_word``; the one raise of NotFiniteType."""
+    if (word := _longest_word(gcm)) is None:
+        raise NotFiniteType("the Weyl group is not finite: the matrix is not of finite type")
+    return word
 
 
 def _sequence(values, what: str) -> tuple:
@@ -234,11 +236,7 @@ def int_at_least(value, minimum: int, what: str) -> None:
 
 def dominant_weight(gcm: GeneralizedCartanMatrix, lam) -> Weight:
     """The weight as a tuple, checked to be integral, of size rank and dominant."""
-    return _dominant(gcm, int_tuple(lam, "weight"))
-
-
-def _dominant(gcm: GeneralizedCartanMatrix, lam: Weight) -> Weight:
-    """``dominant_weight`` on a tuple of ints: checks the size and the dominance."""
+    lam = int_tuple(lam, "weight")
     if len(lam) != gcm.n:
         raise InvalidInput(f"weight {lam} has size {len(lam)}, expected {gcm.n}")
     if min(lam, default=0) < 0:
@@ -248,11 +246,7 @@ def _dominant(gcm: GeneralizedCartanMatrix, lam: Weight) -> Weight:
 
 def weyl_word(gcm: GeneralizedCartanMatrix, word) -> tuple[int, ...]:
     """The word as a tuple, checked to be ints that are nodes of the matrix."""
-    return _letters(gcm, int_tuple(word, "word"))
-
-
-def _letters(gcm: GeneralizedCartanMatrix, word: tuple[int, ...]) -> tuple[int, ...]:
-    """``weyl_word`` on a tuple of ints: checks that each letter is a node."""
+    word = int_tuple(word, "word")
     if word and not (0 <= min(word) and max(word) < gcm.n):
         raise InvalidInput(f"word {word} has a letter out of range for rank {gcm.n}")
     return word
@@ -400,7 +394,7 @@ class CharacterPolynomial:
         for weight, coeff in items:
             weight = tuple(weight)
             if len(weight) != n:
-                raise ValueError(f"exponent {weight} has size {len(weight)}, expected {n}")
+                raise InvalidInput(f"exponent {weight} has size {len(weight)}, expected {n}")
             total = data.get(weight, 0) + coeff
             if total:
                 data[weight] = total

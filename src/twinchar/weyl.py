@@ -22,13 +22,14 @@ content.  Matrices appear only in the tests, as an independent reference.
 
 from __future__ import annotations
 
-from .errors import InvalidInput, NoDescentFound, NotFiniteType
+from .errors import InvalidInput, NoDescentFound
 from .root_data import (
     GeneralizedCartanMatrix,
     Weight,
-    _longest_word,
+    _require_finite,
     _walk,
     int_at_least,
+    int_tuple,
     is_symmetric_weight,
     weyl_word,
 )
@@ -36,22 +37,17 @@ from .root_data import (
 Word = tuple[int, ...]
 
 
-def _apply(gcm: GeneralizedCartanMatrix, word, lam: Weight, inverse: bool = False) -> list[int]:
-    """w(lam) as a list; w^-1(lam) when inverse (the letters then act first to last)."""
-    word = weyl_word(gcm, word)
-    if len(lam) != gcm.n:
-        raise InvalidInput(f"weight {tuple(lam)} has size {len(lam)}, expected {gcm.n}")
-    return _walk(gcm, word if inverse else reversed(word), list(lam))
-
-
 def act(gcm: GeneralizedCartanMatrix, word: Word, lam: Weight) -> Weight:
-    """The image w(lam) of a weight under the element of the word.
+    """The image w(lam) of an integral weight under the element of the word.
 
     >>> from twinchar.root_data import cartan_matrix
     >>> act(cartan_matrix("A2"), (0, 1), (1, 0))
     (-1, 1)
     """
-    return tuple(_apply(gcm, word, lam))
+    word, lam = weyl_word(gcm, word), int_tuple(lam, "weight")
+    if len(lam) != gcm.n:
+        raise InvalidInput(f"weight {lam} has size {len(lam)}, expected {gcm.n}")
+    return tuple(_walk(gcm, reversed(word), list(lam)))
 
 
 def element_of(gcm: GeneralizedCartanMatrix, word: Word) -> Weight:
@@ -66,7 +62,7 @@ def element_of(gcm: GeneralizedCartanMatrix, word: Word) -> Weight:
     >>> element_of(a2, (0, 1, 0)) == element_of(a2, (1, 0, 1))
     True
     """
-    return tuple(_apply(gcm, word, gcm.rho(), inverse=True))
+    return tuple(_walk(gcm, weyl_word(gcm, word), list(gcm.rho())))
 
 
 def _word_of_rho_vector(gcm: GeneralizedCartanMatrix, x: Weight) -> Word:
@@ -97,10 +93,7 @@ def longest_element(gcm: GeneralizedCartanMatrix) -> Word:
     >>> longest_element(cartan_matrix("A2"))
     (0, 1, 0)
     """
-    word = _longest_word(gcm)
-    if word is None:
-        raise NotFiniteType("the Weyl group is not finite: it has no longest element")
-    return word
+    return _require_finite(gcm)
 
 
 def is_in_w_tilde(gcm: GeneralizedCartanMatrix, word: Word, perm: tuple[int, ...]) -> bool:
@@ -110,9 +103,10 @@ def is_in_w_tilde(gcm: GeneralizedCartanMatrix, word: Word, perm: tuple[int, ...
     commutes with it exactly when w^-1 does, that is when the vector
     w^-1(rho) of ``element_of`` is fixed by the permutation.
     """
-    if len(perm) != gcm.n:
-        raise InvalidInput(f"automorphism size {len(perm)} does not match rank {gcm.n}")
-    return is_symmetric_weight(_apply(gcm, word, gcm.rho(), inverse=True), perm)
+    perm = int_tuple(perm, "automorphism")
+    if sorted(perm) != list(range(gcm.n)):
+        raise InvalidInput(f"automorphism {list(perm)} is not a bijection of 0..{gcm.n - 1}")
+    return is_symmetric_weight(element_of(gcm, word), perm)
 
 
 def enumerate_weyl(gcm: GeneralizedCartanMatrix,
@@ -134,8 +128,8 @@ def enumerate_weyl(gcm: GeneralizedCartanMatrix,
     """
     if max_length is not None:
         int_at_least(max_length, 0, "length cap")
-    elif not gcm.finite:
-        raise NotFiniteType("cannot enumerate an infinite Weyl group without a length cap")
+    else:
+        _require_finite(gcm)
     rho = gcm.rho()
     found: dict[Weight, Word] = {rho: ()}
     frontier: list[tuple[Word, Weight]] = [((), rho)]

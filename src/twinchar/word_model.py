@@ -383,7 +383,7 @@ def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...], wo
     only tau-fixed element of W_p but 1, so the chain passes through the
     tau-stable module of each folded letter, which the chains of a battery's
     other words share.
-    With the identity permutation it peels as ``characters.demazure_core``.
+    With the identity permutation it peels as ``characters.demazure_character``.
     The cap is checked while building and on every call, and so is the extremal
     line: the weight space of V_w at lam - w(lam) is one line of weight w(lam).
     """

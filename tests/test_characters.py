@@ -10,11 +10,10 @@ from twinchar import characters, weyl
 from twinchar.characters import (
     canonical_serialize,
     demazure_character,
-    demazure_core,
     demazure_op,
     map_character,
 )
-from twinchar.errors import NotDominant
+from twinchar.errors import InvalidInput, NotDominant
 from twinchar.folding import fold
 from twinchar.root_data import CharacterPolynomial, cartan_matrix, validate_gcm, weyl_dimension
 from twinchar.weyl import element_of, enumerate_weyl, longest_element
@@ -40,7 +39,7 @@ def test_polynomial_algebra_basics():
     assert CharacterPolynomial(2, [((1, 1), 2), ((1, 1), -2)]) == CharacterPolynomial(2)
     assert not CharacterPolynomial(2, {(1, 1): 0})
     assert p.coefficient_sum() == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         CharacterPolynomial(2, [((1,), 1)])
 
 
@@ -48,6 +47,13 @@ def test_demazure_op_on_dominant_monomial():
     # D_0 e(rho) = e(rho) + e(rho - alpha_0)
     out = demazure_op(A2, CharacterPolynomial.monomial((1, 1)), 0)
     assert out == CharacterPolynomial(2, [((1, 1), 1), ((-1, 2), 1)])
+
+
+@pytest.mark.parametrize("i", [-1, 3], ids=["negative", "rank"])
+def test_demazure_op_rejects_a_letter_that_is_not_a_node(i):
+    # -1 would index the last node and 3 would escape as an IndexError
+    with pytest.raises(InvalidInput):
+        demazure_op(cartan_matrix("A3"), CharacterPolynomial.monomial((0, 0, 1)), i)
 
 
 def test_demazure_op_kills_minus_one():
@@ -177,11 +183,11 @@ def test_the_highest_weight_character_is_cached():
     # w(lam) = lam gives e(lam), kept under its key (gcm, lam, lam) like every other
     # character, so a second call returns the cached object
     characters._characters.cache_clear()
-    first = demazure_core(A2, (0, 1), (0,))    # s_0 fixes (0, 1)
+    first = demazure_character(A2, (0, 1), (0,))    # s_0 fixes (0, 1)
     assert first == CharacterPolynomial.monomial((0, 1))
     assert characters._characters[A2, (0, 1), (0, 1)] is first
-    assert demazure_core(A2, (0, 1), (0,)) is first
-    assert demazure_core(A2, (0, 1), ()) is first
+    assert demazure_character(A2, (0, 1), (0,)) is first
+    assert demazure_character(A2, (0, 1), ()) is first
     characters._characters.cache_clear()
 
 
@@ -212,6 +218,8 @@ def test_map_character_examples():
     assert map_character(data, poly) == CharacterPolynomial(
         2, [((1, 1), 1), ((-1, -1), 1)])
     assert map_character(data, CharacterPolynomial(1)) == CharacterPolynomial(2)
+    with pytest.raises(InvalidInput):
+        map_character(data, CharacterPolynomial(2))
 
 
 def test_map_character_is_injective_on_support():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from twinchar import weyl
 from twinchar.characters import demazure_character
 from twinchar.errors import InvalidInput, NotDominant, NotFiniteType, NotGCM, NotSymmetrizable
-from twinchar.folding import fold, fold_word, unfold_word
+from twinchar.folding import fold, fold_weight, fold_word, unfold_weight, unfold_word
 from twinchar.root_data import (
     cartan_matrix,
     diagram_permutation,
@@ -279,6 +279,21 @@ def test_weight_of_wrong_size_is_rejected(call, lam):
 def test_word_of_non_integers_is_rejected(call, word):
     with pytest.raises(InvalidInput):
         call(cartan_matrix("A2"), word)
+
+
+@pytest.mark.parametrize("call", [
+    lambda gcm, entry: weyl.act(gcm, (0,), (entry, entry)),
+    lambda gcm, entry: fold_weight(fold(gcm, (1, 0)), (entry, entry)),
+    lambda gcm, entry: unfold_weight(fold(gcm, (1, 0)), (entry,)),
+    lambda gcm, entry: weyl.is_in_w_tilde(gcm, (0,), (1, entry)),
+    lambda gcm, entry: dominant_weight(gcm, (entry, 0)),
+], ids=["act", "fold_weight", "unfold_weight", "is_in_w_tilde", "dominant_weight"])
+@pytest.mark.parametrize("entry", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_weight_of_non_integers_is_rejected(call, entry):
+    # a weight or permutation of the right size, one entry equal to an integer but not one:
+    # a float would walk to a float weight, a str or a float index would escape as TypeError
+    with pytest.raises(InvalidInput):
+        call(cartan_matrix("A2"), entry)
 
 
 @pytest.mark.parametrize("call", [

@@ -154,6 +154,10 @@ def test_w_tilde_membership_for_a2_flip():
     assert is_in_w_tilde(a2, (0, 1, 0), (1, 0))
     assert not is_in_w_tilde(a2, (0,), (1, 0))
     assert is_in_w_tilde(a2, (), (1, 0))
+    # a permutation of the wrong size, out of range or not a bijection is invalid input
+    for perm in [(1,), (1, 2), (0, -1), (1, 1)]:
+        with pytest.raises(InvalidInput):
+            is_in_w_tilde(a2, (0,), perm)
 
 
 def test_w_tilde_closed_under_product_and_inverse():
