@@ -48,10 +48,13 @@ def demazure_op(gcm: GeneralizedCartanMatrix, poly: CharacterPolynomial,
 
     With m = <mu, alpha_i^vee>:  m >= 0 gives the string from e(mu) down to
     e(s_i mu); m = -1 gives 0; m <= -2 gives minus the interior string.
-    A letter i that is not a node raises InvalidInput.
+    A letter i that is not a node, or a polynomial of another rank, raises
+    InvalidInput.
     """
     if type(i) is not int or not 0 <= i < gcm.n:
         raise InvalidInput(f"letter {i!r} is not a node of rank {gcm.n}")
+    if poly.n != gcm.n:
+        raise InvalidInput(f"polynomial of rank {poly.n} for a matrix of rank {gcm.n}")
     alpha = gcm.simple_root(i)
     terms: list[tuple[Weight, int]] = []
     for mu, c in poly._terms.items():

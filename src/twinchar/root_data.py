@@ -20,6 +20,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 
 from .errors import (
     InvalidInput,
@@ -269,8 +270,12 @@ def diagram_permutation(gcm: GeneralizedCartanMatrix, perm) -> tuple[int, ...]:
 
 
 def is_symmetric_weight(lam: Weight, perm: tuple[int, ...]) -> bool:
-    """True iff the weight (or root vector) is fixed by the coordinate permutation."""
-    return len(lam) == len(perm) and tuple(map(lam.__getitem__, perm)) == tuple(lam)
+    """True iff the weight (or root vector) is fixed by the coordinate permutation.
+
+    ``itemgetter`` of one index returns the entry, not a tuple, and a weight
+    of size below 2 is fixed by its one permutation anyway.
+    """
+    return len(lam) == len(perm) and (len(perm) < 2 or itemgetter(*perm)(lam) == tuple(lam))
 
 
 def _reflect_root(entries: IntMatrix, beta: RootVector, i: int) -> RootVector:
@@ -376,7 +381,8 @@ class CharacterPolynomial:
     """Finitely supported integer linear combination of formal weight exponentials.
 
     Terms with equal exponents are summed and zero coefficients dropped, so
-    equality is equality of characters.
+    equality is equality of characters.  Exponents and coefficients must be
+    ints (not bools, floats or strings); anything else raises InvalidInput.
 
     >>> p = CharacterPolynomial(2, [((1, 1), 1), ((-1, -1), 1), ((1, 1), 1)])
     >>> p.sorted_terms(), p.coefficient_sum()
@@ -392,9 +398,11 @@ class CharacterPolynomial:
         data: dict[Weight, int] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for weight, coeff in items:
-            weight = tuple(weight)
+            weight = int_tuple(weight, "exponent")
             if len(weight) != n:
                 raise InvalidInput(f"exponent {weight} has size {len(weight)}, expected {n}")
+            if type(coeff) is not int:
+                raise InvalidInput(f"coefficient {coeff!r} of exponent {weight} is not an integer")
             total = data.get(weight, 0) + coeff
             if total:
                 data[weight] = total

@@ -177,10 +177,12 @@ class _Module:
     basis it is written in: the missing entries are zero, and a table of
     V_{s_i w} (``below``) serves V_w unchanged, shared by reference.
     ``characters[perm]`` is the twining character of V_w(lam), assembled
-    once per permutation from the traces of ``twist(perm)``.
+    once per permutation from the traces of ``twist(perm)``.  ``weight`` is
+    the extremal weight, lam minus the root combination beta_w that keys the
+    module in the cache, set by ``_module`` before the module enters it.
     """
 
-    __slots__ = ("gcm", "sizes", "raising", "characters", "dimension")
+    __slots__ = ("gcm", "sizes", "raising", "characters", "dimension", "weight")
 
     def __init__(self, gcm: GeneralizedCartanMatrix, below: "_Module | None" = None):
         self.gcm = gcm
@@ -386,6 +388,8 @@ def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...], wo
     With the identity permutation it peels as ``characters.demazure_character``.
     The cap is checked while building and on every call, and so is the extremal
     line: the weight space of V_w at lam - w(lam) is one line of weight w(lam).
+    Each module keeps that weight, lam minus its own cache key's content, computed
+    once before it enters the cache; every call compares the walk's w(lam) with it.
     """
     beta_w, mu = content
     key = (gcm, lam, beta_w)
@@ -407,9 +411,11 @@ def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...], wo
                 orbit.append(j)
         if module is None:
             module = _Module(gcm)
+            module.weight = weight_below(gcm, lam, key[2])
             _modules.add(key, module)
         for key, i in reversed(peeled):
             module = _grown(gcm, lam, module, i, word_cap, word)
+            module.weight = weight_below(gcm, lam, key[2])
             _modules.add(key, module)
     if module.dimension > word_cap:
         raise TooLarge(f"the Demazure module of {word} at {lam} has more than "
@@ -417,7 +423,7 @@ def _module(gcm: GeneralizedCartanMatrix, lam: Weight, word: tuple[int, ...], wo
     if module.sizes.get(beta_w) != 1:
         raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam}: content {beta_w} "
                                      f"has dimension {module.sizes.get(beta_w, 0)}, not 1")
-    if weight_below(gcm, lam, beta_w) != mu:
+    if module.weight != mu:
         raise ExtremalVectorMismatch(f"extremal vector of {word} at {lam} has the wrong weight")
     return module
 

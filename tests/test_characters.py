@@ -56,6 +56,21 @@ def test_demazure_op_rejects_a_letter_that_is_not_a_node(i):
         demazure_op(cartan_matrix("A3"), CharacterPolynomial.monomial((0, 0, 1)), i)
 
 
+def test_demazure_op_rejects_a_polynomial_of_another_rank():
+    # zip with the simple root would cut the exponent to rank 2 and return e[1,0] + e[-1,1]
+    with pytest.raises(InvalidInput, match="rank 3 for a matrix of rank 2"):
+        demazure_op(A2, CharacterPolynomial.monomial((1, 0, 5)), 0)
+
+
+@pytest.mark.parametrize("terms", [[((1.5, 0), 1), ((0, 0), 0.5)], [((1, 0), 0.5)],
+                                   [("ab", 1)], [((True, 0), 1)], [((1, 0), True)]],
+                         ids=["float-exponent", "float-coefficient", "str-exponent",
+                              "bool-exponent", "bool-coefficient"])
+def test_polynomial_refuses_non_integer_terms(terms):
+    with pytest.raises(InvalidInput):
+        CharacterPolynomial(2, terms)
+
+
 def test_demazure_op_kills_minus_one():
     out = demazure_op(A2, CharacterPolynomial.monomial((-1, 3)), 0)
     assert out == CharacterPolynomial(2)

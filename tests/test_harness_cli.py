@@ -342,10 +342,12 @@ def test_warm_path_keeps_its_checks(monkeypatch):
     for key in [(gcm, lam, word_model._walked(gcm, lam, u)[0]),
                 (gcm, skewed, word_model._walked(gcm, skewed, w)[0])]:
         assert key in word_model._modules
-    dim = word_model._modules[gcm, lam, word_model._walked(gcm, lam, w)[0]].dimension
+    module = word_model._modules[gcm, lam, word_model._walked(gcm, lam, w)[0]]
+    dim = module.dimension
     unfolded = {"gcm": "A3", "automorphism": [2, 1, 0], "lambda": list(lam), "w": list(w)}
     with monkeypatch.context() as patched:
-        patched.setattr(word_model, "weight_below", lambda gcm, lam, beta: lam)
+        # a warm hit compares w(lam) with the weight the module keeps: break that weight
+        patched.setattr(module, "weight", lam)
         for args, error in [
             ((gcm, skewed, u, perm, dim - 1), NotSymmetricWeight),
             ((gcm, lam, u, perm, dim - 1), NotInWTilde),
@@ -367,6 +369,36 @@ def test_warm_path_keeps_its_checks(monkeypatch):
             assert raised.type is error
     assert harness.verify(unfolded, word_cap=dim).equal
     word_model._modules.cache_clear()
+
+
+def test_every_cached_module_keeps_its_extremal_weight():
+    # the weight a module keeps is lam minus the content that keys it in the cache
+    word_model._modules.cache_clear()
+    harness.run_battery()
+    harness.run_battery(BOX_1)
+    assert word_model._modules
+    for (gcm, lam, beta), module in word_model._modules.items():
+        assert module.weight == word_model.weight_below(gcm, lam, beta)
+
+
+def test_a_warm_verify_computes_no_root_weight(monkeypatch):
+    # a warm hit compares the walk's w(lam) with the weight its module keeps, so no
+    # lam - A beta is summed again; the cold pass shows the count sees the calls
+    instances = [instance for _, instance in harness.battery_instances(harness.BatteryConfig())]
+    weight_of_root, calls = GeneralizedCartanMatrix.weight_of_root, []
+
+    def counting(gcm, beta):
+        calls.append(beta)
+        return weight_of_root(gcm, beta)
+
+    word_model._modules.cache_clear()
+    characters._characters.cache_clear()
+    monkeypatch.setattr(GeneralizedCartanMatrix, "weight_of_root", counting)
+    assert all(harness.verify(instance).equal for instance in instances)
+    assert calls
+    calls.clear()
+    assert all(harness.verify(instance).equal for instance in instances)
+    assert calls == []
 
 
 # one fault per entry, in the order verify meets them: the types of the fields

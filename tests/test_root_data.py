@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +17,10 @@ from twinchar.root_data import (
     diagram_permutation,
     dominant_weight,
     int_tuple,
+    is_symmetric_weight,
     positive_roots,
     validate_gcm,
+    weight_box,
     weyl_dimension,
 )
 from twinchar.word_model import demazure_subspaces, twining_character
@@ -363,3 +365,21 @@ def test_int_tuple_accepts_and_rejects_as_the_set_based_check(kind, entries, has
     drawn = hashable if kind in ("dict", "set", "frozenset") else entries
     assert _outcome(int_tuple, build(drawn)) == _outcome(set_based_int_tuple, build(drawn))
     assert _outcome(int_tuple, scalar) == _outcome(set_based_int_tuple, scalar)
+
+
+def _map_is_symmetric_weight(lam, perm):
+    """Oracle: ``is_symmetric_weight`` as it stood before it read the weight by ``itemgetter``."""
+    return len(lam) == len(perm) and tuple(map(lam.__getitem__, perm)) == tuple(lam)
+
+
+def test_is_symmetric_weight_agrees_with_the_map_definition():
+    # itemgetter of one index returns the entry itself, so rank 1 takes its own branch
+    for n in range(5):
+        for perm in permutations(range(n)):
+            for lam in weight_box(n, 0, 2):
+                assert is_symmetric_weight(lam, perm) == _map_is_symmetric_weight(lam, perm)
+    # rank 1, a list weight, and weights of the wrong length
+    for lam, perm, fixed in [((3,), (0,), True), ([1, 0, 1], (2, 1, 0), True),
+                             ([1, 0, 0], (2, 1, 0), False), ((1, 1), (2, 1, 0), False),
+                             ((1, 1, 1, 1), (2, 1, 0), False), ((1,), (1, 0), False)]:
+        assert is_symmetric_weight(lam, perm) is _map_is_symmetric_weight(lam, perm) is fixed
